@@ -173,7 +173,9 @@ def cmd_enumerate(args) -> int:
             sys.stderr.write("error: --resume needs --checkpoint\n")
             return EXIT_USAGE
         config = config_from_dict(load_json(args.config)) if args.config else None
-        enumerator = load_checkpoint(args.checkpoint, config=config, jobs=args.jobs)
+        enumerator = load_checkpoint(
+            args.checkpoint, config=config, jobs=args.jobs, checkpoint_every=args.checkpoint_every
+        )
     else:
         if not args.config:
             sys.stderr.write("error: --config is required unless resuming\n")

@@ -41,7 +41,6 @@ from .triangulation import (
 )
 
 DEFAULT_CHECKPOINT_EVERY = 10000
-_ENV_CHECKPOINT_EVERY = "TROPCAY_CHECKPOINT_EVERY"
 
 
 @dataclass(frozen=True)
@@ -125,7 +124,7 @@ class Enumerator:
         self.jobs = max(1, int(jobs))
         self.checkpoint_path = checkpoint_path
         if checkpoint_every is None:
-            checkpoint_every = int(os.environ.get(_ENV_CHECKPOINT_EVERY, DEFAULT_CHECKPOINT_EVERY))
+            checkpoint_every = DEFAULT_CHECKPOINT_EVERY
         self.checkpoint_every = max(1, checkpoint_every)
         self.regularity_mode = regularity_mode
         self.placing_order = list(placing_order) if placing_order is not None else None
@@ -315,6 +314,8 @@ class Enumerator:
         tmp = f"{path}.tmp"
         with open(tmp, "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
         self._last_checkpoint_emitted = self.emitted
 
@@ -346,7 +347,12 @@ def enumerate_triangulations(
     yield from enumerator.run(limit)
 
 
-def load_checkpoint(path, config: PointConfiguration | None = None, jobs: int = 1) -> Enumerator:
+def load_checkpoint(
+    path,
+    config: PointConfiguration | None = None,
+    jobs: int = 1,
+    checkpoint_every: int | None = None,
+) -> Enumerator:
     """Rebuild an Enumerator from a checkpoint file (digest-verified)."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -370,6 +376,7 @@ def load_checkpoint(path, config: PointConfiguration | None = None, jobs: int = 
         filters,
         jobs=jobs,
         checkpoint_path=path,
+        checkpoint_every=checkpoint_every,
         regularity_mode=doc.get("regularity_mode", "local"),
     )
     for b64 in doc["visited_regular"]:
@@ -385,10 +392,15 @@ def load_checkpoint(path, config: PointConfiguration | None = None, jobs: int = 
     return enumerator
 
 
-def resume(path, config: PointConfiguration | None = None, jobs: int = 1) -> Iterator[Triangulation]:
+def resume(
+    path,
+    config: PointConfiguration | None = None,
+    jobs: int = 1,
+    checkpoint_every: int | None = None,
+) -> Iterator[Triangulation]:
     """Continue emission from a checkpoint: only classes not yet seen are
     emitted, and the union with the pre-halt emissions equals a fresh run."""
-    enumerator = load_checkpoint(path, config=config, jobs=jobs)
+    enumerator = load_checkpoint(path, config=config, jobs=jobs, checkpoint_every=checkpoint_every)
     yield from enumerator.run()
 
 

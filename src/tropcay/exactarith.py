@@ -1,19 +1,26 @@
 """Exact rational arithmetic and exact integer linear algebra.
 
 Rational values are plain ``fractions.Fraction`` objects, which already
-guarantee lowest terms and a positive denominator.  This module adds the
-pieces the geometry code needs on top of that: string (de)serialization,
-a small rational matrix type, fraction-free (Bareiss) determinants, exact
-linear solving, integer kernels, and lattice (Hermite-style) row bases.
+guarantee lowest terms and a positive denominator.  This module adds
+string (de)serialization, exact linear algebra over Q, and lattice
+(Hermite-style) row bases over Z.
+
+All linear algebra over Q runs through one fraction-free Gauss-Jordan
+kernel (Bareiss) on integer rows.  Rational rows are first scaled to
+integers by ``clear_denominators``; every intermediate value is then an
+integer minor, so each division is exact.  ``det_int``, ``rank_int``,
+``solve_rational``, ``solve_general``, ``nullspace_basis`` and
+``kernel_vector_int`` are thin wrappers that read the reduced rows and
+pivots.  Lattice bases need unimodular row operations over Z and use
+their own Hermite reduction.
 
 Everything here is pure and exact; no floating point is ever used.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 Rational = Fraction
 
@@ -43,107 +50,92 @@ class DimensionError(ValueError):
     """Raised when matrix/vector shapes do not line up."""
 
 
-@dataclass(frozen=True)
-class RationalMatrix:
-    """A dense, immutable matrix of exact rationals (row-major)."""
+def clear_denominators(values) -> tuple[list[int], int]:
+    """Scale ints/Fractions by the lcm of their denominators.
 
-    rows: int
-    cols: int
-    entries: tuple[tuple[Fraction, ...], ...]
-
-    @classmethod
-    def from_rows(cls, rows) -> "RationalMatrix":
-        data = tuple(tuple(Fraction(x) for x in row) for row in rows)
-        if not data:
-            return cls(0, 0, ())
-        ncols = len(data[0])
-        if any(len(r) != ncols for r in data):
-            raise DimensionError("matrix rows have unequal lengths")
-        return cls(len(data), ncols, data)
-
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.entries[i]
-
-    def __getitem__(self, ij) -> Fraction:
-        i, j = ij
-        return self.entries[i][j]
-
-
-def determinant(m: RationalMatrix) -> Fraction:
-    """Exact determinant of a square rational matrix.
-
-    Rows are scaled to integers, then eliminated fraction-free (Bareiss),
-    which keeps intermediate values small for integer inputs.
+    Returns the scaled integers and that lcm.  Scaling a row of a linear
+    system by a positive constant leaves its solution set unchanged.
     """
-    if m.rows != m.cols:
-        raise DimensionError(f"determinant needs a square matrix, got {m.rows}x{m.cols}")
-    if m.rows == 0:
-        return Fraction(1)
-    scale = Fraction(1)
-    int_rows = []
-    for row in m.entries:
-        mult = 1
-        for x in row:
-            mult = mult * x.denominator // gcd(mult, x.denominator)
-        scale /= mult
-        int_rows.append([int(x * mult) for x in row])
-    return scale * det_int(int_rows)
+    den = 1
+    for v in values:
+        den = lcm(den, v.denominator)
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _integer_rows(rows) -> list[list[int]]:
+    return [clear_denominators(row)[0] for row in rows]
+
+
+def _eliminate(
+    rows: list[list[int]], ncols: int
+) -> tuple[list[list[int]], list[tuple[int, int]], int]:
+    """Fraction-free Gauss-Jordan reduction of integer rows (Bareiss).
+
+    Returns ``(a, pivots, sign)``: the reduced rows, the (row, column)
+    pivot pairs in order, and the sign of the row swaps.  Afterwards
+    every pivot entry equals the last pivot ``d``, every other entry of a
+    pivot column is 0, and ``a / d`` is the reduced row echelon form.
+    Every intermediate entry is a minor of the input, so each division
+    is exact.
+    """
+    a = [list(r) for r in rows]
+    m = len(a)
+    pivots: list[tuple[int, int]] = []
+    sign = 1
+    prev = 1
+    for c in range(ncols):
+        r = len(pivots)
+        if r == m:
+            break
+        piv = next((i for i in range(r, m) if a[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            sign = -sign
+        top = a[r]
+        p = top[c]
+        for i in range(m):
+            if i != r:
+                f = a[i][c]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], top)]
+        pivots.append((r, c))
+        prev = p
+    return a, pivots, sign
 
 
 def det_int(rows: list[list[int]]) -> int:
-    """Fraction-free (Bareiss) determinant of an integer matrix."""
-    a = [list(r) for r in rows]
-    n = len(a)
-    if any(len(r) != n for r in a):
+    """Determinant of a square integer matrix: the last fraction-free pivot."""
+    n = len(rows)
+    if any(len(r) != n for r in rows):
         raise DimensionError("det_int needs a square matrix")
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            aik = a[i][k]
-            ri, rk = a[i], a[k]
-            for j in range(k + 1, n):
-                ri[j] = (pivot * ri[j] - aik * rk[j]) // prev
-            ri[k] = 0
-        prev = pivot
-    return sign * a[n - 1][n - 1] if n > 0 else 1
+    if n == 0:
+        return 1
+    a, pivots, sign = _eliminate(rows, n)
+    return sign * a[-1][-1] if len(pivots) == n else 0
+
+
+def _solve(a_rows, b_col) -> tuple[list[Fraction] | None, list[tuple[int, int]]]:
+    """Reduce [A | b]; the solution with free variables 0 (or ``None`` if
+    inconsistent) and the pivots."""
+    n = len(a_rows[0]) if a_rows else 0
+    aug = _integer_rows([*row, b_col[i]] for i, row in enumerate(a_rows))
+    a, pivots, _ = _eliminate(aug, n + 1)
+    if pivots and pivots[-1][1] == n:
+        return None, pivots
+    x = [Fraction(0)] * n
+    for i, c in pivots:
+        x[c] = Fraction(a[i][n], a[i][c])
+    return x, pivots
 
 
 def solve_rational(a_rows, b_col) -> list[Fraction] | None:
     """Solve a square system A x = b exactly; ``None`` if A is singular."""
     n = len(a_rows)
-    aug = [[Fraction(x) for x in row] + [Fraction(b_col[i])] for i, row in enumerate(a_rows)]
-    if any(len(r) != n + 1 for r in aug):
+    if any(len(r) != n for r in a_rows):
         raise DimensionError("solve_rational needs a square matrix")
-    for k in range(n):
-        piv = None
-        for i in range(k, n):
-            if aug[i][k] != 0:
-                piv = i
-                break
-        if piv is None:
-            return None
-        aug[k], aug[piv] = aug[piv], aug[k]
-        pk = aug[k][k]
-        for i in range(k + 1, n):
-            f = aug[i][k] / pk
-            if f:
-                for j in range(k, n + 1):
-                    aug[i][j] -= f * aug[k][j]
-    x = [Fraction(0)] * n
-    for k in range(n - 1, -1, -1):
-        s = aug[k][n] - sum(aug[k][j] * x[j] for j in range(k + 1, n))
-        x[k] = s / aug[k][k]
-    return x
+    x, pivots = _solve(a_rows, b_col)
+    return x if x is not None and len(pivots) == n else None
 
 
 def solve_general(a_rows, b_col) -> list[Fraction] | None:
@@ -151,82 +143,42 @@ def solve_general(a_rows, b_col) -> list[Fraction] | None:
 
     Free variables are set to 0.  Returns ``None`` when inconsistent.
     """
-    m = len(a_rows)
-    n = len(a_rows[0]) if m else 0
-    aug = [[Fraction(x) for x in row] + [Fraction(b_col[i])] for i, row in enumerate(a_rows)]
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for c in range(n):
-        piv = None
-        for i in range(r, m):
-            if aug[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        pk = aug[r][c]
-        for i in range(m):
-            if i != r and aug[i][c]:
-                f = aug[i][c] / pk
-                for j in range(c, n + 1):
-                    aug[i][j] -= f * aug[r][j]
-        pivots.append((r, c))
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if aug[i][n] != 0:
-            return None
-    x = [Fraction(0)] * n
-    for i, c in pivots:
-        x[c] = aug[i][n] / aug[i][c]
-    return x
+    return _solve(a_rows, b_col)[0]
 
 
 def rank_int(rows) -> int:
     """Rank of an integer (or rational) matrix, computed exactly."""
-    a = [[Fraction(x) for x in row] for row in rows]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    r = 0
-    for c in range(n):
-        piv = None
-        for i in range(r, m):
-            if a[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
+    ncols = len(rows[0]) if rows else 0
+    return len(_eliminate(_integer_rows(rows), ncols)[1])
+
+
+def _kernel_vectors(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], int]:
+    """Integer kernel basis, one vector per free column, and the pivot ``d``.
+
+    Each vector holds ``d`` at its free column; divided by ``d`` it is the
+    reduced-echelon basis vector with that column set to 1.
+    """
+    a, pivots, _ = _eliminate(rows, ncols)
+    d = a[pivots[-1][0]][pivots[-1][1]] if pivots else 1
+    pivot_cols = {c for _, c in pivots}
+    basis = []
+    for free in range(ncols):
+        if free in pivot_cols:
             continue
-        a[r], a[piv] = a[piv], a[r]
-        for i in range(r + 1, m):
-            if a[i][c]:
-                f = a[i][c] / a[r][c]
-                for j in range(c, n):
-                    a[i][j] -= f * a[r][j]
-        r += 1
-        if r == m:
-            break
-    return r
+        v = [0] * ncols
+        v[free] = d
+        for i, c in pivots:
+            v[c] = -a[i][free]
+        basis.append(v)
+    return basis, d
 
 
-def _primitive(vec: list[Fraction]) -> tuple[int, ...]:
-    """Clear denominators and divide by content; first nonzero entry > 0."""
-    mult = 1
-    for x in vec:
-        mult = mult * x.denominator // gcd(mult, x.denominator)
-    ints = [int(x * mult) for x in vec]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    if g > 1:
-        ints = [v // g for v in ints]
-    for v in ints:
-        if v != 0:
-            if v < 0:
-                ints = [-w for w in ints]
-            break
-    return tuple(ints)
+def _primitive(vec: list[int]) -> tuple[int, ...]:
+    """Divide by the content; first nonzero entry > 0."""
+    g = gcd(*vec)
+    if next((v for v in vec if v), 0) < 0:
+        g = -g
+    return tuple(v // g for v in vec) if g else tuple(vec)
 
 
 def kernel_vector_int(cols: list[tuple[int, ...]]) -> tuple[int, ...] | None:
@@ -236,77 +188,20 @@ def kernel_vector_int(cols: list[tuple[int, ...]]) -> tuple[int, ...] | None:
     if the columns are linearly independent, raises if the kernel has
     dimension two or more (callers rely on uniqueness).
     """
-    ncols = len(cols)
-    nrows = len(cols[0]) if ncols else 0
-    a = [[Fraction(cols[j][i]) for j in range(ncols)] for i in range(nrows)]
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if a[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        for i in range(nrows):
-            if i != r and a[i][c]:
-                f = a[i][c] / a[r][c]
-                for j in range(c, ncols):
-                    a[i][j] -= f * a[r][j]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(ncols) if c not in pivots]
-    if not free:
-        return None
-    if len(free) > 1:
+    basis, _ = _kernel_vectors(_integer_rows(zip(*cols)), len(cols))
+    if len(basis) > 1:
         raise ValueError("kernel is not one-dimensional")
-    f = free[0]
-    v = [Fraction(0)] * ncols
-    v[f] = Fraction(1)
-    for i, c in enumerate(pivots):
-        v[c] = -a[i][f] / a[i][c]
-    return _primitive(v)
+    return _primitive(basis[0]) if basis else None
 
 
 def nullspace_basis(rows) -> list[tuple[Fraction, ...]]:
-    """Basis of {x : A x = 0} for a rational matrix given by rows."""
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    a = [[Fraction(x) for x in row] for row in rows]
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for c in range(n):
-        piv = None
-        for i in range(r, m):
-            if a[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        pk = a[r][c]
-        for i in range(m):
-            if i != r and a[i][c]:
-                f = a[i][c] / pk
-                for j in range(c, n):
-                    a[i][j] -= f * a[r][j]
-        pivots.append((r, c))
-        r += 1
-        if r == m:
-            break
-    pivot_cols = {c for _, c in pivots}
-    basis = []
-    for free in range(n):
-        if free in pivot_cols:
-            continue
-        v = [Fraction(0)] * n
-        v[free] = Fraction(1)
-        for i, c in pivots:
-            v[c] = -a[i][free] / a[i][c]
-        basis.append(tuple(v))
-    return basis
+    """Basis of {x : A x = 0} for a rational matrix given by rows.
+
+    One vector per non-pivot column, with that column set to 1.
+    """
+    ncols = len(rows[0]) if rows else 0
+    basis, d = _kernel_vectors(_integer_rows(rows), ncols)
+    return [tuple(Fraction(x, d) for x in v) for v in basis]
 
 
 def lattice_row_basis(vectors) -> list[list[int]]:

@@ -14,10 +14,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import comb, gcd
+from math import comb
 
 from .errors import DegenerateConfigurationError
 from .exactarith import (
+    clear_denominators,
     coords_in_row_basis,
     det_int,
     kernel_vector_int,
@@ -365,10 +366,7 @@ def regular_subdivision(config: PointConfiguration, w: WeightVector) -> Subdivis
     n = len(pts)
     rank = reduced.ambient_dim
 
-    mult = 1
-    for h in w.heights:
-        mult = mult * h.denominator // gcd(mult, h.denominator)
-    heights = [int(h * mult) for h in w.heights]
+    heights, _ = clear_denominators(w.heights)
 
     found: list[set[int]] = []
     cells: set[tuple[int, ...]] = set()
@@ -381,12 +379,8 @@ def regular_subdivision(config: PointConfiguration, w: WeightVector) -> Subdivis
         sol = solve_rational(rows, rhs)
         if sol is None:
             continue  # affinely dependent subset
-        # Scale the functional to integers: ell(p) = (a.p + c) / den
-        denom = 1
-        for v in sol:
-            denom = denom * v.denominator // gcd(denom, v.denominator)
-        a = [int(v * denom) for v in sol[:-1]]
-        c0 = int(sol[-1] * denom)
+        # Scale the functional to integers: ell(p) = (a.p + c0) / denom
+        (*a, c0), denom = clear_denominators(sol)
         lower = True
         eq = []
         for q in range(n):

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactarith import DimensionError, RationalMatrix, solve_general
+from .exactarith import DimensionError, solve_general
 
 _FLOAT_SLACK_MIN = 1e-7
 _FARKAS_TOL = 1e-9
@@ -142,10 +142,7 @@ def strict_lp_feasible(a, b) -> list[Fraction] | None:
     Implemented by maximizing s subject to A x - s*1 >= b, 0 <= s <= 1;
     the strict system is feasible iff the optimum slack is positive.
     """
-    if isinstance(a, RationalMatrix):
-        rows = [list(r) for r in a.entries]
-    else:
-        rows = [list(r) for r in a]
+    rows = [list(r) for r in a]
     m = len(rows)
     b = [Fraction(v) for v in b]
     if len(b) != m:

@@ -17,10 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from .errors import DegenerateConfigurationError, GroupBoundError
 from .exactarith import (
+    clear_denominators,
     det_int,
     kernel_vector_int,
     nullspace_basis,
@@ -180,10 +180,7 @@ class FlipEngine:
             rhs = [self.points[p][j] - base[j] for j in range(self.rank)]
             sol = solve_rational(a_rows, rhs)
             assert sol is not None, "triangulation cell is degenerate"
-            den = 1
-            for v in sol:
-                den = den * v.denominator // gcd(den, v.denominator)
-            nums = [int(v * den) for v in sol]
+            nums, den = clear_denominators(sol)
             mu0 = den - sum(nums)
             cached = (tuple([mu0] + nums), den)
             self._bary[key] = cached
@@ -702,16 +699,9 @@ def validate_triangulation(t: Triangulation, pairwise: bool = True) -> bool:
                     continue
                 vec = pts[v] + (1,)
                 rows.append(tuple(sum(b[k] * vec[k] for k in range(len(vec))) for b in basis))
-            int_rows = [_clear_row(r) for r in rows]
+            int_rows = [clear_denominators(r)[0] for r in rows]
             feasible, _ = strict_homogeneous_feasible(int_rows)
             if not feasible:
                 return False
     return True
 
-
-def _clear_row(row) -> tuple[int, ...]:
-    den = 1
-    for v in row:
-        f = Fraction(v)
-        den = den * f.denominator // gcd(den, f.denominator)
-    return tuple(int(Fraction(v) * den) for v in row)

@@ -12,6 +12,7 @@ from tropcay.cli import (
     EXIT_USAGE,
     main,
 )
+from tropcay.enumeration import Enumerator
 from tropcay.formats import config_from_dict, load_json
 
 
@@ -183,6 +184,34 @@ def test_enumerate_resume_flow(tmp_path, capsys):
     texts = {json.loads(l)["text"] for l in first} | {json.loads(l)["text"] for l in rest}
     assert len(first) + len(rest) == 79
     assert len(texts) == 79
+
+
+def test_enumerate_resume_keeps_checkpoint_every(tmp_path, capsys, monkeypatch):
+    cfg_path = tmp_path / "3d2.json"
+    run(capsys, "config", "simplex", "--dim", "2", "--dilation", "3", "--out", str(cfg_path))
+    ckpt = tmp_path / "run.ckpt"
+    run(
+        capsys, "enumerate", "--config", str(cfg_path), "--group", "trivial", "--unimodular",
+        "--checkpoint", str(ckpt), "--checkpoint-every", "5", "--limit", "10",
+        "--out", str(tmp_path / "first.jsonl"),
+    )
+    writes = []
+    write = Enumerator._write_checkpoint
+
+    def spy(self, path=None):
+        writes.append(self.emitted)
+        write(self, path)
+
+    monkeypatch.setattr(Enumerator, "_write_checkpoint", spy)
+    code, _, _ = run(
+        capsys, "enumerate", "--resume", "--checkpoint", str(ckpt), "--checkpoint-every", "5",
+        "--out", str(tmp_path / "rest.jsonl"),
+    )
+    assert code == EXIT_OK
+    assert writes[-1] == 79
+    # periodic writes at the requested cadence, then the final one
+    assert len(writes) >= 3
+    assert all(b - a >= 5 for a, b in zip(writes, writes[1:-1]))
 
 
 def test_enumerate_resume_wrong_config_exit_5(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from tropcay.errors import CheckpointMismatchError
@@ -141,6 +143,31 @@ def test_resume_rejects_wrong_configuration(tmp_path):
     other = cubic_polygon()
     with pytest.raises(CheckpointMismatchError):
         list(resume(ckpt, config=other))
+
+
+def test_checkpoint_is_fsynced_before_rename(tmp_path, monkeypatch):
+    synced = []
+    renames = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        st = os.fstat(fd)
+        synced.append((st.st_ino, st.st_size))
+        real_fsync(fd)
+
+    def replace(src, dst):
+        renames.append((src, dst, os.stat(src).st_ino, os.stat(src).st_size))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    ckpt = str(tmp_path / "sq.ckpt.json")
+    en = Enumerator(square_config(), builtin_symmetry("trivial", square_config()), checkpoint_path=ckpt)
+    list(en.run())
+    assert renames
+    for src, dst, inode, size in renames:
+        assert (src, dst) == (ckpt + ".tmp", ckpt)
+        assert size > 0 and (inode, size) in synced
 
 
 def test_resume_rejects_corrupt_file(tmp_path):

@@ -1,17 +1,22 @@
 import random
 from fractions import Fraction
 
-import pytest
+from math import gcd
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
 from tropcay.exactarith import (
     DimensionError,
-    RationalMatrix,
+    clear_denominators,
     coords_in_row_basis,
     det_int,
-    determinant,
     format_rational,
     kernel_vector_int,
     lattice_row_basis,
+    nullspace_basis,
     parse_rational,
     rank_int,
     solve_general,
@@ -40,29 +45,21 @@ def test_rational_field_roundtrips():
 
 
 def test_determinant_identity():
-    m = RationalMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    assert determinant(m) == 1
+    assert det_int([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == 1
+    assert det_int([]) == 1
 
 
 def test_determinant_zero_matrix():
-    m = RationalMatrix.from_rows([[0, 0], [0, 0]])
-    assert determinant(m) == 0
+    assert det_int([[0, 0], [0, 0]]) == 0
 
 
 def test_determinant_diagonal():
-    m = RationalMatrix.from_rows([[2, 0, 0], [0, 2, 0], [0, 0, 2]])
-    assert determinant(m) == 8
-
-
-def test_determinant_rational_entries():
-    m = RationalMatrix.from_rows([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 5), Fraction(1, 7)]])
-    assert determinant(m) == Fraction(1, 14) - Fraction(1, 15)
+    assert det_int([[2, 0, 0], [0, 2, 0], [0, 0, 2]]) == 8
 
 
 def test_determinant_rejects_non_square():
-    m = RationalMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
     with pytest.raises(DimensionError):
-        determinant(m)
+        det_int([[1, 2, 3], [4, 5, 6]])
 
 
 def test_determinant_alternating_on_random_matrices():
@@ -115,3 +112,117 @@ def test_lattice_basis_of_diagonal_segment():
     basis = lattice_row_basis([[1, 1]])
     assert basis == [[1, 1]]
     assert coords_in_row_basis(basis, [4, 4]) == [4]
+
+
+def test_clear_denominators():
+    assert clear_denominators([Fraction(1, 2), Fraction(-2, 3), 4]) == ([3, -4, 24], 6)
+    assert clear_denominators([3, 0, -5]) == ([3, 0, -5], 1)
+
+
+# -- the fraction-free kernel against the Fraction oracles ------------------
+
+_SMALL = st.integers(-4, 4)
+_RATIONAL = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))
+_MIXED = st.one_of(_SMALL, _RATIONAL)
+
+
+@st.composite
+def matrices(draw, square=False, rational=None, max_rows=7):
+    """Up to 7x8 matrices with zero rows/columns, copied and combined rows,
+    and (optionally) Fraction entries."""
+    m = draw(st.integers(1, max_rows))
+    n = m if square else draw(st.integers(1, 8))
+    if rational is None:
+        rational = draw(st.booleans())
+    entry = _MIXED if rational else _SMALL
+    rows = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(m)]
+    if draw(st.booleans()):
+        return rows  # unstructured: usually of full rank
+    for i in range(m):
+        kind = draw(st.sampled_from(["random", "zero", "copy", "combination"]))
+        if kind == "zero":
+            rows[i] = [0] * n
+        elif kind == "copy" and i:
+            rows[i] = list(rows[draw(st.integers(0, i - 1))])
+        elif kind == "combination" and i:
+            j = draw(st.integers(0, i - 1))
+            k = draw(st.integers(0, i - 1))
+            s, t = draw(_SMALL), draw(_SMALL)
+            rows[i] = [s * x + t * y for x, y in zip(rows[j], rows[k])]
+    for c in draw(st.sets(st.integers(0, n - 1), max_size=2)):
+        for row in rows:
+            row[c] = 0
+    return rows
+
+
+@st.composite
+def systems(draw, square=False):
+    """(A, b) with b either arbitrary or A x for some x (consistent)."""
+    rows = draw(matrices(square=square))
+    if draw(st.booleans()):
+        x = draw(st.lists(_MIXED, min_size=len(rows[0]), max_size=len(rows[0])))
+        b = [sum((a * v for a, v in zip(row, x)), Fraction(0)) for row in rows]
+    else:
+        b = draw(st.lists(_MIXED, min_size=len(rows), max_size=len(rows)))
+    return rows, b
+
+
+_PROPERTY = settings(max_examples=300, deadline=None)
+
+
+@_PROPERTY
+@given(systems())
+def test_solve_general_matches_oracle(system):
+    rows, b = system
+    assert solve_general(rows, b) == oracles.solve_general(rows, b)
+
+
+@_PROPERTY
+@given(systems(square=True))
+def test_solve_rational_matches_oracle_on_square_input(system):
+    rows, b = system
+    singular = len(oracles.nullspace_basis(rows)) > 0
+    expected = None if singular else oracles.solve_general(rows, b)
+    assert solve_rational(rows, b) == expected
+
+
+@_PROPERTY
+@given(matrices())
+def test_nullspace_basis_and_rank_match_oracle(rows):
+    expected = oracles.nullspace_basis(rows)
+    assert nullspace_basis(rows) == expected
+    assert rank_int(rows) == len(rows[0]) - len(expected)
+
+
+@_PROPERTY
+@given(matrices())
+def test_kernel_vector_is_primitive_and_in_the_kernel(rows):
+    cols = [tuple(col) for col in zip(*rows)]
+    dim = len(oracles.nullspace_basis(rows))
+    if dim >= 2:
+        with pytest.raises(ValueError):
+            kernel_vector_int(cols)
+        return
+    v = kernel_vector_int(cols)
+    if dim == 0:
+        assert v is None
+        return
+    assert all(isinstance(x, int) for x in v)
+    assert gcd(*v) == 1
+    assert next(x for x in v if x) > 0
+    assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in rows)
+
+
+def _cofactor_det(rows):
+    if not rows:
+        return 1
+    return sum(
+        (-1) ** j * rows[0][j] * _cofactor_det([r[:j] + r[j + 1:] for r in rows[1:]])
+        for j in range(len(rows))
+    )
+
+
+@_PROPERTY
+@given(matrices(square=True, rational=False, max_rows=4))
+def test_det_int_matches_cofactor_expansion(rows):
+    assert det_int(rows) == _cofactor_det(rows)
