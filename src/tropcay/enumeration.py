@@ -13,10 +13,19 @@ emission only.  The visited set, frontier, and counters can be written to
 a self-describing JSON checkpoint and resumed later; fresh and resumed
 runs produce the same emission set.
 
-With ``jobs > 1`` the search runs in waves: worker processes expand
-frontier nodes and regularity-check fresh classes, the parent process
-deduplicates and emits.  Output is deterministic as a set (emission order
-may vary between runs and job counts).
+The search is one loop over waves: pop a wave of frontier nodes, expand
+it to the canonical keys of all neighbors, drop the keys already visited,
+regularity-check the rest and record the verdicts.  With one job a wave
+is a single node and both steps run in this process, which gives plain
+breadth-first order.  With ``jobs > 1`` a wave holds ``max(64, 32*jobs)``
+nodes and the same two steps are mapped over chunks by worker processes,
+each holding its own flip engine; this process deduplicates and emits.
+Output is deterministic as a set (emission order may vary between job
+counts).
+
+A checkpoint carries a SHA-256 digest of its whole document; a file that
+is not JSON, lacks a field, fails the digest or has a frontier outside
+its visited regular classes is refused with ``CheckpointMismatchError``.
 """
 
 from __future__ import annotations
@@ -26,7 +35,9 @@ import hashlib
 import json
 import os
 from collections import deque
+from contextlib import ExitStack
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterator
 
 from .errors import CheckpointMismatchError
@@ -74,19 +85,6 @@ class EnumerationFilters:
         )
 
 
-def _run_digest(config: PointConfiguration, group: SymmetryGroup, filters: EnumerationFilters) -> str:
-    payload = json.dumps(
-        {
-            "config": config_to_dict(config),
-            "group": [list(g) for g in group.elements],
-            "filters": filters.to_dict(),
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()
-
-
 class _Codec:
     """Packs a sorted mask tuple into bytes (fixed width per mask)."""
 
@@ -102,6 +100,29 @@ class _Codec:
         return tuple(int.from_bytes(blob[i : i + w], "big") for i in range(0, len(blob), w))
 
 
+class _Walk:
+    """Flip engine, key codec and group action of one process: the expand
+    and check steps of the search, which worker processes can take over."""
+
+    def __init__(self, config: PointConfiguration, group_elements):
+        self.engine = flip_engine(config)
+        self.codec = _Codec(self.engine.n)
+        self.context = RelabelContext(self.engine, group_elements)
+
+    def key(self, masks) -> bytes:
+        return self.codec.pack(self.context.canonical(masks))
+
+    def expand(self, keys) -> list[bytes]:
+        """Canonical keys of all flip neighbors of ``keys``, in order."""
+        unpack, neighbors = self.codec.unpack, self.engine.neighbors
+        return [self.key(nb) for key in keys for _flip, nb in neighbors(unpack(key))]
+
+    def check(self, keys) -> list[tuple[bytes, bool]]:
+        """``(key, regular)`` for each key, decided by the local wall system."""
+        engine, unpack = self.engine, self.codec.unpack
+        return [(key, engine.is_regular(unpack(key), mode="local") is not None) for key in keys]
+
+
 class Enumerator:
     """Flip-graph BFS emitting one canonical representative per orbit."""
 
@@ -113,7 +134,6 @@ class Enumerator:
         jobs: int = 1,
         checkpoint_path=None,
         checkpoint_every: int | None = None,
-        regularity_mode: str = "local",
         placing_order=None,
     ):
         if group.configuration.points != config.points:
@@ -126,36 +146,24 @@ class Enumerator:
         if checkpoint_every is None:
             checkpoint_every = DEFAULT_CHECKPOINT_EVERY
         self.checkpoint_every = max(1, checkpoint_every)
-        self.regularity_mode = regularity_mode
         self.placing_order = list(placing_order) if placing_order is not None else None
-        self.engine = flip_engine(config)
-        self.codec = _Codec(self.engine.n)
-        self.relabel_context = RelabelContext(self.engine, group.elements)
-        self.digest = _run_digest(config, group, filters)
+        self.walk = _Walk(config, group.elements)
 
         self.visited: dict[bytes, bool] = {}
         self.frontier: deque[bytes] = deque()
         self.emitted = 0
         self.expanded = 0
         self.complete = False
-        self._seeded = False
         self._stop = False
         self._last_checkpoint_emitted = 0
 
-    # -- basic helpers ---------------------------------------------------
-
-    def _canonical_key(self, masks) -> bytes:
-        return self.codec.pack(self.relabel_context.canonical(masks))
-
     def _passes_filters(self, masks) -> bool:
-        if self.filters.require_unimodular and not self.engine.is_unimodular(masks):
+        engine = self.walk.engine
+        if self.filters.require_unimodular and not engine.is_unimodular(masks):
             return False
-        if self.filters.require_full and not self.engine.is_full(masks):
+        if self.filters.require_full and not engine.is_full(masks):
             return False
         return True
-
-    def _regular(self, masks) -> bool:
-        return self.engine.is_regular(masks, mode=self.regularity_mode) is not None
 
     def request_stop(self) -> None:
         """Ask the run loop to halt at the next safe point (checkpointing)."""
@@ -173,19 +181,31 @@ class Enumerator:
 
     # -- search ----------------------------------------------------------
 
-    def _seed(self):
-        seed = placing_triangulation(self.config, self.placing_order)
-        masks = self.engine.to_masks(seed.cells)
-        key = self._canonical_key(masks)
-        regular = self._regular(self.codec.unpack(key))
-        assert regular, "placing triangulation must be regular"
-        self.visited[key] = True
-        self.frontier.append(key)
-        self._seeded = True
-        if self._passes_filters(self.codec.unpack(key)):
-            self.emitted += 1
-            return [key]
-        return []
+    def _steps(self, stack: ExitStack):
+        """The expand and check steps: this process's walk for one job,
+        else the same two methods mapped over chunks by a worker pool."""
+        if self.jobs == 1:
+            return self.walk.expand, self.walk.check
+        # imported on demand: multiprocessing adds ~2 MiB to every process loading this module
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = stack.enter_context(
+            ProcessPoolExecutor(
+                max_workers=self.jobs,
+                initializer=_start_worker,
+                initargs=(config_to_dict(self.config), self.group.elements),
+            )
+        )
+
+        def mapped(step):
+            def run(keys):
+                size = max(1, len(keys) // (4 * self.jobs))
+                chunks = [keys[i : i + size] for i in range(0, len(keys), size)]
+                return [out for part in pool.map(partial(_in_worker, step), chunks) for out in part]
+
+            return run
+
+        return mapped("expand"), mapped("check")
 
     def run(self, limit: int | None = None) -> Iterator[Triangulation]:
         """Generate canonical representatives; stops at ``limit`` emissions.
@@ -194,91 +214,37 @@ class Enumerator:
         of emissions equals an uninterrupted run's emissions as a set.
         """
         self._stop = False
-        if not self._seeded and not self.complete:
-            for key in self._seed():
-                yield self._to_triangulation(key)
-                if limit is not None and self.emitted >= limit:
-                    self._write_checkpoint()
-                    return
-        if self.jobs == 1:
-            yield from self._run_serial(limit)
-        else:
-            yield from self._run_parallel(limit)
-
-    def _to_triangulation(self, key: bytes) -> Triangulation:
-        return self.engine.triangulation(self.codec.unpack(key))
-
-    def _run_serial(self, limit) -> Iterator[Triangulation]:
-        engine = self.engine
-        while self.frontier:
-            if self._stop or (limit is not None and self.emitted >= limit):
-                self._write_checkpoint()
-                return
-            node = self.frontier.popleft()
-            fresh: list[bytes] = []
-            for _flip, nb in engine.neighbors(self.codec.unpack(node)):
-                key = self._canonical_key(nb)
-                if key in self.visited:
-                    continue
-                regular = self._regular(self.codec.unpack(key))
-                self.visited[key] = regular
-                if regular:
-                    self.frontier.append(key)
-                    if self._passes_filters(self.codec.unpack(key)):
-                        self.emitted += 1
-                        fresh.append(key)
-            self.expanded += 1
-            for key in fresh:
-                yield self._to_triangulation(key)
-            self._maybe_checkpoint()
-        self.complete = True
-        self._write_checkpoint()
-
-    def _run_parallel(self, limit) -> Iterator[Triangulation]:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(
-            max_workers=self.jobs,
-            initializer=_worker_init,
-            initargs=(
-                config_to_dict(self.config),
-                [list(g) for g in self.group.elements],
-                self.regularity_mode,
-            ),
-        ) as pool:
-            while self.frontier:
-                if self._stop or (limit is not None and self.emitted >= limit):
-                    self._write_checkpoint()
-                    return
-                wave = []
-                wave_budget = max(64, self.jobs * 32)
-                while self.frontier and len(wave) < wave_budget:
-                    wave.append(self.frontier.popleft())
-                chunks = _chunked(wave, max(1, len(wave) // (self.jobs * 4) or 1))
-                fresh: list[bytes] = []
-                seen_in_wave: set[bytes] = set()
-                for result in pool.map(_worker_expand, chunks):
-                    for key in result:
-                        if key in self.visited or key in seen_in_wave:
-                            continue
-                        seen_in_wave.add(key)
-                        fresh.append(key)
-                self.expanded += len(wave)
-                check_chunks = _chunked(fresh, max(1, len(fresh) // (self.jobs * 4) or 1))
-                emitted_now: list[bytes] = []
-                for result in pool.map(_worker_regcheck, check_chunks):
-                    for key, regular in result:
-                        self.visited[key] = regular
-                        if regular:
-                            self.frontier.append(key)
-                            if self._passes_filters(self.codec.unpack(key)):
-                                self.emitted += 1
-                                emitted_now.append(key)
+        wave_size = 1 if self.jobs == 1 else max(64, 32 * self.jobs)
+        unpack = self.walk.codec.unpack
+        with ExitStack() as stack:
+            expand, check = self._steps(stack)
+            fresh = []
+            if not self.visited:  # a fresh run: the seed is the first batch
+                seed = placing_triangulation(self.config, self.placing_order)
+                fresh = [self.walk.key(self.walk.engine.to_masks(seed.cells))]
+            while True:
+                emitted_now = []
+                for key, regular in check(fresh):
+                    if not (regular or self.visited):  # the seed's verdict
+                        raise RuntimeError("placing triangulation must be regular")
+                    self.visited[key] = regular
+                    if regular:
+                        self.frontier.append(key)
+                        if self._passes_filters(unpack(key)):
+                            self.emitted += 1
+                            emitted_now.append(key)
                 for key in emitted_now:
-                    yield self._to_triangulation(key)
+                    yield self.walk.engine.triangulation(unpack(key))
                 self._maybe_checkpoint()
-            self.complete = True
-            self._write_checkpoint()
+                if not self.frontier:
+                    self.complete = True
+                    break
+                if self._stop or (limit is not None and self.emitted >= limit):
+                    break
+                wave = [self.frontier.popleft() for _ in range(min(wave_size, len(self.frontier)))]
+                self.expanded += len(wave)
+                fresh = [key for key in dict.fromkeys(expand(wave)) if key not in self.visited]
+        self._write_checkpoint()
 
     # -- checkpointing -----------------------------------------------------
 
@@ -294,12 +260,10 @@ class Enumerator:
             return
         doc = {
             "format": FORMAT_CHECKPOINT,
-            "digest": self.digest,
             "config": config_to_dict(self.config),
             "group": [list(g) for g in self.group.elements],
             "generators": [list(g) for g in self.group.generators],
             "filters": self.filters.to_dict(),
-            "regularity_mode": self.regularity_mode,
             "visited_regular": [
                 base64.b64encode(k).decode() for k, v in self.visited.items() if v
             ],
@@ -311,6 +275,7 @@ class Enumerator:
             "expanded": self.expanded,
             "complete": self.complete,
         }
+        doc["digest"] = _digest(doc)
         tmp = f"{path}.tmp"
         with open(tmp, "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
@@ -319,8 +284,19 @@ class Enumerator:
         os.replace(tmp, path)
         self._last_checkpoint_emitted = self.emitted
 
-    def write_checkpoint(self, path=None) -> None:
-        self._write_checkpoint(path)
+
+_CANONICAL_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def _digest(doc: dict) -> str:
+    """SHA-256 of a checkpoint document, leaving out its ``digest`` field.
+
+    Hashed chunk by chunk, so that no second copy of a large document is
+    held in memory."""
+    sha = hashlib.sha256()
+    for chunk in _CANONICAL_JSON.iterencode({k: v for k, v in doc.items() if k != "digest"}):
+        sha.update(chunk.encode())
+    return sha.hexdigest()
 
 
 def enumerate_triangulations(
@@ -331,7 +307,6 @@ def enumerate_triangulations(
     checkpoint_path=None,
     checkpoint_every: int | None = None,
     limit: int | None = None,
-    regularity_mode: str = "local",
 ) -> Iterator[Triangulation]:
     """One canonical representative per symmetry class of regular
     triangulations (optionally filtered to unimodular and/or full)."""
@@ -342,7 +317,6 @@ def enumerate_triangulations(
         jobs=jobs,
         checkpoint_path=checkpoint_path,
         checkpoint_every=checkpoint_every,
-        regularity_mode=regularity_mode,
     )
     yield from enumerator.run(limit)
 
@@ -353,41 +327,46 @@ def load_checkpoint(
     jobs: int = 1,
     checkpoint_every: int | None = None,
 ) -> Enumerator:
-    """Rebuild an Enumerator from a checkpoint file (digest-verified)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("format") != FORMAT_CHECKPOINT:
-        raise CheckpointMismatchError(f"not a checkpoint file: {path}")
-    stored_config = config_from_dict(doc["config"])
-    filters = EnumerationFilters.from_dict(doc["filters"])
-    group = SymmetryGroup(
-        stored_config,
-        tuple(tuple(g) for g in doc["generators"]),
-        tuple(sorted(tuple(g) for g in doc["group"])),
-    )
-    digest = _run_digest(stored_config, group, filters)
-    if digest != doc["digest"]:
-        raise CheckpointMismatchError("checkpoint digest does not match its own contents")
-    if config is not None and config.points != stored_config.points:
-        raise CheckpointMismatchError("checkpoint was written for a different configuration")
-    enumerator = Enumerator(
-        stored_config,
-        group,
-        filters,
-        jobs=jobs,
-        checkpoint_path=path,
-        checkpoint_every=checkpoint_every,
-        regularity_mode=doc.get("regularity_mode", "local"),
-    )
-    for b64 in doc["visited_regular"]:
-        enumerator.visited[base64.b64decode(b64)] = True
-    for b64 in doc["visited_nonregular"]:
-        enumerator.visited[base64.b64decode(b64)] = False
-    enumerator.frontier = deque(base64.b64decode(b64) for b64 in doc["frontier"])
-    enumerator.emitted = int(doc["emitted"])
-    enumerator.expanded = int(doc["expanded"])
-    enumerator.complete = bool(doc["complete"])
-    enumerator._seeded = True
+    """Rebuild an Enumerator from a checkpoint file.
+
+    Raises ``CheckpointMismatchError`` for a checkpoint written for another
+    configuration than ``config`` and for any damaged file.
+    """
+    try:
+        with open(path, "rb") as fh:
+            doc = json.loads(fh.read())
+        if doc["format"] != FORMAT_CHECKPOINT:
+            raise CheckpointMismatchError(f"not a checkpoint file: {path}")
+        if doc["digest"] != _digest(doc):
+            raise CheckpointMismatchError("checkpoint digest does not match its own contents")
+        stored_config = config_from_dict(doc["config"])
+        if config is not None and config.points != stored_config.points:
+            raise CheckpointMismatchError("checkpoint was written for a different configuration")
+        group = SymmetryGroup(
+            stored_config,
+            tuple(tuple(g) for g in doc["generators"]),
+            tuple(sorted(tuple(g) for g in doc["group"])),
+        )
+        enumerator = Enumerator(
+            stored_config,
+            group,
+            EnumerationFilters.from_dict(doc["filters"]),
+            jobs=jobs,
+            checkpoint_path=path,
+            checkpoint_every=checkpoint_every,
+        )
+        for field, regular in (("visited_regular", True), ("visited_nonregular", False)):
+            for b64 in doc[field]:
+                enumerator.visited[base64.b64decode(b64, validate=True)] = regular
+        enumerator.frontier = deque(base64.b64decode(b64, validate=True) for b64 in doc["frontier"])
+        if not all(enumerator.visited.get(key) for key in enumerator.frontier):
+            raise CheckpointMismatchError("checkpoint frontier is not among its visited regular classes")
+        enumerator.emitted = int(doc["emitted"])
+        enumerator.expanded = int(doc["expanded"])
+        enumerator.complete = bool(doc["complete"])
+    # ValueError covers json.JSONDecodeError, UnicodeDecodeError and binascii.Error
+    except (KeyError, ValueError, TypeError) as err:
+        raise CheckpointMismatchError(f"damaged checkpoint {path}: {err!r}") from err
     enumerator._last_checkpoint_emitted = enumerator.emitted
     return enumerator
 
@@ -409,52 +388,20 @@ def verify_closure(enumerator: Enumerator) -> bool:
     every regular class must already be in the visited set."""
     if not enumerator.complete:
         raise ValueError("closure check requires a completed enumeration")
-    engine = enumerator.engine
-    for key, regular in list(enumerator.visited.items()):
-        if not regular:
-            continue
-        for _flip, nb in engine.neighbors(enumerator.codec.unpack(key)):
-            if enumerator._canonical_key(nb) not in enumerator.visited:
-                return False
-    return True
-
-
-def _chunked(items, size):
-    if not items:
-        return []
-    return [items[i : i + size] for i in range(0, len(items), size)]
+    visited = enumerator.visited
+    regular = [key for key, ok in visited.items() if ok]
+    return all(key in visited for key in enumerator.walk.expand(regular))
 
 
 # -- worker-process side ------------------------------------------------
 
-_W = {}
+_worker_walk: _Walk | None = None
 
 
-def _worker_init(config_doc, group_elements, regularity_mode):
-    config = config_from_dict(config_doc)
-    engine = flip_engine(config)
-    _W["engine"] = engine
-    _W["codec"] = _Codec(engine.n)
-    _W["context"] = RelabelContext(engine, [tuple(g) for g in group_elements])
-    _W["mode"] = regularity_mode
+def _start_worker(config_doc, group_elements):
+    global _worker_walk
+    _worker_walk = _Walk(config_from_dict(config_doc), group_elements)
 
 
-def _worker_expand(keys):
-    engine = _W["engine"]
-    codec = _W["codec"]
-    context = _W["context"]
-    out = []
-    for key in keys:
-        for _flip, nb in engine.neighbors(codec.unpack(key)):
-            out.append(codec.pack(context.canonical(nb)))
-    return out
-
-
-def _worker_regcheck(keys):
-    engine = _W["engine"]
-    codec = _W["codec"]
-    mode = _W["mode"]
-    return [
-        (key, engine.is_regular(codec.unpack(key), mode=mode) is not None)
-        for key in keys
-    ]
+def _in_worker(step: str, keys):
+    return getattr(_worker_walk, step)(keys)

@@ -22,7 +22,7 @@ FORMAT_POINTS = "tropcay/point-configuration/1"
 FORMAT_WEIGHTS = "tropcay/weight-vector/1"
 FORMAT_TRIANGULATION = "tropcay/triangulation/1"
 FORMAT_POLYNOMIAL = "tropcay/valued-polynomial/1"
-FORMAT_CHECKPOINT = "tropcay/checkpoint/1"
+FORMAT_CHECKPOINT = "tropcay/checkpoint/2"
 FORMAT_CLASSES = "tropcay/class-table/1"
 FORMAT_REPORT = "tropcay/curve-report/1"
 

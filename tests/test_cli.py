@@ -1,3 +1,4 @@
+import base64
 import json
 from importlib import resources
 
@@ -12,7 +13,7 @@ from tropcay.cli import (
     EXIT_USAGE,
     main,
 )
-from tropcay.enumeration import Enumerator
+from tropcay.enumeration import Enumerator, _digest
 from tropcay.formats import config_from_dict, load_json
 
 
@@ -229,6 +230,92 @@ def test_enumerate_resume_wrong_config_exit_5(tmp_path, capsys):
     )
     assert code == EXIT_CHECKPOINT
     assert "mismatch" in err
+
+
+@pytest.mark.parametrize("first_jobs, resume_jobs", [(2, 1), (1, 2)])
+def test_enumerate_halt_and_resume_across_job_counts(tmp_path, capsys, first_jobs, resume_jobs):
+    cfg_path = tmp_path / "3d2.json"
+    run(capsys, "config", "simplex", "--dim", "2", "--dilation", "3", "--out", str(cfg_path))
+    ckpt = tmp_path / "run.ckpt"
+    out1, out2 = tmp_path / "first.jsonl", tmp_path / "rest.jsonl"
+    code, _, _ = run(
+        capsys, "enumerate", "--config", str(cfg_path), "--group", "trivial", "--unimodular",
+        "--checkpoint", str(ckpt), "--limit", "10", "--jobs", str(first_jobs), "--out", str(out1),
+    )
+    assert code == EXIT_OK
+    first = [json.loads(line)["text"] for line in out1.read_text().splitlines()]
+    assert 10 <= len(first) < 79
+    code, _, _ = run(
+        capsys, "enumerate", "--resume", "--checkpoint", str(ckpt), "--jobs", str(resume_jobs),
+        "--out", str(out2),
+    )
+    assert code == EXIT_OK
+    rest = [json.loads(line)["text"] for line in out2.read_text().splitlines()]
+    code, fresh, _ = run(
+        capsys, "enumerate", "--config", str(cfg_path), "--group", "trivial", "--unimodular",
+    )
+    assert code == EXIT_OK
+    assert len(first) + len(rest) == 79  # no duplicates across the halt
+    assert set(first + rest) == {json.loads(line)["text"] for line in fresh.splitlines()}
+
+
+def _edit(change, sign=False):
+    """Damage a checkpoint's JSON; ``sign`` recomputes its digest so that
+    the checks behind the digest are the ones that must refuse it."""
+
+    def damage(text):
+        doc = json.loads(text)
+        change(doc)
+        if sign:
+            doc["digest"] = _digest(doc)
+        return json.dumps(doc)
+
+    return damage
+
+
+def _flip_middle_byte(text):
+    i = len(text) // 2
+    return text[:i] + chr(ord(text[i]) ^ 1) + text[i + 1 :]
+
+
+def _cut_frontier(doc):
+    doc["frontier"] = doc["frontier"][:1]
+    doc["emitted"] = 3
+
+
+def _prefix_frontier_with_at(doc):
+    # lenient base64 would drop the "@" and find a visited key
+    doc["frontier"][0] = "@" + doc["frontier"][0]
+
+
+_DAMAGE = {
+    "truncated": lambda text: text[:300],
+    "flipped-byte": _flip_middle_byte,
+    "no-frontier": _edit(lambda doc: doc.pop("frontier")),
+    "bad-base64": _edit(lambda doc: doc.update(frontier=["@@@"])),
+    "cut-frontier": _edit(_cut_frontier),
+    "bad-base64-signed": _edit(_prefix_frontier_with_at, sign=True),
+    "foreign-frontier-signed": _edit(
+        lambda doc: doc["frontier"].append(base64.b64encode(b"\xff\xff").decode()), sign=True
+    ),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(_DAMAGE))
+def test_enumerate_resume_damaged_checkpoint_exit_5(tmp_path, capsys, damage):
+    cfg_path = tmp_path / "3d2.json"
+    run(capsys, "config", "simplex", "--dim", "2", "--dilation", "3", "--out", str(cfg_path))
+    ckpt = tmp_path / "run.ckpt"
+    run(
+        capsys, "enumerate", "--config", str(cfg_path), "--group", "trivial", "--unimodular",
+        "--checkpoint", str(ckpt), "--limit", "10", "--out", str(tmp_path / "first.jsonl"),
+    )
+    ckpt.write_text(_DAMAGE[damage](ckpt.read_text()))
+    code, _, err = run(
+        capsys, "enumerate", "--resume", "--checkpoint", str(ckpt), "--out", str(tmp_path / "rest.jsonl"),
+    )
+    assert code == EXIT_CHECKPOINT
+    assert "checkpoint" in err
 
 
 def test_classify_planar_pipeline(tmp_path, capsys):

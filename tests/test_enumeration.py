@@ -97,13 +97,15 @@ def test_output_set_independent_of_jobs():
     assert serial == parallel
 
 
-def test_output_set_independent_of_regularity_mode():
+def test_local_verdicts_match_global_regularity():
     cfg = cubic_polygon()
     grp = builtin_symmetry("simplex-3d2", cfg)
-    filters = EnumerationFilters(require_unimodular=True)
-    local = cell_sets(enumerate_triangulations(cfg, grp, filters, regularity_mode="local"))
-    global_ = cell_sets(enumerate_triangulations(cfg, grp, filters, regularity_mode="global"))
-    assert local == global_
+    en = Enumerator(cfg, grp)
+    list(en.run())
+    assert en.complete
+    engine, unpack = en.walk.engine, en.walk.codec.unpack
+    for key, regular in en.visited.items():
+        assert regular == (engine.is_regular(unpack(key), mode="global") is not None)
 
 
 def test_halt_and_resume_matches_fresh_run(tmp_path):
