@@ -6,7 +6,8 @@ representatives with checkpointing), ``classify`` (isomorphism classes +
 atlas), ``census`` (abstract graph counts).
 
 Exit codes: 0 success, 2 degenerate subdivision, 3 non-unimodular
-triangulation, 4 I/O error, 5 checkpoint mismatch, 64 usage error.
+triangulation, 4 I/O error, 5 checkpoint mismatch, 64 usage error or
+malformed input (one line on stderr, never a traceback).
 Progress and telemetry go to stderr; standard output carries data.
 """
 
@@ -23,6 +24,7 @@ from .enumeration import EnumerationFilters, Enumerator, load_checkpoint
 from .errors import (
     CheckpointMismatchError,
     DegenerateSubdivisionError,
+    InputError,
     NonUnimodularError,
     SupportError,
 )
@@ -167,6 +169,16 @@ def cmd_tropicalize(args) -> int:
     return EXIT_OK
 
 
+def _placing_order(text: str, n: int) -> list[int]:
+    try:
+        order = [int(x) for x in text.split(",")]
+    except ValueError:
+        raise InputError(f"--placing-order {text!r} is not a comma-separated list of integers") from None
+    if sorted(order) != list(range(n)):
+        raise InputError(f"--placing-order must be a permutation of the point indices 0..{n - 1}")
+    return order
+
+
 def cmd_enumerate(args) -> int:
     if args.resume:
         if not args.checkpoint:
@@ -187,7 +199,7 @@ def cmd_enumerate(args) -> int:
         )
         order = None
         if args.placing_order:
-            order = [int(x) for x in args.placing_order.split(",")]
+            order = _placing_order(args.placing_order, len(config))
         enumerator = Enumerator(
             config,
             group,
@@ -319,6 +331,9 @@ def main(argv=None) -> int:
         return EXIT_CHECKPOINT
     except SupportError as err:
         sys.stderr.write(f"bad polynomial support: {err}\n")
+        return EXIT_USAGE
+    except InputError as err:
+        sys.stderr.write(f"bad input: {err}\n")
         return EXIT_USAGE
     except OSError as err:
         sys.stderr.write(f"i/o error: {err}\n")

@@ -26,7 +26,11 @@ class NonUnimodularError(TropcayError):
         super().__init__(f"cell {self.cell} has normalized volume {volume}")
 
 
-class SupportError(TropcayError, ValueError):
+class InputError(TropcayError, ValueError):
+    """An input document or command-line value is malformed."""
+
+
+class SupportError(InputError):
     """A valued polynomial does not have full monomial support."""
 
 

@@ -26,16 +26,22 @@ Rational = Fraction
 
 
 def parse_rational(text: str | int | Fraction) -> Fraction:
-    """Parse "p/q" or "p" (also accepts ints and Fractions unchanged)."""
+    """Parse "p/q" or "p" (also accepts ints and Fractions unchanged).
+
+    Raises ``ValueError`` for anything else, a zero denominator included.
+    """
     if isinstance(text, Fraction):
         return text
     if isinstance(text, int):
         return Fraction(text)
     s = str(text).strip()
-    if "/" in s:
-        num, den = s.split("/", 1)
-        return Fraction(int(num), int(den))
-    return Fraction(int(s))
+    try:
+        if "/" in s:
+            num, den = s.split("/", 1)
+            return Fraction(int(num), int(den))
+        return Fraction(int(s))
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"not a rational number: {text!r}") from None
 
 
 def format_rational(value: Fraction | int) -> str:

@@ -1,10 +1,12 @@
 """JSON/text serialization: configurations, weights, polynomials, cell text.
 
 All JSON documents carry a ``format`` field.  Rationals serialize as
-"p/q" or "p" strings.  Triangulations have a compact text form: each cell
-is the concatenation of its point labels in index order (uppercase labels
-are first-factor points of a Cayley configuration, lowercase second), and
-cells are joined by commas, e.g. ``ABCDe,ABCde``.
+"p/q" or "p" strings.  Reading a document that is not an object, has the
+wrong ``format``, or lacks or mistypes a field raises ``InputError``.
+Triangulations have a compact text form: each cell is the concatenation
+of its point labels in index order (uppercase labels are first-factor
+points of a Cayley configuration, lowercase second), and cells are joined
+by commas, e.g. ``ABCDe,ABCde``.
 """
 
 from __future__ import annotations
@@ -12,9 +14,10 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+from contextlib import contextmanager
 from fractions import Fraction
 
-from .errors import SupportError
+from .errors import InputError, SupportError
 from .exactarith import format_rational, parse_rational
 from .geometry import PointConfiguration, WeightVector
 
@@ -27,6 +30,24 @@ FORMAT_CLASSES = "tropcay/class-table/1"
 FORMAT_REPORT = "tropcay/curve-report/1"
 
 _LABEL_RE = re.compile(r"[A-Za-z][0-9]*")
+
+
+@contextmanager
+def _reading(doc, fmt: str, what: str):
+    """Check a document's type and ``format`` field, and turn a missing or
+    ill-typed field read inside the block into an ``InputError``."""
+    if not isinstance(doc, dict):
+        raise InputError(f"not a {what} document: expected a JSON object")
+    if doc.get("format") != fmt:
+        raise InputError(f"not a {what} document: {doc.get('format')!r}")
+    try:
+        yield
+    except InputError:
+        raise
+    except KeyError as err:
+        raise InputError(f"{what} document has no field {err}") from None
+    except (TypeError, ValueError) as err:
+        raise InputError(f"{what} document: {err}") from None
 
 
 def config_to_dict(config: PointConfiguration) -> dict:
@@ -42,15 +63,14 @@ def config_to_dict(config: PointConfiguration) -> dict:
 
 
 def config_from_dict(doc: dict) -> PointConfiguration:
-    if doc.get("format") != FORMAT_POINTS:
-        raise ValueError(f"not a point configuration document: {doc.get('format')!r}")
-    cayley = doc.get("cayley_sizes")
-    return PointConfiguration(
-        int(doc["ambient_dim"]),
-        tuple(tuple(int(x) for x in p) for p in doc["points"]),
-        tuple(doc["labels"]),
-        tuple(cayley) if cayley else None,
-    )
+    with _reading(doc, FORMAT_POINTS, "point configuration"):
+        cayley = doc.get("cayley_sizes")
+        return PointConfiguration(
+            int(doc["ambient_dim"]),
+            tuple(tuple(int(x) for x in p) for p in doc["points"]),
+            tuple(doc["labels"]),
+            tuple(cayley) if cayley else None,
+        )
 
 
 def weights_to_dict(w: WeightVector) -> dict:
@@ -58,9 +78,8 @@ def weights_to_dict(w: WeightVector) -> dict:
 
 
 def weights_from_dict(doc: dict) -> WeightVector:
-    if doc.get("format") != FORMAT_WEIGHTS:
-        raise ValueError(f"not a weight vector document: {doc.get('format')!r}")
-    return WeightVector.of(doc["heights"])
+    with _reading(doc, FORMAT_WEIGHTS, "weight vector"):
+        return WeightVector.of(doc["heights"])
 
 
 def config_digest(config: PointConfiguration) -> str:
@@ -112,16 +131,15 @@ def polynomial_to_dict(degree: int, terms: dict) -> dict:
 
 
 def polynomial_terms_from_dict(doc: dict) -> tuple[int, dict[tuple[int, ...], Fraction]]:
-    if doc.get("format") != FORMAT_POLYNOMIAL:
-        raise ValueError(f"not a valued polynomial document: {doc.get('format')!r}")
-    degree = int(doc["degree"])
-    terms = {}
-    for entry in doc["terms"]:
-        exp = tuple(int(x) for x in entry["exp"])
-        if exp in terms:
-            raise SupportError(f"duplicate exponent {exp}")
-        terms[exp] = parse_rational(entry["val"])
-    return degree, terms
+    with _reading(doc, FORMAT_POLYNOMIAL, "valued polynomial"):
+        degree = int(doc["degree"])
+        terms = {}
+        for entry in doc["terms"]:
+            exp = tuple(int(x) for x in entry["exp"])
+            if exp in terms:
+                raise SupportError(f"duplicate exponent {exp}")
+            terms[exp] = parse_rational(entry["val"])
+        return degree, terms
 
 
 def save_json(path, doc) -> None:

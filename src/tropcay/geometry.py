@@ -5,16 +5,23 @@ volumes, lower hulls) is computed exactly.  A configuration may sit on a
 proper affine sublattice of its ambient space (the Cayley configuration is
 4-dimensional inside R^5); volumes and subdivisions are always taken
 relative to the affine lattice actually spanned by the points.
+
+One beneath-beyond routine on integer points serves two purposes.  Run in
+the configuration's own dimension it gives placing triangulations
+(``placing_cells``).  Run one dimension up on the points lifted by
+heights it gives the lower hull, whose downward boundary facets are the
+candidates for ``regular_subdivision``; each cell is then certified by
+its own exactly solved facet functional.
 """
 
 from __future__ import annotations
 
 import string
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
-from math import comb
+from math import comb, gcd
 
 from .errors import DegenerateConfigurationError
 from .exactarith import (
@@ -24,7 +31,6 @@ from .exactarith import (
     kernel_vector_int,
     lattice_row_basis,
     parse_rational,
-    solve_general,
     solve_rational,
 )
 
@@ -278,6 +284,85 @@ def _functional_through(rows):
     return kernel_vector_int(cols)
 
 
+class _BeneathBeyond:
+    """Incremental placing triangulation of distinct integer points.
+
+    The affine span is tracked by an integer echelon basis of difference
+    vectors.  Projection onto its pivot columns is an affine isomorphism
+    of the span, so those coordinates serve as an integer chart.
+    ``boundary`` maps each boundary facet (a face of exactly one cell) to
+    the opposite vertex of that cell.  A facet's oriented functional
+    (negative at that vertex) is computed once and cached.  When the span
+    grows, the chart grows with it and every facet gains a point, so no
+    cached functional can be looked up again; the cache is then cleared.
+    """
+
+    def __init__(self, points, first: int):
+        self.points = points
+        self.origin = points[first]
+        self.basis: list[list[int]] = []
+        self.pivots: list[int] = []
+        self.cells: set[frozenset[int]] = {frozenset([first])}
+        self.boundary: dict[frozenset[int], int] = {frozenset(): first}
+        self._functionals: dict[frozenset[int], tuple[int, ...]] = {}
+
+    def functional(self, facet: frozenset[int]) -> tuple[int, ...]:
+        """Chart coefficients and constant of the facet's outward functional."""
+        func = self._functionals.get(facet)
+        if func is None:
+            func = _functional_through(
+                [[self.points[i][c] for c in self.pivots] + [1] for i in facet]
+            )
+            if self.evaluate(func, self.boundary[facet]) > 0:
+                func = tuple(-x for x in func)
+            self._functionals[facet] = func
+        return func
+
+    def evaluate(self, func, idx: int) -> int:
+        p = self.points[idx]
+        return sum(f * p[c] for f, c in zip(func, self.pivots)) + func[-1]
+
+    def insert(self, idx: int) -> None:
+        v = [x - o for x, o in zip(self.points[idx], self.origin)]
+        for row, c in zip(self.basis, self.pivots):
+            if v[c]:
+                p, f = row[c], v[c]
+                v = [p * x - f * y for x, y in zip(v, row)]
+        lead = next((j for j, x in enumerate(v) if x), None)
+        if lead is not None:
+            # The point leaves the affine span: cone it over every cell.
+            g = gcd(*v)
+            k = bisect_left(self.pivots, lead)
+            self.basis.insert(k, [x // g for x in v])
+            self.pivots.insert(k, lead)
+            self.boundary = {c: idx for c in self.cells} | {
+                f | {idx}: apex for f, apex in self.boundary.items()
+            }
+            self.cells = {c | {idx} for c in self.cells}
+            self._functionals.clear()
+            return
+        visible = [
+            f for f in self.boundary if self.evaluate(self.functional(f), idx) > 0
+        ]
+        for facet in visible:
+            cell = facet | {idx}
+            self.cells.add(cell)
+            for apex in cell:
+                face = cell - {apex}
+                if face in self.boundary:  # now shared by two cells
+                    del self.boundary[face]
+                    self._functionals.pop(face, None)
+                else:
+                    self.boundary[face] = apex
+
+
+def _place(points, order) -> _BeneathBeyond:
+    hull = _BeneathBeyond(points, order[0])
+    for idx in order[1:]:
+        hull.insert(idx)
+    return hull
+
+
 def placing_cells(points, order=None):
     """Placing triangulation of a list of points (exact beneath-beyond).
 
@@ -287,8 +372,10 @@ def placing_cells(points, order=None):
     cells as sorted index tuples over ``points``, or ``None`` when all
     points coincide affinely (nothing to triangulate).
 
-    Coordinates may be integers or rationals; only the affine structure is
-    used, so this works inside coordinate charts as well.
+    Points are distinct tuples of integers.  All arithmetic is on
+    integers: each boundary facet's functional is an integer kernel
+    vector in a chart of the current affine span, cached until the span
+    grows.
     """
     n = len(points)
     if n == 0:
@@ -296,59 +383,10 @@ def placing_cells(points, order=None):
     order = list(range(n)) if order is None else list(order)
     if sorted(order) != list(range(n)):
         raise ValueError("order must be a permutation of all point indices")
-
-    dim_ambient = len(points[0])
-    basis: list[list[Fraction]] = []
-    chart: dict[int, tuple[Fraction, ...]] = {}
-    first = order[0]
-    origin = [Fraction(x) for x in points[first]]
-    chart[first] = ()
-    cells: set[frozenset[int]] = {frozenset([first])}
-
-    for idx in order[1:]:
-        diff = [Fraction(points[idx][j]) - origin[j] for j in range(dim_ambient)]
-        coords = None
-        if basis:
-            a_rows = [[basis[k][j] for k in range(len(basis))] for j in range(dim_ambient)]
-            coords = solve_general(a_rows, diff)
-        elif all(d == 0 for d in diff):
-            coords = []
-        if coords is None:
-            # Point extends the affine span: cone it over every current cell.
-            basis.append(diff)
-            chart = {i: c + (Fraction(0),) for i, c in chart.items()}
-            chart[idx] = (Fraction(0),) * (len(basis) - 1) + (Fraction(1),)
-            cells = {c | {idx} for c in cells}
-            continue
-        chart[idx] = tuple(coords)
-        rank = len(basis)
-        if rank == 0:
-            continue  # duplicate of the origin cannot occur (points distinct)
-        # Boundary facets: used by exactly one cell; remember that cell's apex.
-        facet_owner: dict[frozenset[int], list[int]] = {}
-        for cell in cells:
-            for v in cell:
-                f = cell - {v}
-                facet_owner.setdefault(f, []).append(v)
-        added = set()
-        for facet, apexes in facet_owner.items():
-            if len(apexes) != 1:
-                continue
-            rows = [tuple(chart[i]) + (Fraction(1),) for i in sorted(facet)]
-            func = _functional_through(rows)
-            assert func is not None
-            apex_val = sum(f * c for f, c in zip(func, chart[apexes[0]] + (Fraction(1),)))
-            new_val = sum(f * c for f, c in zip(func, chart[idx] + (Fraction(1),)))
-            assert apex_val != 0
-            if new_val != 0 and (new_val > 0) != (apex_val > 0):
-                added.add(facet | {idx})
-        cells |= added
-
-    if not basis:
+    hull = _place(points, order)
+    if not hull.basis:
         return None
-    want = len(basis) + 1
-    assert all(len(c) == want for c in cells)
-    return sorted(tuple(sorted(c)) for c in cells)
+    return sorted(tuple(sorted(c)) for c in hull.cells)
 
 
 def regular_subdivision(config: PointConfiguration, w: WeightVector) -> Subdivision:
@@ -356,8 +394,13 @@ def regular_subdivision(config: PointConfiguration, w: WeightVector) -> Subdivis
 
     A maximal cell is the full set of points lying on a lower-facet
     functional of the lifted configuration; points lifted strictly above a
-    lower facet are excluded from its cell.  Exhaustive search over
-    spanning subsets, exact arithmetic throughout.
+    lower facet are excluded from its cell.  The lifted points ``(p, h)``
+    are placed one dimension up, lowest first, and the boundary facets of
+    that triangulation whose outer normal points down are the candidates.
+    Each new candidate is certified exactly: its affine functional is
+    solved from its vertices, the cell is every point on it, and a point
+    strictly below rejects it.  Affine heights span no extra dimension and
+    give one cell with every point.
     """
     if len(w) != len(config.points):
         raise ValueError("weight vector length must match the point count")
@@ -367,10 +410,21 @@ def regular_subdivision(config: PointConfiguration, w: WeightVector) -> Subdivis
     rank = reduced.ambient_dim
 
     heights, _ = clear_denominators(w.heights)
+    hull = _place(
+        [p + (h,) for p, h in zip(pts, heights)],
+        sorted(range(n), key=lambda i: (heights[i], i)),
+    )
+    if len(hull.basis) == rank:
+        return Subdivision(config, (tuple(range(n)),))
+    # The chart is every lifted coordinate, so entry ``rank`` of a facet's
+    # outward functional is its height coefficient.
+    candidates = sorted(
+        tuple(sorted(f)) for f in hull.boundary if hull.functional(f)[rank] < 0
+    )
 
     found: list[set[int]] = []
     cells: set[tuple[int, ...]] = set()
-    for subset in combinations(range(n), rank + 1):
+    for subset in candidates:
         sset = set(subset)
         if any(sset <= c for c in found):
             continue
@@ -378,7 +432,7 @@ def regular_subdivision(config: PointConfiguration, w: WeightVector) -> Subdivis
         rhs = [heights[i] for i in subset]
         sol = solve_rational(rows, rhs)
         if sol is None:
-            continue  # affinely dependent subset
+            continue  # vertical facet; a downward normal rules it out
         # Scale the functional to integers: ell(p) = (a.p + c0) / denom
         (*a, c0), denom = clear_denominators(sol)
         lower = True

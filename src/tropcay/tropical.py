@@ -49,7 +49,7 @@ class ValuedPolynomial:
     @classmethod
     def make(cls, degree: int, terms) -> "ValuedPolynomial":
         if degree < 1:
-            raise ValueError("degree must be at least 1")
+            raise SupportError(f"degree {degree} is not positive")
         mapping = {}
         for exp, val in dict(terms).items():
             exp = tuple(int(x) for x in exp)

@@ -4,11 +4,25 @@
 Gauss-Jordan eliminations that ``tropcay.exactarith`` used before its
 fraction-free integer kernel.  Reduced row echelon form is unique, so the
 library wrappers must agree with these exactly.
+
+``placing_cells`` and ``regular_subdivision`` are the ``Fraction``-chart
+beneath-beyond and the exhaustive search over spanning subsets that
+``tropcay.geometry`` used before its lifted lower hull.  A placing
+triangulation is determined by the insertion order and a regular
+subdivision by the heights, so the library must agree with these exactly.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
+
+from tropcay.exactarith import (
+    clear_denominators,
+    kernel_vector_int,
+    solve_rational,
+)
+from tropcay.geometry import PointConfiguration, Subdivision, WeightVector, affine_reduce
 
 
 def solve_general(a_rows, b_col) -> list[Fraction] | None:
@@ -86,3 +100,131 @@ def nullspace_basis(rows) -> list[tuple[Fraction, ...]]:
             v[c] = -a[i][free] / a[i][c]
         basis.append(tuple(v))
     return basis
+
+
+def _functional_through(rows):
+    """Primitive integer functional vanishing on all given (coord..., 1) rows."""
+    ncols = len(rows[0])
+    cols = [tuple(r[j] for r in rows) for j in range(ncols)]
+    return kernel_vector_int(cols)
+
+
+def placing_cells(points, order=None):
+    """Placing triangulation of a list of points (exact beneath-beyond).
+
+    Points are inserted in the given order; each either extends the hull
+    (cone over strictly visible boundary facets, or over every cell when it
+    leaves the current affine span) or is skipped.  Returns the maximal
+    cells as sorted index tuples over ``points``, or ``None`` when all
+    points coincide affinely (nothing to triangulate).
+
+    Coordinates may be integers or rationals; only the affine structure is
+    used, so this works inside coordinate charts as well.
+    """
+    n = len(points)
+    if n == 0:
+        return None
+    order = list(range(n)) if order is None else list(order)
+    if sorted(order) != list(range(n)):
+        raise ValueError("order must be a permutation of all point indices")
+
+    dim_ambient = len(points[0])
+    basis: list[list[Fraction]] = []
+    chart: dict[int, tuple[Fraction, ...]] = {}
+    first = order[0]
+    origin = [Fraction(x) for x in points[first]]
+    chart[first] = ()
+    cells: set[frozenset[int]] = {frozenset([first])}
+
+    for idx in order[1:]:
+        diff = [Fraction(points[idx][j]) - origin[j] for j in range(dim_ambient)]
+        coords = None
+        if basis:
+            a_rows = [[basis[k][j] for k in range(len(basis))] for j in range(dim_ambient)]
+            coords = solve_general(a_rows, diff)
+        elif all(d == 0 for d in diff):
+            coords = []
+        if coords is None:
+            # Point extends the affine span: cone it over every current cell.
+            basis.append(diff)
+            chart = {i: c + (Fraction(0),) for i, c in chart.items()}
+            chart[idx] = (Fraction(0),) * (len(basis) - 1) + (Fraction(1),)
+            cells = {c | {idx} for c in cells}
+            continue
+        chart[idx] = tuple(coords)
+        rank = len(basis)
+        if rank == 0:
+            continue  # duplicate of the origin cannot occur (points distinct)
+        # Boundary facets: used by exactly one cell; remember that cell's apex.
+        facet_owner: dict[frozenset[int], list[int]] = {}
+        for cell in cells:
+            for v in cell:
+                f = cell - {v}
+                facet_owner.setdefault(f, []).append(v)
+        added = set()
+        for facet, apexes in facet_owner.items():
+            if len(apexes) != 1:
+                continue
+            rows = [tuple(chart[i]) + (Fraction(1),) for i in sorted(facet)]
+            func = _functional_through(rows)
+            assert func is not None
+            apex_val = sum(f * c for f, c in zip(func, chart[apexes[0]] + (Fraction(1),)))
+            new_val = sum(f * c for f, c in zip(func, chart[idx] + (Fraction(1),)))
+            assert apex_val != 0
+            if new_val != 0 and (new_val > 0) != (apex_val > 0):
+                added.add(facet | {idx})
+        cells |= added
+
+    if not basis:
+        return None
+    want = len(basis) + 1
+    assert all(len(c) == want for c in cells)
+    return sorted(tuple(sorted(c)) for c in cells)
+
+
+def regular_subdivision(config: PointConfiguration, w: WeightVector) -> Subdivision:
+    """Regular subdivision induced by lifting heights: project the lower hull.
+
+    A maximal cell is the full set of points lying on a lower-facet
+    functional of the lifted configuration; points lifted strictly above a
+    lower facet are excluded from its cell.  Exhaustive search over
+    spanning subsets, exact arithmetic throughout.
+    """
+    if len(w) != len(config.points):
+        raise ValueError("weight vector length must match the point count")
+    reduced, _ = affine_reduce(config)
+    pts = reduced.points
+    n = len(pts)
+    rank = reduced.ambient_dim
+
+    heights, _ = clear_denominators(w.heights)
+
+    found: list[set[int]] = []
+    cells: set[tuple[int, ...]] = set()
+    for subset in combinations(range(n), rank + 1):
+        sset = set(subset)
+        if any(sset <= c for c in found):
+            continue
+        rows = [list(pts[i]) + [1] for i in subset]
+        rhs = [heights[i] for i in subset]
+        sol = solve_rational(rows, rhs)
+        if sol is None:
+            continue  # affinely dependent subset
+        # Scale the functional to integers: ell(p) = (a.p + c0) / denom
+        (*a, c0), denom = clear_denominators(sol)
+        lower = True
+        eq = []
+        for q in range(n):
+            val = sum(ai * pq for ai, pq in zip(a, pts[q])) + c0
+            hq = heights[q] * denom
+            if val > hq:
+                lower = False
+                break
+            if val == hq:
+                eq.append(q)
+        if lower:
+            cell = tuple(eq)
+            if cell not in cells:
+                cells.add(cell)
+                found.append(set(cell))
+    return Subdivision(config, tuple(sorted(cells)))

@@ -1,4 +1,5 @@
 import base64
+import hashlib
 import json
 from importlib import resources
 
@@ -131,6 +132,175 @@ def test_tropicalize_non_unimodular_exit_code(tmp_path, capsys):
 def test_tropicalize_missing_file_is_io_error(tmp_path, capsys):
     code, _, _ = run(capsys, "tropicalize", str(tmp_path / "nope.json"), str(tmp_path / "nope.json"), "--out", str(tmp_path / "o"))
     assert code == EXIT_IO
+
+
+# SHA-256 of report.json, curve.dot and the stderr line of `tropcay tropicalize`
+# for every bundled pair, as produced by the exhaustive subset search.
+_PAIR_DIGESTS = {
+    "cycle03": (
+        "2d922764ea6d14ac1d3d34e1465ad5f691e75bb5825654a2cadc86b5fc4668fd",
+        "cf83ae480eb5427ee2eeefef635bc700f9975053802ae5b123e09636b750d607",
+        "f151972328287c3acd2567ac304f8831866d3d218879513bef8a93e8fcb1672d",
+    ),
+    "cycle04": (
+        "0c2c610a3fc106d4e1d425ef1f38d2af2c65bfac91d9efdc0c4d6e6896b62e74",
+        "f3e4f7baa005cc18079a1099e32e53da9b3eb9b1c3999493cea43a26a174de67",
+        "8157b7c2dca4328e73e260d9c06b049f3288837564320a14ab226746692e9b85",
+    ),
+    "cycle05": (
+        "d92d8f35a2d38135e01a3db543d3882185ced7fe361e1a1c1fe442c36ee44ad5",
+        "3fbefb668ef26e1c20da6eecda78842684db9049003205dea756a6183a1ce282",
+        "7da1b4af7381ff46493cfe3e1496abafe678e37dcae960444807d1210c97c73a",
+    ),
+    "cycle06": (
+        "02b0cc6edfece4ece3922acb17e344f7e5b95b30f4989a380d0ea9bf825c1b9c",
+        "ed45aad2e8de66dc2756e8591fbbf7be636472016f64d6ed8706c67aa6dd080a",
+        "deb60e17e6cc30ef7a09b4378fdfa1c1d2dbe8ba9e98e33819e46b7307cde40c",
+    ),
+    "cycle07": (
+        "6f931c3bde46aeea47f982f470fe3ebb8f0eac343cfda9eb1c84581d36be7d34",
+        "d284ebb54e17db84f1cc7b38aa8c12488ffd0d48412b623d70391e152726bce3",
+        "2937a7e9d323ccbccf2c1051d39544e7bdeba45a1cd00dd963edcaba7009ea99",
+    ),
+    "cycle08": (
+        "e8cf871c2457e72b9a6ca1c32f310a88c0c413ae640a8af54a3e3d379c8b51be",
+        "43e9fdb154c3fab8636edb6c6b4019af359659ffcff5bcf0b95040219719001b",
+        "11b20f892dcd97f66df1b471e4dd91b722251a752dc15b7e988a73974b56982b",
+    ),
+    "cycle09": (
+        "309aed81a278db46c424dfc78e8e68c4f305e65b1cbd5815f3eedf905aa3cfd1",
+        "ea5b2a1a1551fe2e6b2da9dd4e9b1785cf62c5e6dda68097dcbe2f19b40e74c8",
+        "c9fe7b4095b66ea665e8e760d6a709a85addb0907baacf2bcd168008696302ee",
+    ),
+    "cycle10": (
+        "ed3375158fed0e4ee351a0410254e8421b4bc59509bd0f6804b076de7a0fabeb",
+        "d5435df34bfa223ae8768958cf699b76f9ec19962081975a30495ae5a336521b",
+        "3a58c587022aa5db8d7e5bb653604994aaa9882baf6020a8093fc487300e8789",
+    ),
+    "cycle11": (
+        "9d9c7c3399a793a60bc800eab0a08cd910502d4bb5ce01929729e4a87bf35d6c",
+        "052c03fd1d1264d4f51405f8daead2977cdc908b0fd7fde7ae790d0a6597551b",
+        "2241853cfe53df12382240ee038b26fd355b5bfe5bf2612b62f4a3a3cc0050f7",
+    ),
+    "cycle12": (
+        "f31e1c6c8fcd2aa94127bc9b31ffa7cd2a5934579cf8c1c48f86deb9bb100ff7",
+        "cf17aacbd45e144a94b3499ee896d174e3ec6480b8d82238646366623f9c7093",
+        "d069950de73ba9159c6156268c667056d0af160aa6eb86f158ee6687d5dabdb3",
+    ),
+    "cycle13": (
+        "da5786e90bb5c8f09e13b3ca809a02d02f6a8cf118593cdf7e156948677f6ea3",
+        "9eed19f1105976e5a2aeb2c8591eb3b01fe36f2acf9ee7ab633c7294a9295836",
+        "0007bc630de404ac93113ef570c26ff6fa6b46727574a2db163ba263fa30f2ec",
+    ),
+    "cycle14": (
+        "a694afe0357bcf2ca2e8bc329771f060c524bdfe024086f42b3e3814b9c5615d",
+        "5f0ecbcdedd817057238a9c1e51c6708c5f62864cb6da27c5d0e3d62076e73e4",
+        "852a5351c9a3b2229f0c9816da4fc5cf1f30680beb95b146a36a30f4cf7d29bc",
+    ),
+    "cycle15": (
+        "8a773468a85ef73c82b114ba26f4f2959a22876ffe31e29c430ee2ff5bb7bcee",
+        "1df4dce86bd72539002b7f7d431013468e0c476de7596b784d56dfe657c53c4d",
+        "868cd54ea93bbcbd89fff7102654a61aeeb23ecdd88bcabd60fc987850ce2303",
+    ),
+    "cycle16": (
+        "390a9deffb7ac46448c1be334b3477aa5334272de8ee330613a65f253d668c15",
+        "c8524a35bdb7c7e2cff07648392aacdf4b21b83ad5b91a26f65a26eb74439b26",
+        "e78b0d51eb5a1e8ba2d7cb8f58f38e3093eba0e0299770a2fd0f18fdec6bad2f",
+    ),
+    "twoadic": (
+        "6fecac9e72280334273c7241c9a3c48cb065e4e5fd5d611ea42ecfb0a8ca2c1b",
+        "8e0dfc493e9ee0ee9e95361075895f8b236e7decbdef93c13de0d97593223d87",
+        "11b20f892dcd97f66df1b471e4dd91b722251a752dc15b7e988a73974b56982b",
+    ),
+    "sample21": (
+        "f420cdebb2672c186444f8b08c598a8f5d7f140d8058fd1c7dbb8658047a97eb",
+        "f0fbe76046fb62e1f3b12f74816df3525d4406090d3d81d315a9a1f7ab3aff00",
+        "749294a22f4bf728b09e692004260f8e681c12e72fb14ba38cb8ffe3ba73fd25",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PAIR_DIGESTS))
+def test_tropicalize_bundled_pair_outputs_are_pinned(tmp_path, capsys, name):
+    f1, f2 = data_pair(name)
+    code, _, err = run(capsys, "tropicalize", f1, f2, "--out", str(tmp_path))
+    assert code == EXIT_OK
+    digests = tuple(
+        hashlib.sha256(data).hexdigest()
+        for data in (
+            (tmp_path / "report.json").read_bytes(),
+            (tmp_path / "curve.dot").read_bytes(),
+            err.encode(),
+        )
+    )
+    assert digests == _PAIR_DIGESTS[name]
+
+
+def _polynomial_doc():
+    f1, _ = data_pair("sample21")
+    return load_json(f1)
+
+
+def _edit_term(field, value):
+    def edit(doc):
+        doc["terms"][0][field] = value
+        return doc
+    return edit
+
+
+def _drop_term_field(field):
+    def edit(doc):
+        del doc["terms"][0][field]
+        return doc
+    return edit
+
+
+_MALFORMED_POLYNOMIALS = {
+    "wrong-format": lambda doc: {**doc, "format": "tropcay/point-configuration/1"},
+    "no-degree": lambda doc: {k: v for k, v in doc.items() if k != "degree"},
+    "term-without-exp": _drop_term_field("exp"),
+    "valuation-abc": _edit_term("val", "abc"),
+    "valuation-1/0": _edit_term("val", "1/0"),
+    "degree-0": lambda doc: {**doc, "degree": 0},
+    "list-not-object": lambda doc: [doc],
+}
+
+
+def _assert_usage_error(code, err):
+    assert code == EXIT_USAGE
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_POLYNOMIALS))
+def test_tropicalize_malformed_polynomial_exit_64(tmp_path, capsys, case):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(_MALFORMED_POLYNOMIALS[case](_polynomial_doc())))
+    _, good = data_pair("sample21")
+    code, _, err = run(capsys, "tropicalize", str(bad), good, "--out", str(tmp_path / "o"))
+    _assert_usage_error(code, err)
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("order", ["a,b", "0,1,2"])
+def test_enumerate_bad_placing_order_exit_64(tmp_path, capsys, order):
+    cfg = tmp_path / "s.json"
+    run(capsys, "config", "simplex", "--dim", "2", "--dilation", "3", "--out", str(cfg))
+    code, out, err = run(capsys, "enumerate", "--config", str(cfg), "--placing-order", order, "--limit", "2")
+    _assert_usage_error(code, err)
+    assert out == ""
+
+
+def test_enumerate_config_point_of_wrong_dimension_exit_64(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({
+        "format": "tropcay/point-configuration/1",
+        "ambient_dim": 2,
+        "points": [[0, 0], [1, 0], [0, 1, 5]],
+        "labels": ["A", "B", "C"],
+    }))
+    code, _, err = run(capsys, "enumerate", "--config", str(cfg), "--limit", "2")
+    _assert_usage_error(code, err)
 
 
 def test_enumerate_square(tmp_path, capsys):

@@ -3,7 +3,10 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from tropcay.errors import DegenerateConfigurationError
 from tropcay.geometry import (
     PointConfiguration,
@@ -211,3 +214,74 @@ def test_regular_subdivision_of_segment_with_kink():
     assert sub.cells == ((0, 1), (1, 2))
     sub2 = regular_subdivision(cfg, WeightVector.of([0, 1, 0]))
     assert sub2.cells == ((0, 2),)
+
+
+# -- the lifted lower hull and the integer placing against the oracles ------
+
+_SMALL = st.integers(-4, 4)
+_HEIGHT = st.builds(Fraction, st.integers(-2, 2), st.sampled_from([1, 2]))
+_LIFTED = {
+    "C(1D3,1D3)": cayley_config(simplex_lattice_points(3, 1), simplex_lattice_points(3, 1)),
+    "C(1D3,2D3)": cayley_config(simplex_lattice_points(3, 1), simplex_lattice_points(3, 2)),
+    "3D2": simplex_lattice_points(2, 3),
+}
+_CONFIG = st.sampled_from(sorted(_LIFTED)).map(_LIFTED.__getitem__)
+
+
+@st.composite
+def lifts(draw):
+    """A configuration with small integer and half-integer heights: ties,
+    and so non-simplicial cells, are common."""
+    cfg = draw(_CONFIG)
+    heights = draw(st.lists(_HEIGHT, min_size=len(cfg), max_size=len(cfg)))
+    return cfg, WeightVector(tuple(heights))
+
+
+@settings(max_examples=200, deadline=None)
+@given(lifts())
+def test_regular_subdivision_matches_subset_search(lift):
+    cfg, w = lift
+    assert regular_subdivision(cfg, w).cells == oracles.regular_subdivision(cfg, w).cells
+
+
+@settings(max_examples=60, deadline=None)
+@given(_CONFIG, st.data())
+def test_affine_heights_give_one_cell(cfg, data):
+    coeffs = data.draw(st.lists(_HEIGHT, min_size=cfg.ambient_dim + 1, max_size=cfg.ambient_dim + 1))
+    *a, c = coeffs
+    w = WeightVector(tuple(sum(x * y for x, y in zip(a, p)) + c for p in cfg.points))
+    sub = regular_subdivision(cfg, w)
+    assert sub.cells == (tuple(range(len(cfg))),)
+    assert sub.cells == oracles.regular_subdivision(cfg, w).cells
+
+
+@st.composite
+def placements(draw):
+    """Distinct integer points (general, collinear, coplanar or a single
+    point) and a random insertion order."""
+    d = draw(st.integers(1, 4))
+    vector = st.tuples(*[_SMALL] * d)
+    kind = draw(st.sampled_from(["general", "collinear", "coplanar", "single"]))
+    if kind == "single":
+        pts = [draw(vector)]
+    elif kind == "general":
+        pts = draw(st.lists(vector, min_size=1, max_size=9, unique=True))
+    else:
+        base = draw(vector)
+        dirs = draw(st.lists(vector, min_size=1 if kind == "collinear" else 2, max_size=2))
+        steps = draw(st.lists(st.tuples(*[_SMALL] * len(dirs)), min_size=1, max_size=9))
+        pts = list(dict.fromkeys(
+            tuple(b + sum(t * v[j] for t, v in zip(ts, dirs)) for j, b in enumerate(base))
+            for ts in steps
+        ))
+    return pts, draw(st.permutations(range(len(pts))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(placements())
+def test_placing_cells_matches_fraction_placing(placement):
+    pts, order = placement
+    cells = placing_cells(pts, order)
+    assert cells == oracles.placing_cells(pts, order)
+    if len(pts) == 1:
+        assert cells is None
