@@ -17,7 +17,7 @@ from .geometry import (
     regular_subdivision,
     simplex_lattice_points,
 )
-from .graphs import CanonicalForm, ClassTable, canonical_form, canonical_hash, census, classify
+from .graphs import CanonicalForm, ClassTable, canonical_form, census, classify
 from .lp import strict_lp_feasible
 from .triangulation import (
     Flip,
@@ -68,7 +68,6 @@ __all__ = [
     "apply_symmetry",
     "builtin_symmetry",
     "canonical_form",
-    "canonical_hash",
     "cayley_config",
     "census",
     "classify",

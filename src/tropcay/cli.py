@@ -42,9 +42,9 @@ from .formats import (
     save_json,
     triangulation_line,
 )
-from .geometry import cayley_config, simplex_lattice_points
+from .geometry import cayley_config, normalized_volume, simplex_lattice_points
 from .graphs import CENSUS_CONVENTIONS, ClassTable, census
-from .triangulation import Triangulation, builtin_symmetry
+from .triangulation import Triangulation, builtin_symmetry, flip_engine
 from .tropical import ValuedPolynomial, dual_curve_planar, mixed_subdivision, dual_curve_3d, tropicalize_pair
 
 EXIT_OK = 0
@@ -239,19 +239,25 @@ def cmd_enumerate(args) -> int:
     return EXIT_OK
 
 
-def _curve_for(config, cells):
+def _curve_for(config, volume, cells):
     t = Triangulation.make(config, cells)
+    engine = flip_engine(config)
+    masks = engine.to_masks(t.cells)
+    covered = sum(engine.volume(m) for m in masks)
+    if covered != volume:
+        raise ValueError(f"cell volumes sum to {covered}, not the configuration's {volume}")
+    engine.walls(masks)  # raises if a facet lies in more than two cells
     if config.is_cayley:
         return dual_curve_3d(mixed_subdivision(t))
     return dual_curve_planar(t)
 
 
-def _classify_lines(config, lines):
+def _classify_lines(config, volume, lines):
     graphs = []
     for lineno, line in lines:
         try:
             cells = parse_triangulation_line(config, line)
-            graph = _curve_for(config, cells)
+            graph = _curve_for(config, volume, cells)
         except Exception as err:  # report and continue
             sys.stderr.write(f"line {lineno}: skipped ({err})\n")
             continue
@@ -261,6 +267,7 @@ def _classify_lines(config, lines):
 
 def cmd_classify(args) -> int:
     config = config_from_dict(load_json(args.config))
+    volume = normalized_volume(config)
     with open(args.input, "r", encoding="utf-8") as fh:
         lines = [
             (i + 1, line)
@@ -272,10 +279,10 @@ def cmd_classify(args) -> int:
 
         chunks = [lines[i :: args.jobs] for i in range(args.jobs)]
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = pool.map(_classify_chunk, [(config_to_dict(config), c) for c in chunks])
+            results = pool.map(_classify_chunk, [(config_to_dict(config), volume, c) for c in chunks])
         graphs = [g for part in results for g in part]
     else:
-        graphs = _classify_lines(config, lines)
+        graphs = _classify_lines(config, volume, lines)
 
     table = ClassTable(use_colors=args.use_colors)
     for graph, provenance in graphs:
@@ -301,9 +308,8 @@ def cmd_classify(args) -> int:
 
 
 def _classify_chunk(payload):
-    config_doc, lines = payload
-    config = config_from_dict(config_doc)
-    return _classify_lines(config, lines)
+    config_doc, volume, lines = payload
+    return _classify_lines(config_from_dict(config_doc), volume, lines)
 
 
 def cmd_census(args) -> int:

@@ -56,33 +56,22 @@ DEFAULT_CHECKPOINT_EVERY = 10000
 
 @dataclass(frozen=True)
 class EnumerationFilters:
-    """Which triangulations are emitted (the search always walks regular ones)."""
+    """Which regular triangulations are emitted (the search walks them all:
+    flip connectivity is only guaranteed across regular triangulations)."""
 
-    require_regular: bool = True
     require_unimodular: bool = False
     require_full: bool = False
 
-    def __post_init__(self):
-        if not self.require_regular:
-            raise ValueError(
-                "require_regular must stay True: flip connectivity is only "
-                "guaranteed across regular triangulations"
-            )
-
     def to_dict(self) -> dict:
         return {
-            "require_regular": self.require_regular,
             "require_unimodular": self.require_unimodular,
             "require_full": self.require_full,
         }
 
     @classmethod
     def from_dict(cls, doc) -> "EnumerationFilters":
-        return cls(
-            bool(doc["require_regular"]),
-            bool(doc["require_unimodular"]),
-            bool(doc["require_full"]),
-        )
+        # Older checkpoints also store an always-true regularity filter; it is ignored.
+        return cls(bool(doc["require_unimodular"]), bool(doc["require_full"]))
 
 
 class _Codec:

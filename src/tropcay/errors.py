@@ -5,10 +5,6 @@ class TropcayError(Exception):
     """Base class for all package-specific errors."""
 
 
-class DegenerateConfigurationError(TropcayError, ValueError):
-    """Point configuration is too small or has no affine extent."""
-
-
 class DegenerateSubdivisionError(TropcayError):
     """A weight vector induced a subdivision that is not a triangulation."""
 
@@ -28,6 +24,10 @@ class NonUnimodularError(TropcayError):
 
 class InputError(TropcayError, ValueError):
     """An input document or command-line value is malformed."""
+
+
+class DegenerateConfigurationError(InputError):
+    """Point configuration is too small or has no affine extent."""
 
 
 class SupportError(InputError):

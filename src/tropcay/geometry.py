@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd
 
-from .errors import DegenerateConfigurationError
+from .errors import DegenerateConfigurationError, InputError
 from .exactarith import (
     clear_denominators,
     coords_in_row_basis,
@@ -93,10 +93,6 @@ class PointConfiguration:
             return 0
         return len(_reduction(self)[1].basis)
 
-    def key(self) -> tuple:
-        """Hashable identity used for caching derived structures."""
-        return (self.ambient_dim, self.points, self.labels, self.cayley_sizes)
-
 
 @dataclass(frozen=True)
 class WeightVector:
@@ -158,7 +154,7 @@ def simplex_lattice_points(dim: int, dilation: int) -> PointConfiguration:
     (A, B, ...) refer to throughout the package.
     """
     if dim < 1 or dilation < 1:
-        raise ValueError("dim and dilation must be at least 1")
+        raise InputError("dim and dilation must be at least 1")
     pts = []
 
     def rec(prefix, remaining):
@@ -188,7 +184,8 @@ def cayley_config(p1: PointConfiguration, p2: PointConfiguration) -> PointConfig
     return PointConfiguration(2 + n, tuple(pts), labels, cayley_sizes=(len(p1.points), len(p2.points)))
 
 
-def _compute_reduction(config: PointConfiguration) -> tuple[PointConfiguration, AffineTransform]:
+@lru_cache(maxsize=256)
+def _reduction(config: PointConfiguration) -> tuple[PointConfiguration, AffineTransform]:
     if len(config.points) < 2:
         raise DegenerateConfigurationError("affine reduction needs at least two points")
     origin = config.points[0]
@@ -219,17 +216,6 @@ def _compute_reduction(config: PointConfiguration) -> tuple[PointConfiguration, 
     return reduced, AffineTransform(origin, tuple(tuple(r) for r in basis))
 
 
-@lru_cache(maxsize=256)
-def _reduction_cached(key):
-    ambient_dim, points, labels, cayley_sizes = key
-    config = PointConfiguration(ambient_dim, points, labels, cayley_sizes)
-    return _compute_reduction(config)
-
-
-def _reduction(config: PointConfiguration) -> tuple[PointConfiguration, AffineTransform]:
-    return _reduction_cached(config.key())
-
-
 def affine_reduce(config: PointConfiguration) -> tuple[PointConfiguration, AffineTransform]:
     """Full-dimensional coordinates in the affine lattice spanned by the points.
 
@@ -239,10 +225,6 @@ def affine_reduce(config: PointConfiguration) -> tuple[PointConfiguration, Affin
     index tuples are unaffected by the reduction.
     """
     return _reduction(config)
-
-
-def reduced_points(config: PointConfiguration) -> tuple[tuple[int, ...], ...]:
-    return _reduction(config)[0].points
 
 
 def _simplex_volume(pts, cell) -> int:

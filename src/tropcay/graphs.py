@@ -7,16 +7,15 @@ cells, taking the minimal edge-list encoding.  Graphs here are small
 (at most 16 vertices, degree at most 3), so this is fast and exact:
 equal canonical forms are equivalent to isomorphism.
 
-Classification streams are deduplicated with a 64-bit hash prefilter,
-but equality is always confirmed on the full form; hash collisions only
-cost time, never correctness.
+Classification tables are keyed by the canonical form itself, so each
+added graph is canonicalized once and equal keys are isomorphic graphs.
 """
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
+from .errors import InputError
 from .tropical import CurveGraph, cycle_length, genus, is_connected
 
 CENSUS_VERTEX_LIMIT = 12
@@ -127,13 +126,6 @@ def _canonicalize(n: int, edges, colors) -> CanonicalForm:
     return CanonicalForm(n, form_edges, form_colors)
 
 
-def canonical_hash(graph) -> int:
-    """Stable 64-bit digest of the uncolored canonical form (a prefilter:
-    different hashes certify non-isomorphism, equal hashes prove nothing)."""
-    form = canonical_form(graph, use_colors=False)
-    return int.from_bytes(hashlib.blake2b(form.encode(), digest_size=8).digest(), "big")
-
-
 @dataclass
 class GraphClassEntry:
     form: CanonicalForm
@@ -151,68 +143,48 @@ class ClassTable:
     commutative (split any stream, classify the parts, merge: same table).
     """
 
-    def __init__(self, use_colors: bool = False, hash_func=None):
+    def __init__(self, use_colors: bool = False):
         self.use_colors = use_colors
-        self._hash = hash_func or canonical_hash
-        self.buckets: dict[int, list[GraphClassEntry]] = {}
+        self.classes: dict[CanonicalForm, GraphClassEntry] = {}
         self.total = 0
 
     def add(self, graph: CurveGraph, provenance: str = "") -> GraphClassEntry:
         form = canonical_form(graph, use_colors=self.use_colors)
-        h = self._hash(graph)
-        bucket = self.buckets.setdefault(h, [])
-        for entry in bucket:
-            if entry.form == form:
-                entry.count += 1
-                if provenance < entry.provenance:
-                    entry.provenance = provenance
-                    entry.representative = graph
-                self.total += 1
-                return entry
         clen = None
-        if is_connected(graph) and genus(graph) == 1:
+        if form not in self.classes and is_connected(graph) and genus(graph) == 1:
             clen = cycle_length(graph)
-        entry = GraphClassEntry(form, graph, provenance, 1, clen)
-        bucket.append(entry)
-        self.total += 1
+        return self._count(GraphClassEntry(form, graph, provenance, 1, clen))
+
+    def _count(self, new: GraphClassEntry) -> GraphClassEntry:
+        """Add ``new``'s members to its class; the representative is the
+        member with the minimal provenance."""
+        self.total += new.count
+        entry = self.classes.get(new.form)
+        if entry is None:
+            entry = self.classes[new.form] = new
+        else:
+            entry.count += new.count
+            if new.provenance < entry.provenance:
+                entry.provenance = new.provenance
+                entry.representative = new.representative
         return entry
 
     def merge(self, other: "ClassTable") -> "ClassTable":
         if self.use_colors != other.use_colors:
             raise ValueError("cannot merge tables with different color settings")
-        out = ClassTable(self.use_colors, self._hash)
+        out = ClassTable(self.use_colors)
         for table in (self, other):
-            for h, bucket in table.buckets.items():
-                out_bucket = out.buckets.setdefault(h, [])
-                for entry in bucket:
-                    for existing in out_bucket:
-                        if existing.form == entry.form:
-                            existing.count += entry.count
-                            if entry.provenance < existing.provenance:
-                                existing.provenance = entry.provenance
-                                existing.representative = entry.representative
-                            break
-                    else:
-                        out_bucket.append(
-                            GraphClassEntry(
-                                entry.form,
-                                entry.representative,
-                                entry.provenance,
-                                entry.count,
-                                entry.cycle_length,
-                            )
-                        )
-        out.total = self.total + other.total
+            for entry in table.classes.values():
+                out._count(replace(entry))
         return out
 
     def class_count(self) -> int:
-        return sum(len(b) for b in self.buckets.values())
+        return len(self.classes)
 
     def entries(self) -> list[GraphClassEntry]:
         """All classes, sorted by (cycle length, canonical form encoding)."""
-        all_entries = [e for b in self.buckets.values() for e in b]
         return sorted(
-            all_entries,
+            self.classes.values(),
             key=lambda e: (
                 e.cycle_length if e.cycle_length is not None else 10**9,
                 e.form.encode(),
@@ -226,9 +198,9 @@ class ClassTable:
         return hist
 
 
-def classify(stream, use_colors: bool = False, hash_func=None) -> ClassTable:
-    """Hash-prefiltered, form-confirmed classification of (graph, provenance)."""
-    table = ClassTable(use_colors=use_colors, hash_func=hash_func)
+def classify(stream, use_colors: bool = False) -> ClassTable:
+    """Classification of (graph, provenance) pairs by canonical form."""
+    table = ClassTable(use_colors=use_colors)
     for graph, provenance in stream:
         table.add(graph, provenance)
     return table
@@ -245,11 +217,11 @@ def census(v: int, e: int, max_degree: int = 3, convention: str = "simple") -> i
     v <= 12.
     """
     if v > CENSUS_VERTEX_LIMIT:
-        raise ValueError(f"census is exhaustive only up to {CENSUS_VERTEX_LIMIT} vertices")
+        raise InputError(f"census is exhaustive only up to {CENSUS_VERTEX_LIMIT} vertices")
     if v < 1 or e < 0:
-        raise ValueError("need at least one vertex and a nonnegative edge count")
+        raise InputError("need at least one vertex and a nonnegative edge count")
     if convention not in CENSUS_CONVENTIONS:
-        raise ValueError(f"unknown convention {convention!r}")
+        raise InputError(f"unknown convention {convention!r}")
     allow_multi = convention != "simple"
     allow_loops = convention == "multigraph-loops"
 

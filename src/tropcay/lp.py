@@ -176,12 +176,12 @@ def strict_lp_feasible(a, b) -> list[Fraction] | None:
     return [res.x[j] - res.x[n + j] for j in range(n)]
 
 
-def strict_homogeneous_feasible(rows, use_float: bool = True):
+def strict_homogeneous_feasible(rows):
     """Decide A w > 0 for integer rows; returns (feasible, witness_or_None).
 
-    With ``use_float`` a floating LP proposes the answer and exact
-    arithmetic certifies it; any unverifiable proposal falls back to the
-    exact simplex.  The result is exact either way.
+    A floating LP proposes the answer and exact arithmetic certifies it;
+    any unverifiable proposal falls back to the exact simplex
+    ``strict_lp_feasible``.  The result is exact either way.
     """
     uniq = sorted({tuple(r) for r in rows})
     n = len(uniq[0]) if uniq else 0
@@ -191,10 +191,9 @@ def strict_homogeneous_feasible(rows, use_float: bool = True):
         if all(v == 0 for v in r):
             return False, None
 
-    if use_float:
-        answer = _float_guided(uniq, n)
-        if answer is not None:
-            return answer
+    answer = _float_guided(uniq, n)
+    if answer is not None:
+        return answer
 
     witness = strict_lp_feasible(uniq, [0] * len(uniq))
     if witness is None:

@@ -1,10 +1,15 @@
 """Triangulations: predicates, placing construction, bistellar flips, symmetry.
 
 The public types work with sorted index tuples.  A per-configuration
-``FlipEngine`` carries the exact geometric caches (cell volumes, circuit
-dependencies, barycentric coordinates) and a fast bitmask representation
-of triangulations; the enumeration module drives the engine directly,
-while the functions here wrap it for one-off use.
+``FlipEngine`` carries two exact caches (cell volumes, and the circuit of
+each cell with an outside point) and a fast bitmask representation of
+triangulations; the enumeration module drives the engine directly, while
+the functions here wrap it for one-off use.
+
+A circuit is the primitive affine dependence of a cell and one more
+point (De Loera, Rambau and Santos, *Triangulations*, ch. 2 and 4).  Its
+signs give the two sides of a bistellar flip, and the same integer row
+is the regularity inequality "the point lifts strictly above the cell".
 
 Regularity is decided exactly.  Two equivalent strict systems are
 available: the reference formulation with one inequality per (cell,
@@ -17,8 +22,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
-from .errors import DegenerateConfigurationError, GroupBoundError
+from .errors import DegenerateConfigurationError, GroupBoundError, InputError
 from .exactarith import (
     clear_denominators,
     det_int,
@@ -34,7 +40,6 @@ from .geometry import (
     _reduction,
     normalized_volume,
     placing_cells,
-    regular_subdivision,
     simplex_lattice_points,
 )
 from .lp import strict_homogeneous_feasible
@@ -96,6 +101,8 @@ class Flip:
 class FlipEngine:
     """Exact flip/regularity machinery for one configuration.
 
+    Wall flips, flips through unused points and the rows of both
+    regularity systems all come from one cached table, ``circuit``.
     Triangulations are handled as sorted tuples of cell bitmasks (bit i is
     point i).  The induced total order on triangulations (lexicographic on
     the sorted mask sequence, i.e. colexicographic on cells) is the
@@ -111,9 +118,7 @@ class FlipEngine:
         self.cell_size = self.rank + 1
         self.all_mask = (1 << self.n) - 1
         self._volume: dict[int, int] = {}
-        self._dependence: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
-        self._bary: dict[tuple[int, int], tuple[tuple[int, ...], int]] = {}
-        self._row: dict[tuple[int, int], tuple[int, ...]] = {}
+        self._circuit: dict[tuple[int, int], tuple[int, ...]] = {}
 
     # -- mask plumbing -------------------------------------------------
 
@@ -153,38 +158,24 @@ class FlipEngine:
             self._volume[cellmask] = v
         return v
 
-    def dependence(self, mask: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Indices and coefficients of the unique affine dependence on a
-        (rank+2)-point subset, as aligned tuples."""
-        cached = self._dependence.get(mask)
-        if cached is None:
-            idx = self.bits(mask)
-            cols = [self.points[i] + (1,) for i in idx]
-            coeffs = kernel_vector_int(cols)
-            assert coeffs is not None
-            cached = (idx, coeffs)
-            self._dependence[mask] = cached
-        return cached
+    def circuit(self, cellmask: int, p: int) -> tuple[int, ...]:
+        """Primitive affine dependence of the cell and point p, as a row over
+        all points with a positive entry at p.
 
-    def barycentric(self, cellmask: int, p: int) -> tuple[tuple[int, ...], int]:
-        """Affine coordinates of point p in the given cell: (numerators, den>0)."""
+        As a constraint on heights it says: lifted p lies strictly above the
+        span of the lifted cell.  Its support with signs is the circuit that
+        a flip through the cell and p exchanges."""
         key = (cellmask, p)
-        cached = self._bary.get(key)
-        if cached is None:
-            idx = self.bits(cellmask)
-            base = self.points[idx[0]]
-            a_rows = [
-                [self.points[i][j] - base[j] for i in idx[1:]]
-                for j in range(self.rank)
-            ]
-            rhs = [self.points[p][j] - base[j] for j in range(self.rank)]
-            sol = solve_rational(a_rows, rhs)
-            assert sol is not None, "triangulation cell is degenerate"
-            nums, den = clear_denominators(sol)
-            mu0 = den - sum(nums)
-            cached = (tuple([mu0] + nums), den)
-            self._bary[key] = cached
-        return cached
+        row = self._circuit.get(key)
+        if row is None:
+            idx = self.bits(cellmask | (1 << p))
+            coeffs = kernel_vector_int([self.points[i] + (1,) for i in idx])
+            sign = 1 if coeffs[idx.index(p)] > 0 else -1
+            out = [0] * self.n
+            for i, c in zip(idx, coeffs):
+                out[i] = sign * c
+            row = self._circuit[key] = tuple(out)
+        return row
 
     # -- predicates ----------------------------------------------------
 
@@ -196,20 +187,6 @@ class FlipEngine:
         for m in masks:
             used |= m
         return used == self.all_mask
-
-    def constraint_row(self, cellmask: int, p: int) -> tuple[int, ...]:
-        """Integer row of: lifted p strictly above the span of the lifted cell."""
-        key = (cellmask, p)
-        cached = self._row.get(key)
-        if cached is None:
-            nums, den = self.barycentric(cellmask, p)
-            row = [0] * self.n
-            for i, num in zip(self.bits(cellmask), nums):
-                row[i] -= num
-            row[p] += den
-            cached = tuple(row)
-            self._row[key] = cached
-        return cached
 
     def walls(self, masks):
         """Map interior facet mask -> (cell, cell); raises on non-complexes."""
@@ -240,24 +217,25 @@ class FlipEngine:
             for cm in masks:
                 for p in range(self.n):
                     if not (cm >> p) & 1:
-                        rows.add(self.constraint_row(cm, p))
+                        rows.add(self.circuit(cm, p))
         elif mode == "local":
             for fm, (sigma, tau) in self.walls(masks).items():
-                apex_bit = tau & ~fm
-                rows.add(self.constraint_row(sigma, apex_bit.bit_length() - 1))
+                rows.add(self.circuit(sigma, (tau & ~fm).bit_length() - 1))
+            # An unused point lies in a cell iff its circuit with the cell
+            # has no positive entry on the cell's vertices.
             for p in self.unused_points(masks):
                 for cm in masks:
-                    nums, _den = self.barycentric(cm, p)
-                    if all(v >= 0 for v in nums):
-                        rows.add(self.constraint_row(cm, p))
+                    row = self.circuit(cm, p)
+                    if all(row[i] <= 0 for i in self.bits(cm)):
+                        rows.add(row)
         else:
             raise ValueError(f"unknown regularity mode {mode!r}")
         return sorted(rows)
 
-    def is_regular(self, masks, mode: str = "global", use_float: bool = True):
+    def is_regular(self, masks, mode: str = "global"):
         """Witness heights inducing exactly this triangulation, or ``None``."""
         rows = self.regularity_rows(masks, mode)
-        feasible, witness = strict_homogeneous_feasible(rows, use_float=use_float)
+        feasible, witness = strict_homogeneous_feasible(rows)
         if not feasible:
             return None
         if not witness:
@@ -309,37 +287,27 @@ class FlipEngine:
             flip = Flip(self.bits(plus_mask), self.bits(minus_mask))
             results.append((flip, new_masks))
 
-        for fm, (sigma, tau) in self.walls(masks).items():
-            union = sigma | tau
-            idx, coeffs = self.dependence(union)
-            apex_bit = sigma & ~fm
-            apex = apex_bit.bit_length() - 1
-            c_apex = coeffs[idx.index(apex)]
-            assert c_apex != 0
-            if c_apex < 0:
-                coeffs = tuple(-c for c in coeffs)
-            plus_mask = 0
-            minus_mask = 0
-            for i, c in zip(idx, coeffs):
+        def signs(row):
+            plus_mask = minus_mask = 0
+            for i, c in enumerate(row):
                 if c > 0:
                     plus_mask |= 1 << i
                 elif c < 0:
                     minus_mask |= 1 << i
-            if minus_mask == 0:
-                continue  # dependence with one-sided signs cannot occur on a wall
-            try_circuit(plus_mask, minus_mask)
+            return plus_mask, minus_mask
+
+        # Both apexes of a wall are positive in the circuit of sigma and
+        # tau's apex, so its positive side is the present one.
+        for fm, (sigma, tau) in self.walls(masks).items():
+            plus_mask, minus_mask = signs(self.circuit(sigma, (tau & ~fm).bit_length() - 1))
+            if minus_mask:  # a one-sided dependence cannot occur on a wall
+                try_circuit(plus_mask, minus_mask)
 
         for p in self.unused_points(masks):
-            pbit = 1 << p
             for cm in masks:
-                nums, _den = self.barycentric(cm, p)
-                if any(v < 0 for v in nums):
-                    continue
-                minus_mask = 0
-                for i, num in zip(self.bits(cm), nums):
-                    if num > 0:
-                        minus_mask |= 1 << i
-                try_circuit(pbit, minus_mask)
+                plus_mask, minus_mask = signs(self.circuit(cm, p))
+                if plus_mask == 1 << p:  # p lies in the cell
+                    try_circuit(plus_mask, minus_mask)
 
         return results
 
@@ -437,18 +405,9 @@ class RelabelContext:
         return best
 
 
-_ENGINES: dict[tuple, FlipEngine] = {}
-
-
+@lru_cache(maxsize=64)
 def flip_engine(config: PointConfiguration) -> FlipEngine:
-    key = config.key()
-    engine = _ENGINES.get(key)
-    if engine is None:
-        if len(_ENGINES) > 64:
-            _ENGINES.clear()
-        engine = FlipEngine(config)
-        _ENGINES[key] = engine
-    return engine
+    return FlipEngine(config)
 
 
 # -- public operations ----------------------------------------------------
@@ -460,7 +419,7 @@ def is_unimodular(t: Triangulation) -> bool:
     return engine.is_unimodular(engine.to_masks(t.cells))
 
 
-def is_regular(t: Triangulation, mode: str = "global", use_float: bool = True):
+def is_regular(t: Triangulation, mode: str = "global"):
     """A witness WeightVector with regular_subdivision(config, w) == t, or None.
 
     ``mode="global"`` uses one strict inequality per (cell, outside point);
@@ -468,7 +427,7 @@ def is_regular(t: Triangulation, mode: str = "global", use_float: bool = True):
     Both are exact; the local system is smaller and faster.
     """
     engine = flip_engine(t.configuration)
-    return engine.is_regular(engine.to_masks(t.cells), mode=mode, use_float=use_float)
+    return engine.is_regular(engine.to_masks(t.cells), mode=mode)
 
 
 def placing_triangulation(config: PointConfiguration, order=None) -> Triangulation:
@@ -616,7 +575,7 @@ def builtin_symmetry(kind: str, config: PointConfiguration) -> SymmetryGroup:
     if kind in ("simplex-3d2", "s3"):
         expected = simplex_lattice_points(2, 3)
         if config.points != expected.points:
-            raise ValueError("configuration does not match the 3*Delta_2 preset")
+            raise InputError("configuration does not match the 3*Delta_2 preset")
         maps = [
             lambda p: (p[1], p[0]),
             lambda p: (3 - p[0] - p[1], p[0]),
@@ -627,7 +586,7 @@ def builtin_symmetry(kind: str, config: PointConfiguration) -> SymmetryGroup:
         factor = simplex_lattice_points(3, 2)
         expected = [(1, 0) + p for p in factor.points] + [(0, 1) + p for p in factor.points]
         if list(config.points) != expected:
-            raise ValueError("configuration does not match the Cayley C(2D3,2D3) preset")
+            raise InputError("configuration does not match the Cayley C(2D3,2D3) preset")
 
         def swap12(p):
             return (p[0], p[1], p[3], p[2], p[4])
@@ -641,7 +600,7 @@ def builtin_symmetry(kind: str, config: PointConfiguration) -> SymmetryGroup:
 
         gens = [_perm_from_map(config, f) for f in (swap12, cycle4, swap_blocks)]
         return SymmetryGroup.from_generators(config, gens)
-    raise ValueError(f"unknown symmetry preset {kind!r}")
+    raise InputError(f"unknown symmetry preset {kind!r}")
 
 
 def _perm_from_map(config: PointConfiguration, point_map):

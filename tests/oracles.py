@@ -10,6 +10,11 @@ beneath-beyond and the exhaustive search over spanning subsets that
 ``tropcay.geometry`` used before its lifted lower hull.  A placing
 triangulation is determined by the insertion order and a regular
 subdivision by the heights, so the library must agree with these exactly.
+
+``constraint_row`` is the regularity row that ``FlipEngine`` built from
+``Fraction`` barycentric coordinates before its circuit table.  The row
+is the primitive affine dependence of a cell and an outside point,
+positive at the point, so ``FlipEngine.circuit`` must agree exactly.
 """
 
 from __future__ import annotations
@@ -228,3 +233,24 @@ def regular_subdivision(config: PointConfiguration, w: WeightVector) -> Subdivis
                 cells.add(cell)
                 found.append(set(cell))
     return Subdivision(config, tuple(sorted(cells)))
+
+
+def constraint_row(engine, cellmask: int, p: int) -> tuple[int, ...]:
+    """Integer row of: lifted p strictly above the span of the lifted cell.
+
+    Solves for p's barycentric coordinates in the cell, scales them and
+    their denominator to integers, and puts ``-numerators`` on the cell
+    and the denominator at p.
+    """
+    idx = engine.bits(cellmask)
+    base = engine.points[idx[0]]
+    a_rows = [[engine.points[i][j] - base[j] for i in idx[1:]] for j in range(engine.rank)]
+    rhs = [engine.points[p][j] - base[j] for j in range(engine.rank)]
+    sol = solve_general(a_rows, rhs)
+    assert sol is not None, "triangulation cell is degenerate"
+    nums, den = clear_denominators(sol)
+    row = [0] * engine.n
+    for i, num in zip(idx, [den - sum(nums)] + nums):
+        row[i] -= num
+    row[p] += den
+    return tuple(row)

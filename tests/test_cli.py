@@ -303,6 +303,39 @@ def test_enumerate_config_point_of_wrong_dimension_exit_64(tmp_path, capsys):
     _assert_usage_error(code, err)
 
 
+_MALFORMED_ARGS = {
+    "census-13-vertices": ["census", "--v", "13", "--e", "12"],
+    "census-0-vertices": ["census", "--v", "0", "--e", "1"],
+    "simplex-dim-0": ["config", "simplex", "--dim", "0", "--dilation", "1"],
+    "cayley-dilation-0": ["config", "cayley", "--d", "0", "--e", "2"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_ARGS))
+def test_out_of_range_option_exit_64(capsys, case):
+    code, _, err = run(capsys, *_MALFORMED_ARGS[case])
+    _assert_usage_error(code, err)
+
+
+def test_enumerate_group_of_another_configuration_exit_64(tmp_path, capsys):
+    cfg_path = tmp_path / "3d2.json"
+    run(capsys, "config", "simplex", "--dim", "2", "--dilation", "3", "--out", str(cfg_path))
+    code, _, err = run(capsys, "enumerate", "--config", str(cfg_path), "--group", "s4xz2")
+    _assert_usage_error(code, err)
+
+
+def test_enumerate_one_point_configuration_exit_64(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({
+        "format": "tropcay/point-configuration/1",
+        "ambient_dim": 2,
+        "points": [[0, 0]],
+        "labels": ["A"],
+    }))
+    code, _, err = run(capsys, "enumerate", "--config", str(cfg))
+    _assert_usage_error(code, err)
+
+
 def test_enumerate_square(tmp_path, capsys):
     cfg_path = tmp_path / "sq.json"
     cfg_doc = {
@@ -534,6 +567,33 @@ def test_classify_reports_malformed_lines_and_continues(tmp_path, capsys):
     assert "line 2" in err
     doc = load_json(out_dir / "classes.json")
     assert sum(c["members"] for c in doc["classes"]) == 2
+
+
+# On 3*Delta_2: one unit triangle (volume 1 of 9), and nine unit triangles
+# of total volume 9 of which three share the edge AB.
+_NOT_TRIANGULATIONS = {
+    "partial-cover": {"cells": [[0, 1, 2]]},
+    "facet-in-three-cells": {"cells": [
+        [0, 1, 2], [0, 1, 4], [0, 1, 7], [2, 4, 5], [4, 5, 8],
+        [5, 8, 9], [3, 6, 7], [3, 4, 7], [4, 7, 8],
+    ]},
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NOT_TRIANGULATIONS))
+def test_classify_skips_lines_that_are_not_triangulations(tmp_path, capsys, case):
+    cfg_path = tmp_path / "3d2.json"
+    run(capsys, "config", "simplex", "--dim", "2", "--dilation", "3", "--out", str(cfg_path))
+    _, out, _ = run(capsys, "enumerate", "--config", str(cfg_path), "--group", "s3", "--unimodular")
+    good = out.strip().splitlines()[0]
+    stream = tmp_path / "mixed.jsonl"
+    stream.write_text(json.dumps(_NOT_TRIANGULATIONS[case]) + "\n" + good + "\n")
+    code, _, err = run(
+        capsys, "classify", "--config", str(cfg_path), "--in", str(stream), "--out", str(tmp_path / "cls"),
+    )
+    assert code == EXIT_OK
+    assert "line 1: skipped (" in err
+    assert "classified 1 inputs into 1 classes" in err
 
 
 def test_classify_jobs_parallel_matches_serial(tmp_path, capsys):

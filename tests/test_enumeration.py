@@ -1,3 +1,4 @@
+import json
 import os
 
 import pytest
@@ -13,6 +14,7 @@ from tropcay.triangulation import (
 from tropcay.enumeration import (
     EnumerationFilters,
     Enumerator,
+    _digest,
     enumerate_triangulations,
     load_checkpoint,
     resume,
@@ -30,11 +32,6 @@ def cubic_polygon():
 
 def cell_sets(triangulations):
     return sorted(t.cells for t in triangulations)
-
-
-def test_filters_must_require_regular():
-    with pytest.raises(ValueError):
-        EnumerationFilters(require_regular=False)
 
 
 def test_square_has_two_triangulations():
@@ -124,6 +121,26 @@ def test_halt_and_resume_matches_fresh_run(tmp_path):
     combined = cell_sets(first + resumed)
     assert combined == fresh
     assert len(first) + len(resumed) == 79  # no duplicates across the halt
+
+
+def test_resume_checkpoint_with_require_regular_field(tmp_path):
+    # Checkpoints once stored the always-true ``require_regular`` filter;
+    # such files still resume to the fresh run's union.
+    cfg = cubic_polygon()
+    grp = builtin_symmetry("trivial", cfg)
+    filters = EnumerationFilters(require_unimodular=True)
+    fresh = cell_sets(enumerate_triangulations(cfg, grp, filters))
+
+    ckpt = tmp_path / "run.ckpt.json"
+    first = list(Enumerator(cfg, grp, filters, checkpoint_path=str(ckpt)).run(limit=10))
+    doc = json.loads(ckpt.read_text())
+    assert "require_regular" not in doc["filters"]
+    doc["filters"]["require_regular"] = True
+    doc["digest"] = _digest(doc)
+    ckpt.write_text(json.dumps(doc))
+    resumed = list(resume(str(ckpt)))
+    assert cell_sets(first + resumed) == fresh
+    assert len(first) + len(resumed) == len(fresh)
 
 
 def test_resume_completed_checkpoint_is_empty(tmp_path):

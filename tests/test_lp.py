@@ -90,8 +90,9 @@ def test_homogeneous_hybrid_matches_exact():
     for _ in range(120):
         m, n = rng.randint(1, 7), rng.randint(1, 4)
         rows = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(m)]
-        fast, wit_fast = strict_homogeneous_feasible(rows, use_float=True)
-        slow, wit_slow = strict_homogeneous_feasible(rows, use_float=False)
+        fast, wit_fast = strict_homogeneous_feasible(rows)
+        wit_slow = strict_lp_feasible(rows, [0] * len(rows))
+        slow = wit_slow is not None
         assert fast == slow
         for feasible, witness in ((fast, wit_fast), (slow, wit_slow)):
             if feasible:

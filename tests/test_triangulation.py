@@ -3,7 +3,10 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from tropcay.errors import GroupBoundError
 from tropcay.exactarith import solve_general
 from tropcay.geometry import (
@@ -13,6 +16,7 @@ from tropcay.geometry import (
     regular_subdivision,
     simplex_lattice_points,
 )
+from tropcay.lp import strict_lp_feasible
 from tropcay.triangulation import (
     SymmetryGroup,
     Triangulation,
@@ -201,7 +205,9 @@ def test_nested_triangles_not_regular():
     assert validate_triangulation(t)
     assert is_regular(t) is None
     assert is_regular(t, mode="local") is None
-    assert is_regular(t, use_float=False) is None
+    engine = flip_engine(cfg)
+    rows = engine.regularity_rows(engine.to_masks(t.cells))
+    assert strict_lp_feasible(rows, [0] * len(rows)) is None
 
 
 def test_nested_triangles_infeasibility_certificate_by_brute_force():
@@ -249,6 +255,31 @@ def test_local_and_global_regularity_agree():
         for w in (wg, wl):
             if w is not None:
                 assert regular_subdivision(t.configuration, w).cells == t.cells
+
+
+_WALKED = {
+    "3D2": simplex_lattice_points(2, 3),
+    "C(1D3,1D3)": cayley_config(simplex_lattice_points(3, 1), simplex_lattice_points(3, 1)),
+    "C(1D3,2D3)": cayley_config(simplex_lattice_points(3, 1), simplex_lattice_points(3, 2)),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(_WALKED)), st.integers(0, 12), st.data())
+def test_circuit_matches_barycentric_row(name, steps, data):
+    # A random flip walk from the placing triangulation; it may leave the
+    # regular triangulations, whose circuits must agree all the same.
+    engine = flip_engine(_WALKED[name])
+    masks = engine.to_masks(placing_triangulation(_WALKED[name]).cells)
+    for _ in range(steps):
+        nbrs = engine.neighbors(masks)
+        if not nbrs:
+            break
+        masks = nbrs[data.draw(st.integers(0, len(nbrs) - 1))][1]
+    for cm in masks:
+        for p in range(engine.n):
+            if not (cm >> p) & 1:
+                assert engine.circuit(cm, p) == oracles.constraint_row(engine, cm, p)
 
 
 def test_builtin_symmetry_orders():
