@@ -266,6 +266,8 @@ def _classify_lines(config, volume, lines):
 
 
 def cmd_classify(args) -> int:
+    if args.jobs < 1:
+        raise InputError(f"--jobs must be at least 1, not {args.jobs}")
     config = config_from_dict(load_json(args.config))
     volume = normalized_volume(config)
     with open(args.input, "r", encoding="utf-8") as fh:

@@ -21,7 +21,9 @@ breadth-first order.  With ``jobs > 1`` a wave holds ``max(64, 32*jobs)``
 nodes and the same two steps are mapped over chunks by worker processes,
 each holding its own flip engine; this process deduplicates and emits.
 Output is deterministic as a set (emission order may vary between job
-counts).
+counts).  A ``limit`` stops the loop at exactly that many emissions: the
+rest of the batch stays unrecorded and its wave goes back to the front of
+the frontier, so a resumed run re-expands it and checks those keys.
 
 A checkpoint carries a SHA-256 digest of its whole document; a file that
 is not JSON, lacks a field, fails the digest or has a frontier outside
@@ -40,7 +42,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Iterator
 
-from .errors import CheckpointMismatchError
+from .errors import CheckpointMismatchError, InputError
 from .formats import FORMAT_CHECKPOINT, config_from_dict, config_to_dict
 from .geometry import PointConfiguration
 from .triangulation import (
@@ -112,6 +114,13 @@ class _Walk:
         return [(key, engine.is_regular(unpack(key), mode="local") is not None) for key in keys]
 
 
+def _check_run_options(jobs: int, checkpoint_every: int | None) -> None:
+    if jobs < 1:
+        raise InputError(f"jobs must be at least 1, not {jobs}")
+    if checkpoint_every is not None and checkpoint_every < 1:
+        raise InputError(f"checkpoint interval must be at least 1, not {checkpoint_every}")
+
+
 class Enumerator:
     """Flip-graph BFS emitting one canonical representative per orbit."""
 
@@ -127,14 +136,15 @@ class Enumerator:
     ):
         if group.configuration.points != config.points:
             raise ValueError("symmetry group belongs to a different configuration")
+        _check_run_options(jobs, checkpoint_every)
         self.config = config
         self.group = group
         self.filters = filters
-        self.jobs = max(1, int(jobs))
+        self.jobs = jobs
         self.checkpoint_path = checkpoint_path
         if checkpoint_every is None:
             checkpoint_every = DEFAULT_CHECKPOINT_EVERY
-        self.checkpoint_every = max(1, checkpoint_every)
+        self.checkpoint_every = checkpoint_every
         self.placing_order = list(placing_order) if placing_order is not None else None
         self.walk = _Walk(config, group.elements)
 
@@ -197,23 +207,31 @@ class Enumerator:
         return mapped("expand"), mapped("check")
 
     def run(self, limit: int | None = None) -> Iterator[Triangulation]:
-        """Generate canonical representatives; stops at ``limit`` emissions.
+        """Generate canonical representatives; stops after ``limit`` emissions.
 
         The stream may be halted and resumed from a checkpoint; the union
         of emissions equals an uninterrupted run's emissions as a set.
         """
+        if limit is not None and limit < 0:
+            raise InputError(f"limit must be at least 0, not {limit}")
         self._stop = False
         wave_size = 1 if self.jobs == 1 else max(64, 32 * self.jobs)
         unpack = self.walk.codec.unpack
         with ExitStack() as stack:
             expand, check = self._steps(stack)
-            fresh = []
+            wave, fresh = [], []
             if not self.visited:  # a fresh run: the seed is the first batch
                 seed = placing_triangulation(self.config, self.placing_order)
                 fresh = [self.walk.key(self.walk.engine.to_masks(seed.cells))]
             while True:
                 emitted_now = []
+                cut = False
                 for key, regular in check(fresh):
+                    if limit is not None and self.emitted >= limit:
+                        self.frontier.extendleft(reversed(wave))
+                        self.expanded -= len(wave)
+                        cut = True
+                        break
                     if not (regular or self.visited):  # the seed's verdict
                         raise RuntimeError("placing triangulation must be regular")
                     self.visited[key] = regular
@@ -224,12 +242,14 @@ class Enumerator:
                             emitted_now.append(key)
                 for key in emitted_now:
                     yield self.walk.engine.triangulation(unpack(key))
-                self._maybe_checkpoint()
+                if cut:
+                    break
                 if not self.frontier:
                     self.complete = True
                     break
                 if self._stop or (limit is not None and self.emitted >= limit):
                     break
+                self._maybe_checkpoint()  # every stop above ends in the final write
                 wave = [self.frontier.popleft() for _ in range(min(wave_size, len(self.frontier)))]
                 self.expanded += len(wave)
                 fresh = [key for key in dict.fromkeys(expand(wave)) if key not in self.visited]
@@ -321,6 +341,7 @@ def load_checkpoint(
     Raises ``CheckpointMismatchError`` for a checkpoint written for another
     configuration than ``config`` and for any damaged file.
     """
+    _check_run_options(jobs, checkpoint_every)
     try:
         with open(path, "rb") as fh:
             doc = json.loads(fh.read())

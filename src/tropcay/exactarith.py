@@ -9,10 +9,9 @@ All linear algebra over Q runs through one fraction-free Gauss-Jordan
 kernel (Bareiss) on integer rows.  Rational rows are first scaled to
 integers by ``clear_denominators``; every intermediate value is then an
 integer minor, so each division is exact.  ``det_int``, ``rank_int``,
-``solve_rational``, ``solve_general``, ``nullspace_basis`` and
-``kernel_vector_int`` are thin wrappers that read the reduced rows and
-pivots.  Lattice bases need unimodular row operations over Z and use
-their own Hermite reduction.
+``solve_rational``, ``nullspace_basis`` and ``kernel_vector_int`` are
+thin wrappers that read the reduced rows and pivots.  Lattice bases need
+unimodular row operations over Z and use their own Hermite reduction.
 
 Everything here is pure and exact; no floating point is ever used.
 """
@@ -121,35 +120,16 @@ def det_int(rows: list[list[int]]) -> int:
     return sign * a[-1][-1] if len(pivots) == n else 0
 
 
-def _solve(a_rows, b_col) -> tuple[list[Fraction] | None, list[tuple[int, int]]]:
-    """Reduce [A | b]; the solution with free variables 0 (or ``None`` if
-    inconsistent) and the pivots."""
-    n = len(a_rows[0]) if a_rows else 0
-    aug = _integer_rows([*row, b_col[i]] for i, row in enumerate(a_rows))
-    a, pivots, _ = _eliminate(aug, n + 1)
-    if pivots and pivots[-1][1] == n:
-        return None, pivots
-    x = [Fraction(0)] * n
-    for i, c in pivots:
-        x[c] = Fraction(a[i][n], a[i][c])
-    return x, pivots
-
-
 def solve_rational(a_rows, b_col) -> list[Fraction] | None:
     """Solve a square system A x = b exactly; ``None`` if A is singular."""
     n = len(a_rows)
     if any(len(r) != n for r in a_rows):
         raise DimensionError("solve_rational needs a square matrix")
-    x, pivots = _solve(a_rows, b_col)
-    return x if x is not None and len(pivots) == n else None
-
-
-def solve_general(a_rows, b_col) -> list[Fraction] | None:
-    """One exact solution of a (possibly rectangular) system A x = b.
-
-    Free variables are set to 0.  Returns ``None`` when inconsistent.
-    """
-    return _solve(a_rows, b_col)[0]
+    aug = _integer_rows([*row, b_col[i]] for i, row in enumerate(a_rows))
+    a, pivots, _ = _eliminate(aug, n + 1)
+    if [c for _, c in pivots] != list(range(n)):
+        return None
+    return [Fraction(a[i][n], a[i][c]) for i, c in pivots]
 
 
 def rank_int(rows) -> int:

@@ -220,6 +220,8 @@ def census(v: int, e: int, max_degree: int = 3, convention: str = "simple") -> i
         raise InputError(f"census is exhaustive only up to {CENSUS_VERTEX_LIMIT} vertices")
     if v < 1 or e < 0:
         raise InputError("need at least one vertex and a nonnegative edge count")
+    if max_degree < 0:
+        raise InputError(f"maximum degree must be at least 0, not {max_degree}")
     if convention not in CENSUS_CONVENTIONS:
         raise InputError(f"unknown convention {convention!r}")
     allow_multi = convention != "simple"

@@ -14,8 +14,9 @@ is the regularity inequality "the point lifts strictly above the cell".
 Regularity is decided exactly.  Two equivalent strict systems are
 available: the reference formulation with one inequality per (cell,
 outside point) pair, and a smaller local one with one inequality per
-interior wall plus conditions for unused points.  Both are certified by
-exact arithmetic; tests cross-check them.
+interior wall plus conditions for unused points.  Both go to the integer
+simplex of ``lp``, which certifies each answer with integer witness
+heights or a Gordan certificate; tests cross-check the two systems.
 """
 
 from __future__ import annotations

@@ -15,14 +15,21 @@ subdivision by the heights, so the library must agree with these exactly.
 ``Fraction`` barycentric coordinates before its circuit table.  The row
 is the primitive affine dependence of a cell and an outside point,
 positive at the point, so ``FlipEngine.circuit`` must agree exactly.
+
+``simplex_maximize`` and ``strict_lp_feasible`` are the ``Fraction``
+two-phase simplex (Bland's rule) that ``tropcay.lp`` used before its
+integer simplex.  Strict feasibility is a yes/no question, so the
+library's verdicts must agree with these exactly; witnesses may differ.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
 from tropcay.exactarith import (
+    DimensionError,
     clear_denominators,
     kernel_vector_int,
     solve_rational,
@@ -254,3 +261,153 @@ def constraint_row(engine, cellmask: int, p: int) -> tuple[int, ...]:
         row[i] -= num
     row[p] += den
     return tuple(row)
+
+
+@dataclass
+class LPResult:
+    status: str  # "optimal" | "infeasible" | "unbounded"
+    x: list[Fraction] | None = None
+    value: Fraction | None = None
+
+
+def _pivot(tableau, basis, leave, enter):
+    row = tableau[leave]
+    piv = row[enter]
+    inv = Fraction(1) / piv
+    tableau[leave] = [v * inv for v in row]
+    row = tableau[leave]
+    for i, other in enumerate(tableau):
+        if other is row:
+            continue
+        f = other[enter]
+        if f:
+            tableau[i] = [o - f * r for o, r in zip(other, row)]
+    basis[leave] = enter
+
+
+def _bland_iterate(tableau, basis, ncols):
+    """Run simplex pivots under Bland's rule until optimal or unbounded."""
+    while True:
+        obj = tableau[-1]
+        enter = None
+        for j in range(ncols):
+            if obj[j] > 0:
+                enter = j
+                break
+        if enter is None:
+            return "optimal"
+        leave = None
+        best = None
+        for i in range(len(basis)):
+            a = tableau[i][enter]
+            if a > 0:
+                ratio = tableau[i][-1] / a
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best = ratio
+                    leave = i
+        if leave is None:
+            return "unbounded"
+        _pivot(tableau, basis, leave, enter)
+
+
+def simplex_maximize(a_rows, b_col, costs) -> LPResult:
+    """Exact simplex for: maximize costs.x subject to A x = b, x >= 0."""
+    m = len(a_rows)
+    n = len(costs)
+    rows = [[Fraction(v) for v in r] for r in a_rows]
+    b = [Fraction(v) for v in b_col]
+    for i in range(m):
+        if len(rows[i]) != n:
+            raise DimensionError("constraint row length mismatch")
+        if b[i] < 0:
+            rows[i] = [-v for v in rows[i]]
+            b[i] = -b[i]
+
+    # Phase 1: artificials n..n+m-1, maximize minus their sum.
+    total = n + m
+    tableau = []
+    for i in range(m):
+        row = rows[i] + [Fraction(0)] * m + [b[i]]
+        row[n + i] = Fraction(1)
+        tableau.append(row)
+    basis = [n + i for i in range(m)]
+    obj = [Fraction(0)] * total + [Fraction(0)]
+    for j in range(n, n + m):
+        obj[j] = Fraction(-1)
+    tableau.append(obj)
+    for i in range(m):  # zero out basic columns in the objective row
+        tableau[-1] = [o + t for o, t in zip(tableau[-1], tableau[i])]
+    status = _bland_iterate(tableau, basis, total)
+    assert status == "optimal"  # phase 1 is bounded above by 0
+    if tableau[-1][-1] > 0:  # optimum of phase 1 is -rhs of the objective row
+        return LPResult("infeasible")
+
+    # Drive remaining artificials out of the basis (degenerate rows).
+    drop_rows = []
+    for i in range(m):
+        if basis[i] >= n:
+            enter = next((j for j in range(n) if tableau[i][j] != 0), None)
+            if enter is None:
+                drop_rows.append(i)
+            else:
+                _pivot(tableau, basis, i, enter)
+    if drop_rows:
+        tableau = [r for i, r in enumerate(tableau[:-1]) if i not in drop_rows] + [tableau[-1]]
+        basis = [v for i, v in enumerate(basis) if i not in drop_rows]
+
+    # Phase 2 on the original columns only.
+    tableau = [row[:n] + [row[-1]] for row in tableau]
+    obj = [Fraction(c) for c in costs] + [Fraction(0)]
+    tableau[-1] = obj
+    for i, bv in enumerate(basis):
+        f = tableau[-1][bv]
+        if f:
+            tableau[-1] = [o - f * t for o, t in zip(tableau[-1], tableau[i])]
+    status = _bland_iterate(tableau, basis, n)
+    if status == "unbounded":
+        return LPResult("unbounded")
+    x = [Fraction(0)] * n
+    for i, bv in enumerate(basis):
+        x[bv] = tableau[i][-1]
+    value = sum(Fraction(c) * xv for c, xv in zip(costs, x))
+    return LPResult("optimal", x, value)
+
+
+def strict_lp_feasible(a, b) -> list[Fraction] | None:
+    """Some x with A x > b componentwise, or ``None`` if no such x exists.
+
+    Implemented by maximizing s subject to A x - s*1 >= b, 0 <= s <= 1;
+    the strict system is feasible iff the optimum slack is positive.
+    """
+    rows = [list(r) for r in a]
+    m = len(rows)
+    b = [Fraction(v) for v in b]
+    if len(b) != m:
+        raise DimensionError("right-hand side length does not match row count")
+    n = len(rows[0]) if m else 0
+    if m == 0:
+        return [Fraction(0)] * n
+
+    # Columns: u (n), v (n), s, surplus r (m), cap t.  x = u - v.
+    ncols = 2 * n + 1 + m + 1
+    s_col = 2 * n
+    eq_rows = []
+    for i in range(m):
+        row = [Fraction(0)] * ncols
+        for j in range(n):
+            row[j] = Fraction(rows[i][j])
+            row[n + j] = -Fraction(rows[i][j])
+        row[s_col] = Fraction(-1)
+        row[2 * n + 1 + i] = Fraction(-1)
+        eq_rows.append(row)
+    cap = [Fraction(0)] * ncols
+    cap[s_col] = Fraction(1)
+    cap[ncols - 1] = Fraction(1)
+    eq_rows.append(cap)
+    rhs = b + [Fraction(1)]
+    costs = [Fraction(0)] * ncols
+    costs[s_col] = Fraction(1)
+    res = simplex_maximize(eq_rows, rhs, costs)
+    if res.status != "optimal" or res.value <= 0:
+        return None
+    return [res.x[j] - res.x[n + j] for j in range(n)]

@@ -1,10 +1,14 @@
 import base64
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
 
 import pytest
 
+import tropcay
 from tropcay.cli import (
     EXIT_CHECKPOINT,
     EXIT_DEGENERATE,
@@ -303,18 +307,34 @@ def test_enumerate_config_point_of_wrong_dimension_exit_64(tmp_path, capsys):
     _assert_usage_error(code, err)
 
 
+# "{dir}" is a scratch directory holding a 3D2 configuration "3d2.json"
+# and an empty triangulation stream "empty.jsonl".
 _MALFORMED_ARGS = {
     "census-13-vertices": ["census", "--v", "13", "--e", "12"],
     "census-0-vertices": ["census", "--v", "0", "--e", "1"],
+    "census-max-degree-negative": ["census", "--v", "3", "--e", "2", "--max-degree", "-1"],
     "simplex-dim-0": ["config", "simplex", "--dim", "0", "--dilation", "1"],
     "cayley-dilation-0": ["config", "cayley", "--d", "0", "--e", "2"],
+    "enumerate-jobs-negative": ["enumerate", "--config", "{dir}/3d2.json", "--jobs", "-3", "--limit", "2"],
+    "enumerate-checkpoint-every-0": [
+        "enumerate", "--config", "{dir}/3d2.json", "--checkpoint-every", "0", "--limit", "2",
+    ],
+    "enumerate-limit-negative": ["enumerate", "--config", "{dir}/3d2.json", "--limit", "-1"],
+    "resume-jobs-negative": ["enumerate", "--resume", "--checkpoint", "{dir}/run.ckpt", "--jobs", "-3"],
+    "classify-jobs-negative": [
+        "classify", "--config", "{dir}/3d2.json", "--in", "{dir}/empty.jsonl", "--out", "{dir}/out",
+        "--jobs", "-3",
+    ],
 }
 
 
 @pytest.mark.parametrize("case", sorted(_MALFORMED_ARGS))
-def test_out_of_range_option_exit_64(capsys, case):
-    code, _, err = run(capsys, *_MALFORMED_ARGS[case])
+def test_out_of_range_option_exit_64(tmp_path, capsys, case):
+    run(capsys, "config", "simplex", "--dim", "2", "--dilation", "3", "--out", str(tmp_path / "3d2.json"))
+    (tmp_path / "empty.jsonl").write_text("")
+    code, out, err = run(capsys, *(arg.format(dir=tmp_path) for arg in _MALFORMED_ARGS[case]))
     _assert_usage_error(code, err)
+    assert out == ""
 
 
 def test_enumerate_group_of_another_configuration_exit_64(tmp_path, capsys):
@@ -334,6 +354,26 @@ def test_enumerate_one_point_configuration_exit_64(tmp_path, capsys):
     }))
     code, _, err = run(capsys, "enumerate", "--config", str(cfg))
     _assert_usage_error(code, err)
+
+
+def test_enumerate_loads_no_numpy_or_scipy(tmp_path, capsys):
+    cfg, out = tmp_path / "3d2.json", tmp_path / "out.jsonl"
+    run(capsys, "config", "simplex", "--dim", "2", "--dilation", "3", "--out", str(cfg))
+    script = (
+        "import sys\n"
+        "from tropcay.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(code, [m for m in ('numpy', 'scipy') if m in sys.modules])\n"
+    )
+    src = os.path.dirname(os.path.dirname(tropcay.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "enumerate", "--config", str(cfg), "--limit", "20", "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [str(EXIT_OK), "[]"]
+    assert len(out.read_text().splitlines()) == 20
 
 
 def test_enumerate_square(tmp_path, capsys):
@@ -439,27 +479,31 @@ def test_enumerate_resume_wrong_config_exit_5(tmp_path, capsys):
 def test_enumerate_halt_and_resume_across_job_counts(tmp_path, capsys, first_jobs, resume_jobs):
     cfg_path = tmp_path / "3d2.json"
     run(capsys, "config", "simplex", "--dim", "2", "--dilation", "3", "--out", str(cfg_path))
-    ckpt = tmp_path / "run.ckpt"
-    out1, out2 = tmp_path / "first.jsonl", tmp_path / "rest.jsonl"
-    code, _, _ = run(
-        capsys, "enumerate", "--config", str(cfg_path), "--group", "trivial", "--unimodular",
-        "--checkpoint", str(ckpt), "--limit", "10", "--jobs", str(first_jobs), "--out", str(out1),
-    )
-    assert code == EXIT_OK
-    first = [json.loads(line)["text"] for line in out1.read_text().splitlines()]
-    assert 10 <= len(first) < 79
-    code, _, _ = run(
-        capsys, "enumerate", "--resume", "--checkpoint", str(ckpt), "--jobs", str(resume_jobs),
-        "--out", str(out2),
-    )
-    assert code == EXIT_OK
-    rest = [json.loads(line)["text"] for line in out2.read_text().splitlines()]
     code, fresh, _ = run(
         capsys, "enumerate", "--config", str(cfg_path), "--group", "trivial", "--unimodular",
     )
     assert code == EXIT_OK
-    assert len(first) + len(rest) == 79  # no duplicates across the halt
-    assert set(first + rest) == {json.loads(line)["text"] for line in fresh.splitlines()}
+    fresh = {json.loads(line)["text"] for line in fresh.splitlines()}
+    assert len(fresh) == 79
+    for limit in (0, 2, 10):
+        ckpt = tmp_path / f"run{limit}.ckpt"
+        out1, out2 = tmp_path / f"first{limit}.jsonl", tmp_path / f"rest{limit}.jsonl"
+        code, _, _ = run(
+            capsys, "enumerate", "--config", str(cfg_path), "--group", "trivial", "--unimodular",
+            "--checkpoint", str(ckpt), "--limit", str(limit), "--jobs", str(first_jobs),
+            "--out", str(out1),
+        )
+        assert code == EXIT_OK
+        first = [json.loads(line)["text"] for line in out1.read_text().splitlines()]
+        assert len(first) == limit
+        code, _, _ = run(
+            capsys, "enumerate", "--resume", "--checkpoint", str(ckpt), "--jobs", str(resume_jobs),
+            "--out", str(out2),
+        )
+        assert code == EXIT_OK
+        rest = [json.loads(line)["text"] for line in out2.read_text().splitlines()]
+        assert len(first) + len(rest) == 79  # no duplicates across the halt
+        assert set(first + rest) == fresh
 
 
 def _edit(change, sign=False):

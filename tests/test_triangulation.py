@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 import oracles
 from tropcay.errors import GroupBoundError
-from tropcay.exactarith import solve_general
 from tropcay.geometry import (
     PointConfiguration,
     cayley_config,
@@ -223,7 +222,7 @@ def test_nested_triangles_infeasibility_certificate_by_brute_force():
         for support in combinations(range(m), size):
             cols = [[Fraction(rows[i][j]) for i in support] for j in range(n)]
             cols.append([Fraction(1)] * size)
-            y = solve_general(cols, [Fraction(0)] * n + [Fraction(1)])
+            y = oracles.solve_general(cols, [Fraction(0)] * n + [Fraction(1)])
             if y is None or any(v < 0 for v in y):
                 continue
             full = [Fraction(0)] * m
