@@ -21,13 +21,16 @@ breadth-first order.  With ``jobs > 1`` a wave holds ``max(64, 32*jobs)``
 nodes and the same two steps are mapped over chunks by worker processes,
 each holding its own flip engine; this process deduplicates and emits.
 Output is deterministic as a set (emission order may vary between job
-counts).  A ``limit`` stops the loop at exactly that many emissions: the
-rest of the batch stays unrecorded and its wave goes back to the front of
-the frontier, so a resumed run re-expands it and checks those keys.
+counts).  A ``limit`` stops the loop at exactly that many emissions.  The
+fresh keys are checked in slices no longer than the emissions left, so
+no key is checked that the run cannot record; when keys are left over,
+the wave goes back to the front of the frontier, and a resumed run
+re-expands it and checks them.
 
 A checkpoint carries a SHA-256 digest of its whole document; a file that
-is not JSON, lacks a field, fails the digest or has a frontier outside
-its visited regular classes is refused with ``CheckpointMismatchError``.
+is not JSON, lacks a field, fails the digest, stores a group other than
+the certified closure of its generators or has a frontier outside its
+visited regular classes is refused with ``CheckpointMismatchError``.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Iterator
 
-from .errors import CheckpointMismatchError, InputError
+from .errors import CheckpointMismatchError, GroupBoundError, InputError
 from .formats import FORMAT_CHECKPOINT, config_from_dict, config_to_dict
 from .geometry import PointConfiguration
 from .triangulation import (
@@ -226,20 +229,24 @@ class Enumerator:
             while True:
                 emitted_now = []
                 cut = False
-                for key, regular in check(fresh):
+                while fresh:
                     if limit is not None and self.emitted >= limit:
                         self.frontier.extendleft(reversed(wave))
                         self.expanded -= len(wave)
                         cut = True
                         break
-                    if not (regular or self.visited):  # the seed's verdict
-                        raise RuntimeError("placing triangulation must be regular")
-                    self.visited[key] = regular
-                    if regular:
-                        self.frontier.append(key)
-                        if self._passes_filters(unpack(key)):
-                            self.emitted += 1
-                            emitted_now.append(key)
+                    # a key emits at most once: check no more keys than the limit can record
+                    size = len(fresh) if limit is None else limit - self.emitted
+                    for key, regular in check(fresh[:size]):
+                        if not (regular or self.visited):  # the seed's verdict
+                            raise RuntimeError("placing triangulation must be regular")
+                        self.visited[key] = regular
+                        if regular:
+                            self.frontier.append(key)
+                            if self._passes_filters(unpack(key)):
+                                self.emitted += 1
+                                emitted_now.append(key)
+                    fresh = fresh[size:]
                 for key in emitted_now:
                     yield self.walk.engine.triangulation(unpack(key))
                 if cut:
@@ -352,11 +359,11 @@ def load_checkpoint(
         stored_config = config_from_dict(doc["config"])
         if config is not None and config.points != stored_config.points:
             raise CheckpointMismatchError("checkpoint was written for a different configuration")
-        group = SymmetryGroup(
-            stored_config,
-            tuple(tuple(g) for g in doc["generators"]),
-            tuple(sorted(tuple(g) for g in doc["group"])),
-        )
+        # The stored elements are trusted only as the certified closure of the generators.
+        elements = tuple(sorted(tuple(g) for g in doc["group"]))
+        group = SymmetryGroup.from_generators(stored_config, doc["generators"], bound=len(elements))
+        if group.elements != elements:
+            raise CheckpointMismatchError("checkpoint group is not generated by its generators")
         enumerator = Enumerator(
             stored_config,
             group,
@@ -374,8 +381,10 @@ def load_checkpoint(
         enumerator.emitted = int(doc["emitted"])
         enumerator.expanded = int(doc["expanded"])
         enumerator.complete = bool(doc["complete"])
-    # ValueError covers json.JSONDecodeError, UnicodeDecodeError and binascii.Error
-    except (KeyError, ValueError, TypeError) as err:
+    # ValueError covers json.JSONDecodeError, UnicodeDecodeError, binascii.Error and a
+    # generator that is not an affine lattice map; GroupBoundError, a closure larger
+    # than the stored group
+    except (KeyError, ValueError, TypeError, GroupBoundError) as err:
         raise CheckpointMismatchError(f"damaged checkpoint {path}: {err!r}") from err
     enumerator._last_checkpoint_emitted = enumerator.emitted
     return enumerator

@@ -21,8 +21,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-Rational = Fraction
-
 
 def parse_rational(text: str | int | Fraction) -> Fraction:
     """Parse "p/q" or "p" (also accepts ints and Fractions unchanged).

@@ -115,10 +115,6 @@ class Subdivision:
     configuration: PointConfiguration
     cells: tuple[tuple[int, ...], ...]
 
-    def is_triangulation(self) -> bool:
-        want = self.configuration.affine_dim() + 1
-        return all(len(c) == want for c in self.cells)
-
 
 @dataclass(frozen=True)
 class AffineTransform:

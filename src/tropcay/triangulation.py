@@ -10,13 +10,19 @@ A circuit is the primitive affine dependence of a cell and one more
 point (De Loera, Rambau and Santos, *Triangulations*, ch. 2 and 4).  Its
 signs give the two sides of a bistellar flip, and the same integer row
 is the regularity inequality "the point lifts strictly above the cell".
+One scan, ``FlipEngine.local_circuits``, lists the circuits of a
+triangulation's interior walls and of its unused points: each is a flip
+that ``neighbors`` tries, and together they are the local regularity
+rows.
 
 Regularity is decided exactly.  Two equivalent strict systems are
 available: the reference formulation with one inequality per (cell,
-outside point) pair, and a smaller local one with one inequality per
-interior wall plus conditions for unused points.  Both go to the integer
+outside point) pair, and the local one above.  Both go to the integer
 simplex of ``lp``, which certifies each answer with integer witness
 heights or a Gordan certificate; tests cross-check the two systems.
+
+Canonical orbit representatives come from ``RelabelContext``, whose one
+table maps each cell mask to its images under every group element.
 """
 
 from __future__ import annotations
@@ -36,9 +42,9 @@ from .exactarith import (
 )
 from .geometry import (
     PointConfiguration,
-    Subdivision,
     WeightVector,
     _reduction,
+    _simplex_volume,
     normalized_volume,
     placing_cells,
     simplex_lattice_points,
@@ -83,9 +89,6 @@ class Triangulation:
 
     def is_full(self) -> bool:
         return len(self.used_points()) == len(self.configuration.points)
-
-    def as_subdivision(self) -> Subdivision:
-        return Subdivision(self.configuration, self.cells)
 
 
 @dataclass(frozen=True)
@@ -152,11 +155,7 @@ class FlipEngine:
     def volume(self, cellmask: int) -> int:
         v = self._volume.get(cellmask)
         if v is None:
-            idx = self.bits(cellmask)
-            base = self.points[idx[0]]
-            rows = [[self.points[i][j] - base[j] for j in range(self.rank)] for i in idx[1:]]
-            v = abs(det_int(rows))
-            self._volume[cellmask] = v
+            v = self._volume[cellmask] = _simplex_volume(self.points, self.bits(cellmask))
         return v
 
     def circuit(self, cellmask: int, p: int) -> tuple[int, ...]:
@@ -212,25 +211,36 @@ class FlipEngine:
             used |= m
         return [i for i in range(self.n) if not (used >> i) & 1]
 
-    def regularity_rows(self, masks, mode: str = "global") -> list[tuple[int, ...]]:
-        rows = set()
-        if mode == "global":
+    def local_circuits(self, masks) -> list[tuple[int, ...]]:
+        """The circuits a flip of this triangulation can use, which are also
+        the rows of the local regularity system: each interior wall's
+        circuit, then each circuit of an unused point with a cell containing
+        it, in that order and without repeats."""
+        # Both apexes of a wall are positive in the circuit of sigma and
+        # tau's apex, so its positive side is the present one.
+        out = [
+            self.circuit(sigma, (tau & ~fm).bit_length() - 1)
+            for fm, (sigma, tau) in self.walls(masks).items()
+        ]
+        # An unused point lies in a cell iff its circuit with the cell
+        # has no positive entry on the cell's vertices.
+        for p in self.unused_points(masks):
             for cm in masks:
-                for p in range(self.n):
-                    if not (cm >> p) & 1:
-                        rows.add(self.circuit(cm, p))
-        elif mode == "local":
-            for fm, (sigma, tau) in self.walls(masks).items():
-                rows.add(self.circuit(sigma, (tau & ~fm).bit_length() - 1))
-            # An unused point lies in a cell iff its circuit with the cell
-            # has no positive entry on the cell's vertices.
-            for p in self.unused_points(masks):
-                for cm in masks:
-                    row = self.circuit(cm, p)
-                    if all(row[i] <= 0 for i in self.bits(cm)):
-                        rows.add(row)
-        else:
+                row = self.circuit(cm, p)
+                if all(row[i] <= 0 for i in self.bits(cm)):
+                    out.append(row)
+        return list(dict.fromkeys(out))
+
+    def regularity_rows(self, masks, mode: str = "global") -> list[tuple[int, ...]]:
+        if mode == "local":
+            return sorted(self.local_circuits(masks))
+        if mode != "global":
             raise ValueError(f"unknown regularity mode {mode!r}")
+        rows = set()
+        for cm in masks:
+            for p in range(self.n):
+                if not (cm >> p) & 1:
+                    rows.add(self.circuit(cm, p))
         return sorted(rows)
 
     def is_regular(self, masks, mode: str = "global"):
@@ -247,163 +257,72 @@ class FlipEngine:
 
     def neighbors(self, masks):
         """All bistellar flips from this triangulation: (Flip, masks) pairs."""
-        cellset = set(masks)
         results = []
-        seen = set()
-
-        def try_circuit(plus_mask, minus_mask):
-            key = (plus_mask, minus_mask)
-            if key in seen:
-                return
-            seen.add(key)
-            circuit = plus_mask | minus_mask
-            link = None
-            stars = []
-            rest = plus_mask
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                s = circuit ^ low
-                star = [cm for cm in masks if cm & s == s]
-                ls = frozenset(cm & ~s for cm in star)
-                if not ls or (link is not None and ls != link):
-                    return
-                if link is None:
-                    if any(l & circuit for l in ls):
-                        return
-                    link = ls
-                stars.append((s, star))
-            removed = set()
-            for _s, star in stars:
-                removed.update(star)
-            added = set()
-            rest = minus_mask
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                s = circuit ^ low
-                for l in link:
-                    added.add(s | l)
-            new_masks = tuple(sorted((cellset - removed) | added))
-            flip = Flip(self.bits(plus_mask), self.bits(minus_mask))
-            results.append((flip, new_masks))
-
-        def signs(row):
-            plus_mask = minus_mask = 0
+        for row in self.local_circuits(masks):
+            plus = minus = 0
             for i, c in enumerate(row):
                 if c > 0:
-                    plus_mask |= 1 << i
+                    plus |= 1 << i
                 elif c < 0:
-                    minus_mask |= 1 << i
-            return plus_mask, minus_mask
-
-        # Both apexes of a wall are positive in the circuit of sigma and
-        # tau's apex, so its positive side is the present one.
-        for fm, (sigma, tau) in self.walls(masks).items():
-            plus_mask, minus_mask = signs(self.circuit(sigma, (tau & ~fm).bit_length() - 1))
-            if minus_mask:  # a one-sided dependence cannot occur on a wall
-                try_circuit(plus_mask, minus_mask)
-
-        for p in self.unused_points(masks):
-            for cm in masks:
-                plus_mask, minus_mask = signs(self.circuit(cm, p))
-                if plus_mask == 1 << p:  # p lies in the cell
-                    try_circuit(plus_mask, minus_mask)
-
+                    minus |= 1 << i
+            flipped = self._flip(masks, plus, minus)
+            if flipped is not None:
+                results.append((Flip(self.bits(plus), self.bits(minus)), flipped))
         return results
 
-    # -- symmetry ---------------------------------------------------------
-
-    def relabel_tables(self, perm) -> list[list[int]]:
-        """Chunked lookup tables mapping a cell mask through a point permutation."""
-        chunks = (self.n + 7) // 8
-        tables = []
-        for c in range(chunks):
-            table = [0] * 256
-            for byte in range(256):
-                m = 0
-                b = byte
-                while b:
-                    low = b & -b
-                    i = c * 8 + (low.bit_length() - 1)
-                    if i < self.n:
-                        m |= 1 << perm[i]
-                    b ^= low
-                table[byte] = m
-            tables.append(table)
-        return tables
+    def _flip(self, masks, plus: int, minus: int):
+        """The triangulation with the circuit ``plus | minus`` flipped from
+        its plus side, or ``None`` unless the stars of the plus-side
+        simplices share one link that misses the circuit."""
+        circuit = plus | minus
+        link = None
+        removed = set()
+        for i in self.bits(plus):
+            s = circuit ^ (1 << i)
+            star = [cm for cm in masks if cm & s == s]
+            ls = frozenset(cm & ~s for cm in star)
+            if not ls or (link is not None and ls != link):
+                return None
+            if link is None:
+                if any(l & circuit for l in ls):
+                    return None
+                link = ls
+            removed.update(star)
+        added = {(circuit ^ (1 << i)) | l for i in self.bits(minus) for l in link}
+        return tuple(sorted((set(masks) - removed) | added))
 
 
 class RelabelContext:
-    """Cached group action on cell masks, used for canonical representatives.
+    """Group action on cell masks, used for canonical representatives.
 
     The representative of an orbit is the minimum relabeling in the
-    engine's documented (colexicographic) order.  A cheap prefilter keeps
-    only the group elements whose minimum relabeled cell already ties the
-    best, so full sorting happens for a handful of candidates.
+    engine's documented (colexicographic) order.  One table maps each cell
+    mask to its images under every element, its least image and the
+    elements reaching that.  The canonical form starts with the least
+    image over all cells, so only the elements reaching it are sorted in
+    full.
     """
 
     def __init__(self, engine: FlipEngine, elements):
         self.engine = engine
         self.elements = [tuple(g) for g in elements]
-        self._tables = [engine.relabel_tables(g) for g in self.elements]
-        self._cache: list[dict[int, int]] = [dict() for _ in self.elements]
-        self._orbit_min: dict[int, tuple[int, tuple[int, ...]]] = {}
+        self._images: dict[int, tuple[tuple[int, ...], int, tuple[int, ...]]] = {}
 
-    def relabel_mask(self, gi: int, mask: int) -> int:
-        cache = self._cache[gi]
-        out = cache.get(mask)
-        if out is None:
-            tables = self._tables[gi]
-            acc = 0
-            m = mask
-            c = 0
-            while m:
-                acc |= tables[c][m & 0xFF]
-                m >>= 8
-                c += 1
-            cache[mask] = acc
-            out = acc
-        return out
-
-    def relabel(self, gi: int, masks) -> tuple[int, ...]:
-        return tuple(sorted(self.relabel_mask(gi, m) for m in masks))
-
-    def orbit_min(self, mask: int) -> tuple[int, tuple[int, ...]]:
-        """Smallest relabeling of one cell and the elements achieving it."""
-        cached = self._orbit_min.get(mask)
-        if cached is None:
-            best = None
-            achievers: list[int] = []
-            for gi in range(len(self.elements)):
-                v = self.relabel_mask(gi, mask)
-                if best is None or v < best:
-                    best = v
-                    achievers = [gi]
-                elif v == best:
-                    achievers.append(gi)
-            cached = (best, tuple(achievers))
-            self._orbit_min[mask] = cached
-        return cached
+    def _cell(self, mask: int) -> tuple[tuple[int, ...], int, tuple[int, ...]]:
+        entry = self._images.get(mask)
+        if entry is None:
+            points = self.engine.bits(mask)
+            images = tuple(sum(1 << g[i] for i in points) for g in self.elements)
+            least = min(images)
+            reach = tuple(gi for gi, image in enumerate(images) if image == least)
+            entry = self._images[mask] = (images, least, reach)
+        return entry
 
     def canonical(self, masks) -> tuple[int, ...]:
-        # The first cell of the canonical form is the smallest orbit-min over
-        # all cells; only elements realizing it can yield the minimum tuple.
-        best_first = None
-        candidates: list[int] = []
-        for m in masks:
-            v, achievers = self.orbit_min(m)
-            if best_first is None or v < best_first:
-                best_first = v
-                candidates = list(achievers)
-            elif v == best_first:
-                candidates.extend(achievers)
-        best = None
-        for gi in set(candidates):
-            cand = self.relabel(gi, masks)
-            if best is None or cand < best:
-                best = cand
-        return best
+        entries = [self._cell(m) for m in masks]
+        first = min(least for _images, least, _reach in entries)
+        reach = {gi for _images, least, gis in entries if least == first for gi in gis}
+        return min(tuple(sorted(images[gi] for images, _least, _reach in entries)) for gi in reach)
 
 
 @lru_cache(maxsize=64)

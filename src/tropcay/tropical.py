@@ -100,12 +100,6 @@ class MixedSubdivision:
     def unmixed_cells(self) -> tuple[MixedCell, ...]:
         return tuple(c for c in self.cells if not c.mixed)
 
-    def type_counts(self) -> dict:
-        counts: dict = {}
-        for c in self.cells:
-            counts[c.type] = counts.get(c.type, 0) + 1
-        return counts
-
 
 @dataclass(frozen=True)
 class CurveGraph:
@@ -286,9 +280,6 @@ class CurveReport:
     unmixed_count: int
     color_counts: dict
     ray_total: int
-
-    def consistent(self) -> bool:
-        return self.graph.num_vertices == self.mixed_count
 
 
 def tropicalize_pair(f1: ValuedPolynomial, f2: ValuedPolynomial) -> CurveReport:

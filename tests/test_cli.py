@@ -20,6 +20,8 @@ from tropcay.cli import (
 )
 from tropcay.enumeration import Enumerator, _digest
 from tropcay.formats import config_from_dict, load_json
+from tropcay.geometry import simplex_lattice_points
+from tropcay.triangulation import builtin_symmetry
 
 
 def data_pair(name):
@@ -535,6 +537,19 @@ def _prefix_frontier_with_at(doc):
     doc["frontier"][0] = "@" + doc["frontier"][0]
 
 
+def _s3_of_3d2():
+    return [list(g) for g in builtin_symmetry("simplex-3d2", simplex_lattice_points(2, 3)).elements]
+
+
+def _generate_s3(doc):
+    # the stored group stays the identity alone: not the closure of S3's generators
+    doc["generators"] = _s3_of_3d2()
+
+
+def _add_group_element(doc):
+    doc["group"].append(_s3_of_3d2()[-1])
+
+
 _DAMAGE = {
     "truncated": lambda text: text[:300],
     "flipped-byte": _flip_middle_byte,
@@ -542,6 +557,8 @@ _DAMAGE = {
     "bad-base64": _edit(lambda doc: doc.update(frontier=["@@@"])),
     "cut-frontier": _edit(_cut_frontier),
     "bad-base64-signed": _edit(_prefix_frontier_with_at, sign=True),
+    "group-below-closure-signed": _edit(_generate_s3, sign=True),
+    "group-above-closure-signed": _edit(_add_group_element, sign=True),
     "foreign-frontier-signed": _edit(
         lambda doc: doc["frontier"].append(base64.b64encode(b"\xff\xff").decode()), sign=True
     ),

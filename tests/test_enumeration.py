@@ -1,9 +1,12 @@
+import hashlib
 import json
 import os
 
 import pytest
 
+from test_triangulation import nested_triangles
 from tropcay.errors import CheckpointMismatchError
+from tropcay.formats import cells_to_text
 from tropcay.geometry import PointConfiguration, simplex_lattice_points
 from tropcay.triangulation import (
     apply_symmetry,
@@ -123,6 +126,30 @@ def test_halt_and_resume_matches_fresh_run(tmp_path):
     assert len(first) + len(resumed) == 79  # no duplicates across the halt
 
 
+@pytest.mark.parametrize("jobs, limit", [(1, 2), (2, 50)])
+def test_limit_checks_only_keys_it_records(jobs, limit):
+    # Every class of 3D2 is regular, so each checked key is a visited one
+    # unless the run checked keys past its limit and dropped their verdicts.
+    cfg = cubic_polygon()
+    en = Enumerator(cfg, builtin_symmetry("trivial", cfg), jobs=jobs)
+    checked = []
+    steps = en._steps
+
+    def counting_steps(stack):
+        expand, check = steps(stack)
+
+        def counted(keys):
+            checked.extend(keys)
+            return check(keys)
+
+        return expand, counted
+
+    en._steps = counting_steps
+    assert len(list(en.run(limit=limit))) == limit
+    assert all(en.visited.values())
+    assert len(checked) == len(en.visited)
+
+
 def test_resume_checkpoint_with_require_regular_field(tmp_path):
     # Checkpoints once stored the always-true ``require_regular`` filter;
     # such files still resume to the fresh run's union.
@@ -217,3 +244,30 @@ def test_group_from_wrong_configuration_rejected():
     grp = builtin_symmetry("trivial", square_config())
     with pytest.raises(ValueError):
         Enumerator(cfg, grp)
+
+
+# SHA-256 of the sorted cell texts emitted by complete runs: a change to
+# flips, canonical forms or regularity that alters an emission set shows here.
+_PINNED_RUNS = {
+    "3D2/trivial": (
+        cubic_polygon, "trivial", 1166,
+        "e924f959d5d874a92d3a0bb7b3e0b60f6ee06f2ca8f147687e2b8155bd570281",
+    ),
+    "3D2/S3": (
+        cubic_polygon, "simplex-3d2", 213,
+        "5072cf1cb3eed2062857ad28e005740ac310a0642d038ba5caa953bbb9c21751",
+    ),
+    "nested/trivial": (
+        lambda: nested_triangles()[0], "trivial", 16,
+        "6d6d96fd42c7d3a7088e885fedd34d8ceab59e09a03364815b613ad3ca16898a",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_RUNS))
+def test_complete_run_emissions_pinned(name):
+    make_config, kind, count, digest = _PINNED_RUNS[name]
+    cfg = make_config()
+    texts = sorted(cells_to_text(cfg, t.cells) for t in enumerate_triangulations(cfg, builtin_symmetry(kind, cfg)))
+    assert len(texts) == count
+    assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == digest

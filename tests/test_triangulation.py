@@ -17,6 +17,7 @@ from tropcay.geometry import (
 )
 from tropcay.lp import strict_lp_feasible
 from tropcay.triangulation import (
+    RelabelContext,
     SymmetryGroup,
     Triangulation,
     apply_symmetry,
@@ -349,6 +350,40 @@ def test_orbit_rep_invariant_under_group_action():
     rep = orbit_canonical_rep(t, grp)
     for g in grp.elements:
         assert orbit_canonical_rep(apply_symmetry(t, g), grp).cells == rep.cells
+
+
+_GROUPS = {
+    "3D2/S3": (simplex_lattice_points(2, 3), "simplex-3d2"),
+    "C(2D3,2D3)/S4xZ2": (
+        cayley_config(simplex_lattice_points(3, 2), simplex_lattice_points(3, 2)),
+        "cayley-2d3-2d3",
+    ),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(_GROUPS)), st.integers(0, 15), st.data())
+def test_canonical_is_least_relabeling(name, steps, data):
+    # A random flip walk, then brute force: the least sorted relabeling
+    # over all group elements, for the walk's end and for one of its images.
+    cfg, kind = _GROUPS[name]
+    grp = builtin_symmetry(kind, cfg)
+    engine = flip_engine(cfg)
+    masks = engine.to_masks(placing_triangulation(cfg).cells)
+    for _ in range(steps):
+        nbrs = engine.neighbors(masks)
+        if not nbrs:
+            break
+        masks = nbrs[data.draw(st.integers(0, len(nbrs) - 1))][1]
+
+    def image(g, masks):
+        return engine.to_masks([g[i] for i in engine.bits(m)] for m in masks)
+
+    least = min(image(g, masks) for g in grp.elements)
+    context = RelabelContext(engine, grp.elements)
+    assert context.canonical(masks) == least
+    g = grp.elements[data.draw(st.integers(0, len(grp) - 1))]
+    assert context.canonical(image(g, masks)) == least
 
 
 def test_rotated_pair_same_orbit_and_unimodular():
