@@ -42,7 +42,7 @@ from .formats import (
     save_json,
     triangulation_line,
 )
-from .geometry import cayley_config, normalized_volume, simplex_lattice_points
+from .geometry import cayley_config, simplex_lattice_points
 from .graphs import CENSUS_CONVENTIONS, ClassTable, census
 from .triangulation import Triangulation, builtin_symmetry, flip_engine
 from .tropical import ValuedPolynomial, dual_curve_planar, mixed_subdivision, dual_curve_3d, tropicalize_pair
@@ -93,7 +93,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("enumerate", help="stream triangulation class representatives as JSONL")
     p.add_argument("--config", default=None, help="point configuration JSON file")
-    p.add_argument("--group", default="trivial", choices=sorted(_GROUP_PRESETS))
+    p.add_argument("--group", default=None, choices=sorted(_GROUP_PRESETS),
+                   help="symmetry group preset (default: trivial)")
     p.add_argument("--unimodular", action="store_true", help="emit only unimodular classes")
     p.add_argument("--full", action="store_true", help="emit only full classes")
     p.add_argument("--checkpoint", default=None, help="checkpoint file to write (and resume from)")
@@ -184,6 +185,15 @@ def cmd_enumerate(args) -> int:
         if not args.checkpoint:
             sys.stderr.write("error: --resume needs --checkpoint\n")
             return EXIT_USAGE
+        for option, value in (
+            ("--group", args.group),
+            ("--unimodular", args.unimodular),
+            ("--full", args.full),
+            ("--placing-order", args.placing_order),
+        ):
+            if value:
+                sys.stderr.write(f"error: --resume takes {option} from the checkpoint\n")
+                return EXIT_USAGE
         config = config_from_dict(load_json(args.config)) if args.config else None
         enumerator = load_checkpoint(
             args.checkpoint, config=config, jobs=args.jobs, checkpoint_every=args.checkpoint_every
@@ -193,7 +203,7 @@ def cmd_enumerate(args) -> int:
             sys.stderr.write("error: --config is required unless resuming\n")
             return EXIT_USAGE
         config = config_from_dict(load_json(args.config))
-        group = builtin_symmetry(_GROUP_PRESETS[args.group], config)
+        group = builtin_symmetry(_GROUP_PRESETS[args.group or "trivial"], config)
         filters = EnumerationFilters(
             require_unimodular=args.unimodular, require_full=args.full
         )
@@ -239,25 +249,21 @@ def cmd_enumerate(args) -> int:
     return EXIT_OK
 
 
-def _curve_for(config, volume, cells):
+def _curve_for(config, cells):
     t = Triangulation.make(config, cells)
     engine = flip_engine(config)
-    masks = engine.to_masks(t.cells)
-    covered = sum(engine.volume(m) for m in masks)
-    if covered != volume:
-        raise ValueError(f"cell volumes sum to {covered}, not the configuration's {volume}")
-    engine.walls(masks)  # raises if a facet lies in more than two cells
+    engine.check_triangulation(engine.to_masks(t.cells))
     if config.is_cayley:
         return dual_curve_3d(mixed_subdivision(t))
     return dual_curve_planar(t)
 
 
-def _classify_lines(config, volume, lines):
+def _classify_lines(config, lines):
     graphs = []
     for lineno, line in lines:
         try:
             cells = parse_triangulation_line(config, line)
-            graph = _curve_for(config, volume, cells)
+            graph = _curve_for(config, cells)
         except Exception as err:  # report and continue
             sys.stderr.write(f"line {lineno}: skipped ({err})\n")
             continue
@@ -269,7 +275,6 @@ def cmd_classify(args) -> int:
     if args.jobs < 1:
         raise InputError(f"--jobs must be at least 1, not {args.jobs}")
     config = config_from_dict(load_json(args.config))
-    volume = normalized_volume(config)
     with open(args.input, "r", encoding="utf-8") as fh:
         lines = [
             (i + 1, line)
@@ -281,10 +286,10 @@ def cmd_classify(args) -> int:
 
         chunks = [lines[i :: args.jobs] for i in range(args.jobs)]
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = pool.map(_classify_chunk, [(config_to_dict(config), volume, c) for c in chunks])
+            results = pool.map(_classify_chunk, [(config_to_dict(config), c) for c in chunks])
         graphs = [g for part in results for g in part]
     else:
-        graphs = _classify_lines(config, volume, lines)
+        graphs = _classify_lines(config, lines)
 
     table = ClassTable(use_colors=args.use_colors)
     for graph, provenance in graphs:
@@ -310,8 +315,8 @@ def cmd_classify(args) -> int:
 
 
 def _classify_chunk(payload):
-    config_doc, volume, lines = payload
-    return _classify_lines(config_from_dict(config_doc), volume, lines)
+    config_doc, lines = payload
+    return _classify_lines(config_from_dict(config_doc), lines)
 
 
 def cmd_census(args) -> int:

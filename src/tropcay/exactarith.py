@@ -9,9 +9,9 @@ All linear algebra over Q runs through one fraction-free Gauss-Jordan
 kernel (Bareiss) on integer rows.  Rational rows are first scaled to
 integers by ``clear_denominators``; every intermediate value is then an
 integer minor, so each division is exact.  ``det_int``, ``rank_int``,
-``solve_rational``, ``nullspace_basis`` and ``kernel_vector_int`` are
-thin wrappers that read the reduced rows and pivots.  Lattice bases need
-unimodular row operations over Z and use their own Hermite reduction.
+``solve_rational`` and ``kernel_vector_int`` are thin wrappers that read
+the reduced rows and pivots.  Lattice bases need unimodular row
+operations over Z and use their own Hermite reduction.
 
 Everything here is pure and exact; no floating point is ever used.
 """
@@ -136,27 +136,6 @@ def rank_int(rows) -> int:
     return len(_eliminate(_integer_rows(rows), ncols)[1])
 
 
-def _kernel_vectors(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], int]:
-    """Integer kernel basis, one vector per free column, and the pivot ``d``.
-
-    Each vector holds ``d`` at its free column; divided by ``d`` it is the
-    reduced-echelon basis vector with that column set to 1.
-    """
-    a, pivots, _ = _eliminate(rows, ncols)
-    d = a[pivots[-1][0]][pivots[-1][1]] if pivots else 1
-    pivot_cols = {c for _, c in pivots}
-    basis = []
-    for free in range(ncols):
-        if free in pivot_cols:
-            continue
-        v = [0] * ncols
-        v[free] = d
-        for i, c in pivots:
-            v[c] = -a[i][free]
-        basis.append(v)
-    return basis, d
-
-
 def _primitive(vec: list[int]) -> tuple[int, ...]:
     """Divide by the content; first nonzero entry > 0."""
     g = gcd(*vec)
@@ -170,22 +149,23 @@ def kernel_vector_int(cols: list[tuple[int, ...]]) -> tuple[int, ...] | None:
 
     Requires the kernel to be exactly one-dimensional; returns ``None``
     if the columns are linearly independent, raises if the kernel has
-    dimension two or more (callers rely on uniqueness).
+    dimension two or more (callers rely on uniqueness).  The vector is
+    read off the reduced rows: the last pivot ``d`` at the free column,
+    minus that column's entries at the pivot columns.
     """
-    basis, _ = _kernel_vectors(_integer_rows(zip(*cols)), len(cols))
-    if len(basis) > 1:
+    ncols = len(cols)
+    a, pivots, _ = _eliminate(_integer_rows(zip(*cols)), ncols)
+    pivot_cols = {c for _, c in pivots}
+    free = [c for c in range(ncols) if c not in pivot_cols]
+    if not free:
+        return None
+    if len(free) > 1:
         raise ValueError("kernel is not one-dimensional")
-    return _primitive(basis[0]) if basis else None
-
-
-def nullspace_basis(rows) -> list[tuple[Fraction, ...]]:
-    """Basis of {x : A x = 0} for a rational matrix given by rows.
-
-    One vector per non-pivot column, with that column set to 1.
-    """
-    ncols = len(rows[0]) if rows else 0
-    basis, d = _kernel_vectors(_integer_rows(rows), ncols)
-    return [tuple(Fraction(x, d) for x in v) for v in basis]
+    v = [0] * ncols
+    v[free[0]] = a[pivots[-1][0]][pivots[-1][1]] if pivots else 1
+    for i, c in pivots:
+        v[c] = -a[i][free[0]]
+    return _primitive(v)
 
 
 def lattice_row_basis(vectors) -> list[list[int]]:

@@ -50,6 +50,13 @@ def _reading(doc, fmt: str, what: str):
         raise InputError(f"{what} document: {err}") from None
 
 
+def _integer(value) -> int:
+    """A JSON integer; ``int()`` would truncate 1.5 and read true as 1."""
+    if type(value) is not int:
+        raise TypeError(f"{value!r} is not an integer")
+    return value
+
+
 def config_to_dict(config: PointConfiguration) -> dict:
     doc = {
         "format": FORMAT_POINTS,
@@ -66,10 +73,10 @@ def config_from_dict(doc: dict) -> PointConfiguration:
     with _reading(doc, FORMAT_POINTS, "point configuration"):
         cayley = doc.get("cayley_sizes")
         return PointConfiguration(
-            int(doc["ambient_dim"]),
-            tuple(tuple(int(x) for x in p) for p in doc["points"]),
+            _integer(doc["ambient_dim"]),
+            tuple(tuple(_integer(x) for x in p) for p in doc["points"]),
             tuple(doc["labels"]),
-            tuple(cayley) if cayley else None,
+            tuple(_integer(x) for x in cayley) if cayley else None,
         )
 
 
@@ -113,7 +120,7 @@ def triangulation_line(config: PointConfiguration, cells) -> str:
 def parse_triangulation_line(config: PointConfiguration, line: str) -> tuple[tuple[int, ...], ...]:
     doc = json.loads(line)
     if isinstance(doc, dict) and "cells" in doc:
-        return tuple(sorted(tuple(sorted(int(i) for i in c)) for c in doc["cells"]))
+        return tuple(sorted(tuple(sorted(_integer(i) for i in c)) for c in doc["cells"]))
     if isinstance(doc, dict) and "text" in doc:
         return text_to_cells(config, doc["text"])
     raise ValueError("triangulation line has neither 'cells' nor 'text'")
@@ -132,10 +139,10 @@ def polynomial_to_dict(degree: int, terms: dict) -> dict:
 
 def polynomial_terms_from_dict(doc: dict) -> tuple[int, dict[tuple[int, ...], Fraction]]:
     with _reading(doc, FORMAT_POLYNOMIAL, "valued polynomial"):
-        degree = int(doc["degree"])
+        degree = _integer(doc["degree"])
         terms = {}
         for entry in doc["terms"]:
-            exp = tuple(int(x) for x in entry["exp"])
+            exp = tuple(_integer(x) for x in entry["exp"])
             if exp in terms:
                 raise SupportError(f"duplicate exponent {exp}")
             terms[exp] = parse_rational(entry["val"])

@@ -1,10 +1,10 @@
 """Triangulations: predicates, placing construction, bistellar flips, symmetry.
 
 The public types work with sorted index tuples.  A per-configuration
-``FlipEngine`` carries two exact caches (cell volumes, and the circuit of
-each cell with an outside point) and a fast bitmask representation of
-triangulations; the enumeration module drives the engine directly, while
-the functions here wrap it for one-off use.
+``FlipEngine`` carries exact caches (cell volumes, the total volume, and
+the circuit of each cell with an outside point) and a fast bitmask
+representation of triangulations; the enumeration module drives the
+engine directly, while the functions here wrap it for one-off use.
 
 A circuit is the primitive affine dependence of a cell and one more
 point (De Loera, Rambau and Santos, *Triangulations*, ch. 2 and 4).  Its
@@ -13,7 +13,10 @@ is the regularity inequality "the point lifts strictly above the cell".
 One scan, ``FlipEngine.local_circuits``, lists the circuits of a
 triangulation's interior walls and of its unused points: each is a flip
 that ``neighbors`` tries, and together they are the local regularity
-rows.
+rows.  Circuit signs also decide whether a set of cells is a
+triangulation at all (``FlipEngine.check_triangulation``): the two cells
+of every shared facet must lie on opposite sides of it, and no point may
+lie beyond an unshared one.
 
 Regularity is decided exactly.  Two equivalent strict systems are
 available: the reference formulation with one inequality per (cell,
@@ -29,23 +32,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import DegenerateConfigurationError, GroupBoundError, InputError
-from .exactarith import (
-    clear_denominators,
-    det_int,
-    kernel_vector_int,
-    nullspace_basis,
-    rank_int,
-    solve_rational,
-)
+from .exactarith import det_int, kernel_vector_int, rank_int, solve_rational
 from .geometry import (
     PointConfiguration,
     WeightVector,
     _reduction,
     _simplex_volume,
-    normalized_volume,
     placing_cells,
     simplex_lattice_points,
 )
@@ -105,8 +100,9 @@ class Flip:
 class FlipEngine:
     """Exact flip/regularity machinery for one configuration.
 
-    Wall flips, flips through unused points and the rows of both
-    regularity systems all come from one cached table, ``circuit``.
+    Wall flips, flips through unused points, the rows of both regularity
+    systems and the validity check all come from one cached table,
+    ``circuit``.
     Triangulations are handled as sorted tuples of cell bitmasks (bit i is
     point i).  The induced total order on triangulations (lexicographic on
     the sorted mask sequence, i.e. colexicographic on cells) is the
@@ -123,6 +119,7 @@ class FlipEngine:
         self.all_mask = (1 << self.n) - 1
         self._volume: dict[int, int] = {}
         self._circuit: dict[tuple[int, int], tuple[int, ...]] = {}
+        self._boundary: dict[int, bool] = {}
 
     # -- mask plumbing -------------------------------------------------
 
@@ -188,8 +185,8 @@ class FlipEngine:
             used |= m
         return used == self.all_mask
 
-    def walls(self, masks):
-        """Map interior facet mask -> (cell, cell); raises on non-complexes."""
+    def _facet_cells(self, masks) -> dict[int, list[int]]:
+        """Map each facet mask to the cells containing it."""
         owners: dict[int, list[int]] = {}
         for cm in masks:
             rest = cm
@@ -197,13 +194,66 @@ class FlipEngine:
                 low = rest & -rest
                 owners.setdefault(cm ^ low, []).append(cm)
                 rest ^= low
+        return owners
+
+    def walls(self, masks):
+        """Map interior facet mask -> (cell, cell); raises on non-complexes."""
         out = {}
-        for fm, cs in owners.items():
+        for fm, cs in self._facet_cells(masks).items():
             if len(cs) == 2:
                 out[fm] = (cs[0], cs[1])
             elif len(cs) > 2:
                 raise ValueError("facet shared by more than two cells: not a triangulation")
         return out
+
+    @cached_property
+    def total_volume(self) -> int:
+        """Normalized volume of the configuration's convex hull."""
+        return sum(self.volume(self.mask_of(c)) for c in placing_cells(self.points))
+
+    def check_triangulation(self, masks) -> None:
+        """Raise ``ValueError`` unless the cells triangulate the configuration.
+
+        Distinct full-dimensional simplices form a triangulation iff their
+        volumes sum to the total volume, every facet lies in at most two
+        cells, the two cells of a shared facet lie on opposite sides of it,
+        and every unshared facet lies on the boundary of the convex hull
+        (De Loera, Rambau and Santos, *Triangulations*, ch. 4).  Both side
+        tests read circuit signs: for a facet ``sigma - {a}``, ``a`` and an
+        outside point ``p`` lie on opposite sides iff ``circuit(sigma, p)``
+        is positive at ``a``.
+        """
+        if len(set(masks)) != len(masks):
+            raise ValueError("a cell is repeated")
+        if any(self.volume(m) == 0 for m in masks):
+            raise ValueError("a cell is affinely dependent")
+        covered = sum(self.volume(m) for m in masks)
+        if covered != self.total_volume:
+            raise ValueError(
+                f"cell volumes sum to {covered}, not the configuration's {self.total_volume}"
+            )
+        for fm, cs in self._facet_cells(masks).items():
+            if len(cs) > 2:
+                raise ValueError(f"facet {self.bits(fm)} lies in more than two cells")
+            sigma = cs[0]
+            a = (sigma & ~fm).bit_length() - 1
+            if len(cs) == 2:
+                b = (cs[1] & ~fm).bit_length() - 1
+                if self.circuit(sigma, b)[a] <= 0:
+                    raise ValueError(f"two cells lie on one side of facet {self.bits(fm)}")
+            elif not self._on_boundary(fm, sigma, a):
+                raise ValueError(f"unshared facet {self.bits(fm)} is not on the boundary")
+
+    def _on_boundary(self, facet: int, sigma: int, a: int) -> bool:
+        """Whether no point lies strictly beyond ``facet`` seen from apex
+        ``a`` of the cell ``sigma`` that contains it.  The answer depends
+        only on the facet, so it is cached per facet."""
+        verdict = self._boundary.get(facet)
+        if verdict is None:
+            verdict = self._boundary[facet] = not any(
+                self.circuit(sigma, p)[a] > 0 for p in range(self.n) if not (sigma >> p) & 1
+            )
+        return verdict
 
     def unused_points(self, masks) -> list[int]:
         used = 0
@@ -534,53 +584,12 @@ def _perm_from_map(config: PointConfiguration, point_map):
     return tuple(perm)
 
 
-def validate_triangulation(t: Triangulation, pairwise: bool = True) -> bool:
-    """Exact validity check: volumes sum to the polytope volume, every cell
-    is full-dimensional, facets are shared by at most two cells, and (when
-    ``pairwise``) any two cells meet in a common face.
-    """
+def validate_triangulation(t: Triangulation) -> bool:
+    """True iff the cells of t triangulate its configuration
+    (``FlipEngine.check_triangulation``)."""
     engine = flip_engine(t.configuration)
-    masks = engine.to_masks(t.cells)
-    if len(set(masks)) != len(masks):
-        return False
-    if any(engine.volume(m) == 0 for m in masks):
-        return False
-    if sum(engine.volume(m) for m in masks) != normalized_volume(t.configuration):
-        return False
     try:
-        engine.walls(masks)
+        engine.check_triangulation(engine.to_masks(t.cells))
     except ValueError:
         return False
-    if not pairwise:
-        return True
-    pts = engine.points
-    cells = [engine.bits(m) for m in masks]
-    for i in range(len(cells)):
-        for j in range(i + 1, len(cells)):
-            shared = sorted(set(cells[i]) & set(cells[j]))
-            conditions = [pts[f] + (1,) for f in shared]
-            if conditions:
-                basis = nullspace_basis(conditions)
-            else:
-                dim = engine.rank + 1
-                basis = [
-                    tuple(Fraction(1 if k == idx else 0) for k in range(dim))
-                    for idx in range(dim)
-                ]
-            rows = []
-            for v in cells[i]:
-                if v in shared:
-                    continue
-                vec = pts[v] + (1,)
-                rows.append(tuple(-sum(b[k] * vec[k] for k in range(len(vec))) for b in basis))
-            for v in cells[j]:
-                if v in shared:
-                    continue
-                vec = pts[v] + (1,)
-                rows.append(tuple(sum(b[k] * vec[k] for k in range(len(vec))) for b in basis))
-            int_rows = [clear_denominators(r)[0] for r in rows]
-            feasible, _ = strict_homogeneous_feasible(int_rows)
-            if not feasible:
-                return False
     return True
-

@@ -155,39 +155,47 @@ def _color_of(cell_type) -> str:
     raise GraphDataError(f"mixed cell of type {cell_type} has no color convention")
 
 
-def dual_curve_3d(ms: MixedSubdivision) -> CurveGraph:
-    """Dual graph of the toblerones: one vertex per mixed cell, one edge per
-    shared Cayley facet of case type (2, 2) (a quadrilateral after slicing).
-    """
-    config = ms.triangulation.configuration
-    if config.affine_dim() != 4:
-        raise ValueError("dual_curve_3d expects a 4-dimensional Cayley configuration")
-    n1, _ = config.cayley_sizes
-    mixed = ms.mixed_cells()
-    edges = []
-    for i in range(len(mixed)):
-        ci = set(mixed[i].cayley_cell)
-        for j in range(i + 1, len(mixed)):
-            shared = ci & set(mixed[j].cayley_cell)
-            if len(shared) != 4:
-                continue
-            upper = sum(1 for v in shared if v < n1)
-            if (upper, len(shared) - upper) == (2, 2):
-                edges.append((i, j))
-    if len(set(edges)) != len(edges):
-        raise GraphDataError("parallel edges in a dual curve graph")
-    deg = [0] * len(mixed)
+def _wall_graph(t: Triangulation, cells, colors, keep=lambda facet: True) -> CurveGraph:
+    """One vertex per cell of ``cells`` (cells of t), one edge per wall of t
+    that ``keep`` accepts (called on the wall's facet mask); rays fill
+    each degree to 3."""
+    engine = flip_engine(t.configuration)
+    index = {engine.mask_of(c): i for i, c in enumerate(cells)}
+    edges = sorted(
+        tuple(sorted((index[sigma], index[tau])))
+        for fm, (sigma, tau) in engine.walls(engine.to_masks(t.cells)).items()
+        if keep(fm)
+    )
+    deg = [0] * len(cells)
     for u, v in edges:
         deg[u] += 1
         deg[v] += 1
     if any(d > 3 for d in deg):
         raise GraphDataError("dual curve vertex of degree exceeding 3")
     return CurveGraph(
-        num_vertices=len(mixed),
-        edges=tuple(sorted(edges)),
-        colors=tuple(_color_of(c.type) for c in mixed),
+        num_vertices=len(cells),
+        edges=tuple(edges),
+        colors=colors,
         ray_counts=tuple(3 - d for d in deg),
-        vertex_cells=tuple(c.cayley_cell for c in mixed),
+        vertex_cells=tuple(cells),
+    )
+
+
+def dual_curve_3d(ms: MixedSubdivision) -> CurveGraph:
+    """Dual graph of the toblerones: one vertex per mixed cell, one edge per
+    wall whose facet splits (2, 2) by factor (a quadrilateral after
+    slicing); both cells of such a wall are mixed.
+    """
+    config = ms.triangulation.configuration
+    if config.affine_dim() != 4:
+        raise ValueError("dual_curve_3d expects a 4-dimensional Cayley configuration")
+    first_factor = (1 << config.cayley_sizes[0]) - 1
+    mixed = ms.mixed_cells()
+    return _wall_graph(
+        ms.triangulation,
+        [c.cayley_cell for c in mixed],
+        tuple(_color_of(c.type) for c in mixed),
+        keep=lambda fm: bin(fm & first_factor).count("1") == 2,
     )
 
 
@@ -200,24 +208,7 @@ def dual_curve_planar(t: Triangulation) -> CurveGraph:
     engine = flip_engine(t.configuration)
     if not engine.is_unimodular(engine.to_masks(t.cells)):
         raise ValueError("dual_curve_planar expects a unimodular triangulation")
-    cells = t.cells
-    edges = []
-    for i in range(len(cells)):
-        si = set(cells[i])
-        for j in range(i + 1, len(cells)):
-            if len(si & set(cells[j])) == 2:
-                edges.append((i, j))
-    deg = [0] * len(cells)
-    for u, v in edges:
-        deg[u] += 1
-        deg[v] += 1
-    return CurveGraph(
-        num_vertices=len(cells),
-        edges=tuple(sorted(edges)),
-        colors=None,
-        ray_counts=tuple(3 - d for d in deg),
-        vertex_cells=cells,
-    )
+    return _wall_graph(t, t.cells, None)
 
 
 def _components(n, edges) -> int:

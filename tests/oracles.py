@@ -20,6 +20,13 @@ positive at the point, so ``FlipEngine.circuit`` must agree exactly.
 two-phase simplex (Bland's rule) that ``tropcay.lp`` used before its
 integer simplex.  Strict feasibility is a yes/no question, so the
 library's verdicts must agree with these exactly; witnesses may differ.
+
+``validate_triangulation`` is the check ``tropcay.triangulation`` used
+before ``FlipEngine.check_triangulation`` read circuit signs: besides the
+volume sum and the facet count, it asks of every pair of cells whether
+a strict LP finds a hyperplane through their common face separating the
+rest of the two cells.  Being a triangulation is a yes/no question, so
+the library's verdicts must agree with it exactly.
 """
 
 from __future__ import annotations
@@ -34,7 +41,15 @@ from tropcay.exactarith import (
     kernel_vector_int,
     solve_rational,
 )
-from tropcay.geometry import PointConfiguration, Subdivision, WeightVector, affine_reduce
+from tropcay.geometry import (
+    PointConfiguration,
+    Subdivision,
+    WeightVector,
+    affine_reduce,
+    normalized_volume,
+)
+from tropcay.lp import strict_homogeneous_feasible
+from tropcay.triangulation import Triangulation, flip_engine
 
 
 def solve_general(a_rows, b_col) -> list[Fraction] | None:
@@ -411,3 +426,52 @@ def strict_lp_feasible(a, b) -> list[Fraction] | None:
     if res.status != "optimal" or res.value <= 0:
         return None
     return [res.x[j] - res.x[n + j] for j in range(n)]
+
+
+def validate_triangulation(t: Triangulation) -> bool:
+    """Exact validity check: volumes sum to the polytope volume, every cell
+    is full-dimensional, facets are shared by at most two cells, and any
+    two cells meet in a common face.
+    """
+    engine = flip_engine(t.configuration)
+    masks = engine.to_masks(t.cells)
+    if len(set(masks)) != len(masks):
+        return False
+    if any(engine.volume(m) == 0 for m in masks):
+        return False
+    if sum(engine.volume(m) for m in masks) != normalized_volume(t.configuration):
+        return False
+    try:
+        engine.walls(masks)
+    except ValueError:
+        return False
+    pts = engine.points
+    cells = [engine.bits(m) for m in masks]
+    for i in range(len(cells)):
+        for j in range(i + 1, len(cells)):
+            shared = sorted(set(cells[i]) & set(cells[j]))
+            conditions = [pts[f] + (1,) for f in shared]
+            if conditions:
+                basis = nullspace_basis(conditions)
+            else:
+                dim = engine.rank + 1
+                basis = [
+                    tuple(Fraction(1 if k == idx else 0) for k in range(dim))
+                    for idx in range(dim)
+                ]
+            rows = []
+            for v in cells[i]:
+                if v in shared:
+                    continue
+                vec = pts[v] + (1,)
+                rows.append(tuple(-sum(b[k] * vec[k] for k in range(len(vec))) for b in basis))
+            for v in cells[j]:
+                if v in shared:
+                    continue
+                vec = pts[v] + (1,)
+                rows.append(tuple(sum(b[k] * vec[k] for k in range(len(vec))) for b in basis))
+            int_rows = [clear_denominators(r)[0] for r in rows]
+            feasible, _ = strict_homogeneous_feasible(int_rows)
+            if not feasible:
+                return False
+    return True

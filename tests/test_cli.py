@@ -261,6 +261,14 @@ def _drop_term_field(field):
     return edit
 
 
+def _edit_exponent(value):
+    def edit(doc):
+        assert doc["terms"][1]["exp"] == [0, 0, 1]
+        doc["terms"][1]["exp"][2] = value
+        return doc
+    return edit
+
+
 _MALFORMED_POLYNOMIALS = {
     "wrong-format": lambda doc: {**doc, "format": "tropcay/point-configuration/1"},
     "no-degree": lambda doc: {k: v for k, v in doc.items() if k != "degree"},
@@ -268,6 +276,9 @@ _MALFORMED_POLYNOMIALS = {
     "valuation-abc": _edit_term("val", "abc"),
     "valuation-1/0": _edit_term("val", "1/0"),
     "degree-0": lambda doc: {**doc, "degree": 0},
+    "degree-2.5": lambda doc: {**doc, "degree": 2.5},
+    "exponent-1.5": _edit_exponent(1.5),
+    "exponent-true": _edit_exponent(True),
     "list-not-object": lambda doc: [doc],
 }
 
@@ -307,6 +318,27 @@ def test_enumerate_config_point_of_wrong_dimension_exit_64(tmp_path, capsys):
     }))
     code, _, err = run(capsys, "enumerate", "--config", str(cfg), "--limit", "2")
     _assert_usage_error(code, err)
+
+
+# Square configurations that int() would read as the unit square.
+_NON_INTEGER_CONFIGS = {
+    "coordinate-1.5": {"ambient_dim": 2, "points": [[0, 0], [1.5, 0], [0, 1], [1, 1]]},
+    "coordinate-true": {"ambient_dim": 2, "points": [[0, 0], [1, 0], [0, 1], [True, 1]]},
+    "ambient-dim-2.0": {"ambient_dim": 2.0, "points": [[0, 0], [1, 0], [0, 1], [1, 1]]},
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NON_INTEGER_CONFIGS))
+def test_enumerate_config_non_integer_exit_64(tmp_path, capsys, case):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({
+        "format": "tropcay/point-configuration/1",
+        "labels": ["A", "B", "C", "D"],
+        **_NON_INTEGER_CONFIGS[case],
+    }))
+    code, out, err = run(capsys, "enumerate", "--config", str(cfg))
+    _assert_usage_error(code, err)
+    assert out == ""
 
 
 # "{dir}" is a scratch directory holding a 3D2 configuration "3d2.json"
@@ -477,6 +509,27 @@ def test_enumerate_resume_wrong_config_exit_5(tmp_path, capsys):
     assert "mismatch" in err
 
 
+@pytest.mark.parametrize("option", [
+    ["--group", "trivial"], ["--unimodular"], ["--full"], ["--placing-order", "9,8,7,6,5,4,3,2,1,0"],
+], ids=lambda option: option[0])
+def test_enumerate_resume_refuses_run_options_exit_64(tmp_path, capsys, option):
+    # The checkpoint fixes the group, filters and seed; resuming must not
+    # silently drop an option that would change them.
+    cfg_path = tmp_path / "3d2.json"
+    run(capsys, "config", "simplex", "--dim", "2", "--dilation", "3", "--out", str(cfg_path))
+    ckpt = tmp_path / "run.ckpt"
+    run(
+        capsys, "enumerate", "--config", str(cfg_path), "--group", "s3", "--unimodular",
+        "--checkpoint", str(ckpt), "--limit", "5", "--out", str(tmp_path / "first.jsonl"),
+    )
+    before = ckpt.read_bytes()
+    code, out, err = run(capsys, "enumerate", "--resume", "--checkpoint", str(ckpt), *option)
+    _assert_usage_error(code, err)
+    assert option[0] in err
+    assert out == ""
+    assert ckpt.read_bytes() == before
+
+
 @pytest.mark.parametrize("first_jobs, resume_jobs", [(2, 1), (1, 2)])
 def test_enumerate_halt_and_resume_across_job_counts(tmp_path, capsys, first_jobs, resume_jobs):
     cfg_path = tmp_path / "3d2.json"
@@ -630,14 +683,25 @@ def test_classify_reports_malformed_lines_and_continues(tmp_path, capsys):
     assert sum(c["members"] for c in doc["classes"]) == 2
 
 
-# On 3*Delta_2: one unit triangle (volume 1 of 9), and nine unit triangles
-# of total volume 9 of which three share the edge AB.
+# A unimodular triangulation of 3*Delta_2 (points in graded-lex order).
+_3D2_CELLS = [
+    [0, 1, 2], [1, 2, 4], [2, 4, 5], [1, 3, 4], [5, 8, 9], [4, 7, 8], [3, 6, 7], [4, 5, 8], [3, 4, 7],
+]
+
+# On 3*Delta_2: one unit triangle (volume 1 of 9); nine unit triangles of
+# total volume 9 of which three share the edge AB; the triangulation above
+# with the square ABCE's diagonal pair ABC, BCE replaced by ABC, ACE, which
+# lie on one side of AC; and the triangulation above with an index that
+# int() would truncate or read from a boolean.
 _NOT_TRIANGULATIONS = {
     "partial-cover": {"cells": [[0, 1, 2]]},
     "facet-in-three-cells": {"cells": [
         [0, 1, 2], [0, 1, 4], [0, 1, 7], [2, 4, 5], [4, 5, 8],
         [5, 8, 9], [3, 6, 7], [3, 4, 7], [4, 7, 8],
     ]},
+    "overlapping-cells": {"cells": [[0, 1, 2], [0, 2, 4]] + _3D2_CELLS[2:]},
+    "index-2.6": {"cells": [[0, 1, 2.6]] + _3D2_CELLS[1:]},
+    "index-true": {"cells": [[0, True, 2]] + _3D2_CELLS[1:]},
 }
 
 

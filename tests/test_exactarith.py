@@ -16,7 +16,6 @@ from tropcay.exactarith import (
     format_rational,
     kernel_vector_int,
     lattice_row_basis,
-    nullspace_basis,
     parse_rational,
     rank_int,
     solve_rational,
@@ -174,10 +173,8 @@ def test_solve_rational_matches_oracle_on_square_input(system):
 
 @_PROPERTY
 @given(matrices())
-def test_nullspace_basis_and_rank_match_oracle(rows):
-    expected = oracles.nullspace_basis(rows)
-    assert nullspace_basis(rows) == expected
-    assert rank_int(rows) == len(rows[0]) - len(expected)
+def test_rank_matches_oracle(rows):
+    assert rank_int(rows) == len(rows[0]) - len(oracles.nullspace_basis(rows))
 
 
 @_PROPERTY

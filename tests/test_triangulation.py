@@ -179,7 +179,7 @@ def test_flip_insertion_and_removal_of_interior_point():
 def test_flips_neighbors_are_valid_and_involutive():
     t = placing_triangulation(cubic_polygon())
     for flip, nb in flips(t):
-        assert validate_triangulation(nb, pairwise=False)
+        assert validate_triangulation(nb)
         back = [t2 for g, t2 in flips(nb) if g == flip.reversed()]
         assert len(back) == 1 and back[0].cells == t.cells
 
@@ -431,3 +431,60 @@ def test_validate_rejects_incomplete_cover():
     t = placing_triangulation(cfg)
     partial = Triangulation.make(cfg, t.cells[:-1])
     assert not validate_triangulation(partial)
+
+
+_VALIDATED = {
+    "square": square_config(),
+    "3D2": cubic_polygon(),
+    "C(1D3,1D3)": _WALKED["C(1D3,1D3)"],
+    "nested": nested_triangles()[0],
+}
+
+
+def _simplices(engine):
+    """Every full-dimensional simplex of the engine's configuration."""
+    return [
+        c for c in combinations(range(engine.n), engine.cell_size)
+        if engine.volume(engine.mask_of(c))
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(_VALIDATED)), st.sampled_from(["walk", "volume", "circuit"]), st.data())
+def test_validate_matches_pairwise_oracle(name, kind, data):
+    # Three kinds of cell sets: a flip walk's end with up to three cells
+    # replaced, dropped or added; random simplices whose volumes sum to the
+    # total; and both triangulations of one circuit together, which cover
+    # its hull twice and share every facet (the case only the
+    # opposite-side test rejects).
+    cfg = _VALIDATED[name]
+    engine = flip_engine(cfg)
+    simplices = _simplices(engine)
+    cells = []
+    if kind == "walk":
+        masks = engine.to_masks(placing_triangulation(cfg).cells)
+        for _ in range(data.draw(st.integers(0, 8))):
+            nbrs = engine.neighbors(masks)
+            if not nbrs:
+                break
+            masks = nbrs[data.draw(st.integers(0, len(nbrs) - 1))][1]
+        cells = list(engine.to_cells(masks))
+        for _ in range(data.draw(st.integers(0, 3))):
+            action = data.draw(st.sampled_from(["replace", "drop", "add"]))
+            if action != "add" and cells:
+                cells.pop(data.draw(st.integers(0, len(cells) - 1)))
+            if action != "drop":
+                cells.append(data.draw(st.sampled_from(simplices)))
+    elif kind == "volume":
+        remaining = engine.total_volume
+        while remaining:
+            fits = [c for c in simplices if engine.volume(engine.mask_of(c)) <= remaining]
+            cells.append(data.draw(st.sampled_from(fits)))
+            remaining -= engine.volume(engine.mask_of(cells[-1]))
+    else:
+        cell = engine.mask_of(data.draw(st.sampled_from(simplices)))
+        p = data.draw(st.sampled_from([q for q in range(engine.n) if not (cell >> q) & 1]))
+        row = engine.circuit(cell, p)
+        cells = [engine.bits((cell | 1 << p) & ~(1 << i)) for i, c in enumerate(row) if c]
+    t = Triangulation.make(cfg, cells)
+    assert validate_triangulation(t) == oracles.validate_triangulation(t)
