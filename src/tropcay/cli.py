@@ -44,7 +44,7 @@ from .formats import (
 )
 from .geometry import cayley_config, simplex_lattice_points
 from .graphs import CENSUS_CONVENTIONS, ClassTable, census
-from .triangulation import Triangulation, builtin_symmetry, flip_engine
+from .triangulation import SYMMETRY_PRESETS, Triangulation, builtin_symmetry
 from .tropical import ValuedPolynomial, dual_curve_planar, mixed_subdivision, dual_curve_3d, tropicalize_pair
 
 EXIT_OK = 0
@@ -53,14 +53,6 @@ EXIT_NONUNIMODULAR = 3
 EXIT_IO = 4
 EXIT_CHECKPOINT = 5
 EXIT_USAGE = 64
-
-_GROUP_PRESETS = {
-    "trivial": "trivial",
-    "s3": "simplex-3d2",
-    "simplex-3d2": "simplex-3d2",
-    "s4xz2": "cayley-2d3-2d3",
-    "cayley-2d3-2d3": "cayley-2d3-2d3",
-}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -93,7 +85,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("enumerate", help="stream triangulation class representatives as JSONL")
     p.add_argument("--config", default=None, help="point configuration JSON file")
-    p.add_argument("--group", default=None, choices=sorted(_GROUP_PRESETS),
+    p.add_argument("--group", default=None, choices=SYMMETRY_PRESETS,
                    help="symmetry group preset (default: trivial)")
     p.add_argument("--unimodular", action="store_true", help="emit only unimodular classes")
     p.add_argument("--full", action="store_true", help="emit only full classes")
@@ -203,7 +195,7 @@ def cmd_enumerate(args) -> int:
             sys.stderr.write("error: --config is required unless resuming\n")
             return EXIT_USAGE
         config = config_from_dict(load_json(args.config))
-        group = builtin_symmetry(_GROUP_PRESETS[args.group or "trivial"], config)
+        group = builtin_symmetry(args.group or "trivial", config)
         filters = EnumerationFilters(
             require_unimodular=args.unimodular, require_full=args.full
         )
@@ -251,8 +243,6 @@ def cmd_enumerate(args) -> int:
 
 def _curve_for(config, cells):
     t = Triangulation.make(config, cells)
-    engine = flip_engine(config)
-    engine.check_triangulation(engine.to_masks(t.cells))
     if config.is_cayley:
         return dual_curve_3d(mixed_subdivision(t))
     return dual_curve_planar(t)

@@ -72,10 +72,16 @@ def config_to_dict(config: PointConfiguration) -> dict:
 def config_from_dict(doc: dict) -> PointConfiguration:
     with _reading(doc, FORMAT_POINTS, "point configuration"):
         cayley = doc.get("cayley_sizes")
+        labels = doc["labels"]
+        # Labels must parse back from cell text (``text_to_cells``).
+        if not isinstance(labels, list) or not all(
+            isinstance(label, str) and _LABEL_RE.fullmatch(label) for label in labels
+        ):
+            raise ValueError(f"labels must be a list of one letter and digits each, not {labels!r}")
         return PointConfiguration(
             _integer(doc["ambient_dim"]),
             tuple(tuple(_integer(x) for x in p) for p in doc["points"]),
-            tuple(doc["labels"]),
+            tuple(labels),
             tuple(_integer(x) for x in cayley) if cayley else None,
         )
 

@@ -16,7 +16,8 @@ that ``neighbors`` tries, and together they are the local regularity
 rows.  Circuit signs also decide whether a set of cells is a
 triangulation at all (``FlipEngine.check_triangulation``): the two cells
 of every shared facet must lie on opposite sides of it, and no point may
-lie beyond an unshared one.
+lie beyond an unshared one.  ``Triangulation.make`` runs that check once
+on cells from outside; cells the engine builds skip it.
 
 Regularity is decided exactly.  Two equivalent strict systems are
 available: the reference formulation with one inequality per (cell,
@@ -49,32 +50,29 @@ from .lp import strict_homogeneous_feasible
 
 @dataclass(frozen=True)
 class Triangulation:
-    """A set of maximal simplex cells (sorted index tuples) over a configuration."""
+    """A set of maximal simplex cells (sorted index tuples) over a configuration.
+
+    Cells from outside go through ``make``.  The constructor checks nothing;
+    the library calls it only with sorted cells it built as a triangulation.
+    """
 
     configuration: PointConfiguration
     cells: tuple[tuple[int, ...], ...]
 
     @classmethod
     def make(cls, configuration: PointConfiguration, cells) -> "Triangulation":
-        normalized = tuple(sorted(tuple(sorted(c)) for c in cells))
-        return cls(configuration, normalized)
-
-    def __post_init__(self):
-        n = len(self.configuration.points)
-        want = self.configuration.affine_dim() + 1
-        for cell in self.cells:
-            if len(set(cell)) != len(cell):
-                raise ValueError(f"cell {cell} repeats a point")
-            if any(i < 0 or i >= n for i in cell):
-                raise ValueError(f"cell {cell} refers to a missing point")
-            if len(cell) != want:
-                raise ValueError(
-                    f"cell {cell} has {len(cell)} points, expected {want} for a simplex"
-                )
-        engine = flip_engine(self.configuration)
-        for cell in self.cells:
-            if engine.volume(engine.mask_of(cell)) == 0:
-                raise ValueError(f"cell {cell} is affinely dependent")
+        """Sort the cells and raise ``ValueError`` unless they triangulate
+        the configuration (``FlipEngine.check_triangulation``)."""
+        cells = tuple(sorted(tuple(sorted(c)) for c in cells))
+        engine = flip_engine(configuration)
+        # Checked before cells become bitmasks, which merge a repeated point.
+        for cell in cells:
+            if len(cell) != engine.cell_size or len(set(cell)) != len(cell) or not all(
+                0 <= i < engine.n for i in cell
+            ):
+                raise ValueError(f"cell {cell} is not {engine.cell_size} distinct point indices")
+        engine.check_triangulation(engine.to_masks(cells))
+        return cls(configuration, cells)
 
     def used_points(self) -> tuple[int, ...]:
         used = set()
@@ -145,7 +143,7 @@ class FlipEngine:
         return tuple(sorted(self.bits(m) for m in masks))
 
     def triangulation(self, masks) -> Triangulation:
-        return Triangulation.make(self.config, self.to_cells(masks))
+        return Triangulation(self.config, self.to_cells(masks))
 
     # -- exact geometry caches ----------------------------------------
 
@@ -406,7 +404,7 @@ def placing_triangulation(config: PointConfiguration, order=None) -> Triangulati
     cells = placing_cells(reduced.points, order)
     if cells is None:
         raise DegenerateConfigurationError("configuration has no affine extent")
-    return Triangulation.make(config, cells)
+    return Triangulation(config, tuple(cells))
 
 
 def flips(t: Triangulation):
@@ -513,7 +511,7 @@ def certify_affine_action(config: PointConfiguration, perm) -> tuple:
 
 
 def apply_symmetry(t: Triangulation, perm) -> Triangulation:
-    """Relabel every cell through a group element."""
+    """Relabel every cell through a point permutation, checked by ``make``."""
     return Triangulation.make(
         t.configuration, [tuple(perm[i] for i in cell) for cell in t.cells]
     )
@@ -532,12 +530,15 @@ def orbit_canonical_rep(t: Triangulation, grp: SymmetryGroup) -> Triangulation:
     return engine.triangulation(context.canonical(masks))
 
 
+SYMMETRY_PRESETS = ("cayley-2d3-2d3", "s3", "s4xz2", "simplex-3d2", "trivial")
+
+
 def builtin_symmetry(kind: str, config: PointConfiguration) -> SymmetryGroup:
     """Preset symmetry groups, validated against the given configuration.
 
-    Kinds: ``trivial``; ``simplex-3d2`` (S3 on the cubic polygon, order 6);
-    ``cayley-2d3-2d3`` (S4 x Z2 on the quadric Cayley configuration,
-    order 48).
+    Kinds (``SYMMETRY_PRESETS``): ``trivial``; ``simplex-3d2`` or ``s3``
+    (S3 on the cubic polygon, order 6); ``cayley-2d3-2d3`` or ``s4xz2``
+    (S4 x Z2 on the quadric Cayley configuration, order 48).
     """
     n = len(config.points)
     if kind == "trivial":

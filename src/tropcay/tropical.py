@@ -290,7 +290,7 @@ def tropicalize_pair(f1: ValuedPolynomial, f2: ValuedPolynomial) -> CurveReport:
     for cell in sub.cells:
         if len(cell) != want:
             raise DegenerateSubdivisionError(cell)
-    t = Triangulation.make(config, sub.cells)
+    t = Triangulation(config, sub.cells)
     for cell in t.cells:
         vol = normalized_volume(config, cell)
         if vol != 1:

@@ -320,6 +320,30 @@ def test_enumerate_config_point_of_wrong_dimension_exit_64(tmp_path, capsys):
     _assert_usage_error(code, err)
 
 
+# Unit-square labels that cell text cannot name: text_to_cells reads one
+# letter and digits per point.
+_BAD_LABELS = {
+    "integer": [0, 1, 2, 3],
+    "two-letters": ["A", "B", "AB", "C"],
+    "digit-first": ["A", "B", "1x", "C"],
+    "string-not-list": "ABCD",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_LABELS))
+def test_enumerate_config_bad_labels_exit_64(tmp_path, capsys, case):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({
+        "format": "tropcay/point-configuration/1",
+        "ambient_dim": 2,
+        "points": [[0, 0], [1, 0], [0, 1], [1, 1]],
+        "labels": _BAD_LABELS[case],
+    }))
+    code, out, err = run(capsys, "enumerate", "--config", str(cfg))
+    _assert_usage_error(code, err)
+    assert out == ""
+
+
 # Square configurations that int() would read as the unit square.
 _NON_INTEGER_CONFIGS = {
     "coordinate-1.5": {"ambient_dim": 2, "points": [[0, 0], [1.5, 0], [0, 1], [1, 1]]},
@@ -702,6 +726,13 @@ _NOT_TRIANGULATIONS = {
     "overlapping-cells": {"cells": [[0, 1, 2], [0, 2, 4]] + _3D2_CELLS[2:]},
     "index-2.6": {"cells": [[0, 1, 2.6]] + _3D2_CELLS[1:]},
     "index-true": {"cells": [[0, True, 2]] + _3D2_CELLS[1:]},
+    "index-out-of-range": {"cells": [[0, 1, 10]] + _3D2_CELLS[1:]},
+    "index-negative": {"cells": [[-1, 0, 1]] + _3D2_CELLS[1:]},
+    "repeated-point": {"cells": [[0, 0, 2]] + _3D2_CELLS[1:]},
+    # As a bitmask this cell is ABC, which would complete the triangulation.
+    "repeated-point-in-oversize-cell": {"cells": [[0, 0, 1, 2]] + _3D2_CELLS[1:]},
+    "four-point-cell": {"cells": [[0, 1, 2, 4]] + _3D2_CELLS[2:]},
+    "collinear-cell": {"cells": [[0, 1, 3]] + _3D2_CELLS[1:]},
 }
 
 

@@ -1,18 +1,20 @@
 import hashlib
 import json
 import os
+from itertools import islice
 
 import pytest
 
 from test_triangulation import nested_triangles
 from tropcay.errors import CheckpointMismatchError
 from tropcay.formats import cells_to_text
-from tropcay.geometry import PointConfiguration, simplex_lattice_points
+from tropcay.geometry import PointConfiguration, cayley_config, simplex_lattice_points
 from tropcay.triangulation import (
     apply_symmetry,
     builtin_symmetry,
     is_regular,
     is_unimodular,
+    validate_triangulation,
 )
 from tropcay.enumeration import (
     EnumerationFilters,
@@ -268,6 +270,14 @@ _PINNED_RUNS = {
 def test_complete_run_emissions_pinned(name):
     make_config, kind, count, digest = _PINNED_RUNS[name]
     cfg = make_config()
-    texts = sorted(cells_to_text(cfg, t.cells) for t in enumerate_triangulations(cfg, builtin_symmetry(kind, cfg)))
+    emitted = list(enumerate_triangulations(cfg, builtin_symmetry(kind, cfg)))
+    assert all(validate_triangulation(t) for t in emitted)
+    texts = sorted(cells_to_text(cfg, t.cells) for t in emitted)
     assert len(texts) == count
     assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == digest
+
+
+def test_quadric_emissions_are_triangulations():
+    cfg = cayley_config(simplex_lattice_points(3, 2), simplex_lattice_points(3, 2))
+    emitted = islice(enumerate_triangulations(cfg, builtin_symmetry("s4xz2", cfg)), 300)
+    assert all(validate_triangulation(t) for t in emitted)

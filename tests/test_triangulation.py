@@ -138,6 +138,21 @@ def test_placing_cayley_volume_conservation():
     assert validate_triangulation(t)
 
 
+_PLACED = {
+    "3D2": cubic_polygon(),
+    "C(1D3,1D3)": cayley_config(simplex_lattice_points(3, 1), simplex_lattice_points(3, 1)),
+    "C(2D3,2D3)": cayley_config(simplex_lattice_points(3, 2), simplex_lattice_points(3, 2)),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(_PLACED)), st.data())
+def test_placing_any_order_is_a_triangulation(name, data):
+    cfg = _PLACED[name]
+    order = data.draw(st.permutations(range(len(cfg))))
+    assert validate_triangulation(placing_triangulation(cfg, order))
+
+
 def test_placing_respects_order_override():
     cfg = square_config()
     t1 = placing_triangulation(cfg, order=[0, 1, 2, 3])
@@ -287,6 +302,8 @@ def test_builtin_symmetry_orders():
     assert len(builtin_symmetry("cayley-2d3-2d3", cfg22)) == 48
     assert len(builtin_symmetry("simplex-3d2", cubic_polygon())) == 6
     assert len(builtin_symmetry("trivial", square_config())) == 1
+    assert builtin_symmetry("s4xz2", cfg22) == builtin_symmetry("cayley-2d3-2d3", cfg22)
+    assert builtin_symmetry("s3", cubic_polygon()) == builtin_symmetry("simplex-3d2", cubic_polygon())
 
 
 def test_builtin_symmetry_rejects_wrong_configuration():
@@ -422,15 +439,34 @@ def test_symmetry_group_stores_certificates():
 
 def test_validate_rejects_overlapping_cells():
     cfg = square_config()
-    bad = Triangulation.make(cfg, [(0, 1, 2), (0, 1, 3)])
+    bad = Triangulation(cfg, ((0, 1, 2), (0, 1, 3)))
     assert not validate_triangulation(bad)
 
 
 def test_validate_rejects_incomplete_cover():
     cfg = cubic_polygon()
     t = placing_triangulation(cfg)
-    partial = Triangulation.make(cfg, t.cells[:-1])
+    partial = Triangulation(cfg, t.cells[:-1])
     assert not validate_triangulation(partial)
+
+
+# Cell sets of full-dimensional simplices that are not triangulations.
+_NOT_TRIANGULATIONS = {
+    "overlapping-cells": (square_config(), [(0, 1, 2), (0, 1, 3)]),
+    "partial-cover": (cubic_polygon(), placing_triangulation(cubic_polygon()).cells[:-1]),
+    # Nine unit triangles of 3*Delta_2 (total volume 9); three share edge AB.
+    "facet-in-three-cells": (cubic_polygon(), [
+        (0, 1, 2), (0, 1, 4), (0, 1, 7), (2, 4, 5), (4, 5, 8),
+        (5, 8, 9), (3, 6, 7), (3, 4, 7), (4, 7, 8),
+    ]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NOT_TRIANGULATIONS))
+def test_make_rejects_cells_that_are_not_a_triangulation(case):
+    cfg, cells = _NOT_TRIANGULATIONS[case]
+    with pytest.raises(ValueError):
+        Triangulation.make(cfg, cells)
 
 
 _VALIDATED = {
@@ -486,5 +522,11 @@ def test_validate_matches_pairwise_oracle(name, kind, data):
         p = data.draw(st.sampled_from([q for q in range(engine.n) if not (cell >> q) & 1]))
         row = engine.circuit(cell, p)
         cells = [engine.bits((cell | 1 << p) & ~(1 << i)) for i, c in enumerate(row) if c]
-    t = Triangulation.make(cfg, cells)
-    assert validate_triangulation(t) == oracles.validate_triangulation(t)
+    t = Triangulation(cfg, tuple(cells))
+    valid = oracles.validate_triangulation(t)
+    assert validate_triangulation(t) == valid
+    if valid:
+        assert Triangulation.make(cfg, cells).cells == tuple(sorted(cells))
+    else:
+        with pytest.raises(ValueError):
+            Triangulation.make(cfg, cells)

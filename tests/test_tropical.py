@@ -20,17 +20,26 @@ from tropcay.tropical import (
     mixed_subdivision,
     tropicalize_pair,
 )
-from tropcay.triangulation import placing_triangulation
+from tropcay.triangulation import placing_triangulation, validate_triangulation
+
+
+_PAIRS = resources.files("tropcay.data") / "pairs"
+_PAIR_NAMES = sorted(p.name[: -len("_f1.json")] for p in _PAIRS.iterdir() if p.name.endswith("_f1.json"))
 
 
 def load_pair(name):
-    pkg = resources.files("tropcay.data") / "pairs"
     out = []
     for idx in (1, 2):
-        doc = json.loads((pkg / f"{name}_f{idx}.json").read_text())
+        doc = json.loads((_PAIRS / f"{name}_f{idx}.json").read_text())
         degree, terms = polynomial_terms_from_dict(doc)
         out.append(ValuedPolynomial.make(degree, terms))
     return out
+
+
+def test_bundled_pair_triangulations_are_triangulations():
+    assert len(_PAIR_NAMES) == 16
+    for name in _PAIR_NAMES:
+        assert validate_triangulation(tropicalize_pair(*load_pair(name)).triangulation), name
 
 
 def test_valued_polynomial_requires_full_support():
