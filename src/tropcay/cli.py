@@ -3,11 +3,15 @@
 Subcommands: ``config`` (build point configurations), ``tropicalize``
 (polynomial pair to curve report), ``enumerate`` (stream triangulation
 representatives with checkpointing), ``classify`` (isomorphism classes +
-atlas), ``census`` (abstract graph counts).
+atlas of the curves of the unimodular triangulations in a stream; other
+lines are skipped with a note; ``--jobs N`` classifies N shares of the
+lines into their own tables and joins them with ``ClassTable.merge``),
+``census`` (abstract graph counts).
 
 Exit codes: 0 success, 2 degenerate subdivision, 3 non-unimodular
-triangulation, 4 I/O error, 5 checkpoint mismatch, 64 usage error or
-malformed input (one line on stderr, never a traceback).
+triangulation, 4 I/O error (also a file that is not UTF-8 or not JSON),
+5 checkpoint mismatch, 64 usage error or malformed input (one line on
+stderr, never a traceback).
 Progress and telemetry go to stderr; standard output carries data.
 """
 
@@ -19,6 +23,7 @@ import os
 import signal
 import sys
 import time
+from functools import partial, reduce
 
 from .enumeration import EnumerationFilters, Enumerator, load_checkpoint
 from .errors import (
@@ -40,11 +45,12 @@ from .formats import (
     polynomial_terms_from_dict,
     report_to_dict,
     save_json,
+    text_to_cells,
     triangulation_line,
 )
 from .geometry import cayley_config, simplex_lattice_points
 from .graphs import CENSUS_CONVENTIONS, ClassTable, census
-from .triangulation import SYMMETRY_PRESETS, Triangulation, builtin_symmetry
+from .triangulation import SYMMETRY_PRESETS, Triangulation, builtin_symmetry, is_unimodular
 from .tropical import ValuedPolynomial, dual_curve_planar, mixed_subdivision, dual_curve_3d, tropicalize_pair
 
 EXIT_OK = 0
@@ -241,24 +247,21 @@ def cmd_enumerate(args) -> int:
     return EXIT_OK
 
 
-def _curve_for(config, cells):
-    t = Triangulation.make(config, cells)
-    if config.is_cayley:
-        return dual_curve_3d(mixed_subdivision(t))
-    return dual_curve_planar(t)
-
-
-def _classify_lines(config, lines):
-    graphs = []
+def _classify_share(config, use_colors, lines) -> ClassTable:
+    """Classify one share of (line number, line) pairs into its own table,
+    skipping each line that is not a unimodular triangulation."""
+    table = ClassTable(use_colors=use_colors)
     for lineno, line in lines:
         try:
-            cells = parse_triangulation_line(config, line)
-            graph = _curve_for(config, cells)
+            t = Triangulation.make(config, parse_triangulation_line(config, line))
+            if not is_unimodular(t):  # reads the cell volumes make just cached
+                raise ValueError("not unimodular")
+            graph = dual_curve_3d(mixed_subdivision(t)) if config.is_cayley else dual_curve_planar(t)
         except Exception as err:  # report and continue
             sys.stderr.write(f"line {lineno}: skipped ({err})\n")
             continue
-        graphs.append((graph, cells_to_text(config, cells)))
-    return graphs
+        table.add(graph, cells_to_text(config, t.cells))
+    return table
 
 
 def cmd_classify(args) -> int:
@@ -266,26 +269,18 @@ def cmd_classify(args) -> int:
         raise InputError(f"--jobs must be at least 1, not {args.jobs}")
     config = config_from_dict(load_json(args.config))
     with open(args.input, "r", encoding="utf-8") as fh:
-        lines = [
-            (i + 1, line)
-            for i, line in enumerate(fh)
-            if line.strip()
-        ]
-    if args.jobs > 1 and len(lines) > 1:
+        lines = [(i + 1, line) for i, line in enumerate(fh) if line.strip()]
+    shares = [lines[i :: args.jobs] for i in range(args.jobs)]
+    classify_share = partial(_classify_share, config, args.use_colors)
+    if args.jobs == 1:
+        tables = list(map(classify_share, shares))
+    else:
+        # imported on demand: multiprocessing adds ~2 MiB to every process loading this module
         from concurrent.futures import ProcessPoolExecutor
 
-        chunks = [lines[i :: args.jobs] for i in range(args.jobs)]
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = pool.map(_classify_chunk, [(config_to_dict(config), c) for c in chunks])
-        graphs = [g for part in results for g in part]
-    else:
-        graphs = _classify_lines(config, lines)
-
-    table = ClassTable(use_colors=args.use_colors)
-    for graph, provenance in graphs:
-        table.add(graph, provenance)
-
-    from .formats import text_to_cells
+            tables = list(pool.map(classify_share, shares))
+    table = reduce(ClassTable.merge, tables)
 
     entries_with_cells = [
         (entry, text_to_cells(config, entry.provenance)) for entry in table.entries()
@@ -302,11 +297,6 @@ def cmd_classify(args) -> int:
             fh.write(graph_to_dot(graph, name=f"curve_class_{class_id}"))
     sys.stderr.write(f"classified {table.total} inputs into {table.class_count()} classes\n")
     return EXIT_OK
-
-
-def _classify_chunk(payload):
-    config_doc, lines = payload
-    return _classify_lines(config_from_dict(config_doc), lines)
 
 
 def cmd_census(args) -> int:
@@ -338,7 +328,7 @@ def main(argv=None) -> int:
     except InputError as err:
         sys.stderr.write(f"bad input: {err}\n")
         return EXIT_USAGE
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         sys.stderr.write(f"i/o error: {err}\n")
         return EXIT_IO
     except json.JSONDecodeError as err:

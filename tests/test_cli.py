@@ -19,9 +19,9 @@ from tropcay.cli import (
     main,
 )
 from tropcay.enumeration import Enumerator, _digest
-from tropcay.formats import config_from_dict, load_json
+from tropcay.formats import config_from_dict, load_json, parse_triangulation_line
 from tropcay.geometry import simplex_lattice_points
-from tropcay.triangulation import builtin_symmetry
+from tropcay.triangulation import Triangulation, builtin_symmetry, is_unimodular
 
 
 def data_pair(name):
@@ -752,21 +752,108 @@ def test_classify_skips_lines_that_are_not_triangulations(tmp_path, capsys, case
     assert "classified 1 inputs into 1 classes" in err
 
 
-def test_classify_jobs_parallel_matches_serial(tmp_path, capsys):
-    cfg_path = tmp_path / "3d2.json"
-    run(capsys, "config", "simplex", "--dim", "2", "--dilation", "3", "--out", str(cfg_path))
+def _tree(path):
+    """Every file under ``path`` by relative name, with its bytes."""
+    return {p.relative_to(path).as_posix(): p.read_bytes() for p in sorted(path.rglob("*")) if p.is_file()}
+
+
+def _classified_line(err):
+    return [line for line in err.splitlines() if line.startswith("classified ")]
+
+
+def _stream(tmp_path, capsys, config, *options):
+    """Write a configuration ("3d2" or "quadric") and an enumerated stream
+    of it; return both paths."""
+    cfg_path = tmp_path / f"{config}.json"
+    if config == "3d2":
+        run(capsys, "config", "simplex", "--dim", "2", "--dilation", "3", "--out", str(cfg_path))
+    else:
+        run(capsys, "config", "cayley", "--d", "2", "--e", "2", "--out", str(cfg_path))
     stream = tmp_path / "tris.jsonl"
-    run(
-        capsys, "enumerate", "--config", str(cfg_path), "--group", "s3",
-        "--unimodular", "--out", str(stream),
-    )
-    serial_dir = tmp_path / "serial"
-    parallel_dir = tmp_path / "parallel"
-    run(capsys, "classify", "--config", str(cfg_path), "--in", str(stream), "--out", str(serial_dir))
-    run(capsys, "classify", "--config", str(cfg_path), "--in", str(stream), "--out", str(parallel_dir), "--jobs", "4")
-    a = load_json(serial_dir / "classes.json")
-    b = load_json(parallel_dir / "classes.json")
-    assert a == b
+    run(capsys, "enumerate", "--config", str(cfg_path), *options, "--out", str(stream))
+    return cfg_path, stream
+
+
+def _with_malformed_lines(stream):
+    lines = stream.read_text().splitlines()
+    bad = ["not json at all", json.dumps(_NOT_TRIANGULATIONS["overlapping-cells"]), "{}"]
+    mixed = [line for i, good in enumerate(lines) for line in ([good, bad[i % 3]] if i % 7 == 0 else [good])]
+    stream.write_text("\n".join(mixed) + "\n")
+
+
+# (configuration, enumerate options, stream edit, classify options); the
+# S3 stream of 3D2 holds 18 unimodular lines of 213, and colors split the
+# classes only on the Cayley configuration.
+_JOBS_CASES = {
+    "3d2-s3-unimodular": ("3d2", ["--group", "s3", "--unimodular"], None, []),
+    "3d2-s3-all-213": ("3d2", ["--group", "s3"], None, []),
+    "3d2-s3-all-213-malformed": ("3d2", ["--group", "s3"], _with_malformed_lines, []),
+    "quadric-100-use-colors": ("quadric", ["--group", "s4xz2", "--limit", "100"], None, ["--use-colors"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_JOBS_CASES))
+def test_classify_jobs_parallel_matches_serial(tmp_path, capsys, case):
+    config, enumerate_options, edit, options = _JOBS_CASES[case]
+    cfg_path, stream = _stream(tmp_path, capsys, config, *enumerate_options)
+    if edit:
+        edit(stream)
+    trees, totals = [], []
+    for jobs in (1, 2, 4):
+        out_dir = tmp_path / f"jobs{jobs}"
+        code, _, err = run(
+            capsys, "classify", "--config", str(cfg_path), "--in", str(stream), "--out", str(out_dir),
+            "--jobs", str(jobs), *options,
+        )
+        assert code == EXIT_OK
+        trees.append(_tree(out_dir))
+        totals.append(_classified_line(err))
+    assert trees[0] and trees[1] == trees[0] and trees[2] == trees[0]
+    assert len(totals[0]) == 1 and totals[1] == totals[0] and totals[2] == totals[0]
+
+
+def test_classify_skips_non_unimodular_cayley_lines(tmp_path, capsys):
+    cfg_path, stream = _stream(tmp_path, capsys, "quadric", "--group", "s4xz2", "--limit", "100")
+    config = config_from_dict(load_json(cfg_path))
+    lines = stream.read_text().splitlines()
+    unimodular = [
+        line for line in lines
+        if is_unimodular(Triangulation.make(config, parse_triangulation_line(config, line)))
+    ]
+    assert 0 < len(unimodular) < len(lines)
+    only = tmp_path / "unimodular.jsonl"
+    only.write_text("".join(line + "\n" for line in unimodular))
+    code, _, err = run(capsys, "classify", "--config", str(cfg_path), "--in", str(stream), "--out", str(tmp_path / "all"))
+    assert code == EXIT_OK
+    skipped = [line for line in err.splitlines() if "skipped" in line]
+    assert len(skipped) == len(lines) - len(unimodular)
+    assert all(line.endswith("skipped (not unimodular)") for line in skipped)
+    code, _, only_err = run(capsys, "classify", "--config", str(cfg_path), "--in", str(only), "--out", str(tmp_path / "only"))
+    assert code == EXIT_OK and "skipped" not in only_err
+    assert _classified_line(err) == _classified_line(only_err)
+    assert _tree(tmp_path / "all") == _tree(tmp_path / "only")
+
+
+# Each command reads one file that starts with a UTF-16 byte order mark,
+# which is not valid UTF-8; "{dir}" also holds a valid 3D2 configuration
+# "3d2.json" and the sample21 pair.
+_UNDECODABLE_INPUTS = {
+    "classify-in": ["classify", "--config", "{dir}/3d2.json", "--in", "{dir}/bad", "--out", "{dir}/out"],
+    "enumerate-config": ["enumerate", "--config", "{dir}/bad"],
+    "tropicalize-polynomial": ["tropicalize", "{f1}", "{dir}/bad", "--out", "{dir}/out"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_UNDECODABLE_INPUTS))
+def test_undecodable_input_file_is_io_error(tmp_path, capsys, case):
+    run(capsys, "config", "simplex", "--dim", "2", "--dilation", "3", "--out", str(tmp_path / "3d2.json"))
+    (tmp_path / "bad").write_bytes(b"\xff\xfe{\x00}\x00\n\x00")
+    f1, _ = data_pair("sample21")
+    argv = [arg.format(dir=tmp_path, f1=f1) for arg in _UNDECODABLE_INPUTS[case]]
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_IO
+    assert out == ""
+    assert err.startswith("i/o error: ") and len(err.splitlines()) == 1
 
 
 def test_classify_empty_input(tmp_path, capsys):
