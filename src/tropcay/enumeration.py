@@ -3,8 +3,9 @@
 Breadth-first search over the bistellar flip graph, starting from the
 placing triangulation.  Connectivity of the flip graph restricted to
 regular triangulations (secondary polytope theory) makes the search
-exhaustive; as a safety net, ``verify_closure`` re-checks at desk scale
-that every regular neighbor of an emitted class was seen.
+exhaustive; the tests re-check at desk scale (``verify_closure`` in
+``tests/oracles.py``) that every regular neighbor of an emitted class was
+seen.
 
 Each discovered triangulation is reduced to its canonical orbit
 representative; a class is regularity-checked exactly once.  Expansion
@@ -400,16 +401,6 @@ def resume(
     emitted, and the union with the pre-halt emissions equals a fresh run."""
     enumerator = load_checkpoint(path, config=config, jobs=jobs, checkpoint_every=checkpoint_every)
     yield from enumerator.run()
-
-
-def verify_closure(enumerator: Enumerator) -> bool:
-    """Desk-scale safety check: after completion, every regular neighbor of
-    every regular class must already be in the visited set."""
-    if not enumerator.complete:
-        raise ValueError("closure check requires a completed enumeration")
-    visited = enumerator.visited
-    regular = [key for key, ok in visited.items() if ok]
-    return all(key in visited for key in enumerator.walk.expand(regular))
 
 
 # -- worker-process side ------------------------------------------------

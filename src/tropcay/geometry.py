@@ -9,9 +9,9 @@ relative to the affine lattice actually spanned by the points.
 One beneath-beyond routine on integer points serves two purposes.  Run in
 the configuration's own dimension it gives placing triangulations
 (``placing_cells``).  Run one dimension up on the points lifted by
-heights it gives the lower hull, whose downward boundary facets are the
-candidates for ``regular_subdivision``; each cell is then certified by
-its own exactly solved facet functional.
+heights it gives the lower hull: each distinct integer functional of a
+downward boundary facet is one cell of ``regular_subdivision``, and every
+point is checked against it.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .exactarith import (
     kernel_vector_int,
     lattice_row_basis,
     parse_rational,
-    solve_rational,
+    solve_rational,  # unused here; perfbench traces ``geometry.solve_rational``
 )
 
 
@@ -370,15 +370,16 @@ def placing_cells(points, order=None):
 def regular_subdivision(config: PointConfiguration, w: WeightVector) -> Subdivision:
     """Regular subdivision induced by lifting heights: project the lower hull.
 
-    A maximal cell is the full set of points lying on a lower-facet
-    functional of the lifted configuration; points lifted strictly above a
-    lower facet are excluded from its cell.  The lifted points ``(p, h)``
-    are placed one dimension up, lowest first, and the boundary facets of
-    that triangulation whose outer normal points down are the candidates.
-    Each new candidate is certified exactly: its affine functional is
-    solved from its vertices, the cell is every point on it, and a point
-    strictly below rejects it.  Affine heights span no extra dimension and
-    give one cell with every point.
+    A maximal cell is the full set of points lying on a lower facet of the
+    lifted configuration; points lifted strictly above a lower facet are
+    excluded from its cell.  The lifted points ``(p, h)`` are placed one
+    dimension up, lowest first.  Every boundary facet whose outward
+    functional points down lies on a lower facet, and coplanar boundary
+    facets share one primitive functional, so each distinct such
+    functional is one cell: the points where it vanishes.  Every point is
+    evaluated against it in integers, and a point strictly beyond it
+    raises ``ArithmeticError``.  Affine heights span no extra dimension
+    and give one cell with every point.
     """
     if len(w) != len(config.points):
         raise ValueError("weight vector length must match the point count")
@@ -396,36 +397,11 @@ def regular_subdivision(config: PointConfiguration, w: WeightVector) -> Subdivis
         return Subdivision(config, (tuple(range(n)),))
     # The chart is every lifted coordinate, so entry ``rank`` of a facet's
     # outward functional is its height coefficient.
-    candidates = sorted(
-        tuple(sorted(f)) for f in hull.boundary if hull.functional(f)[rank] < 0
-    )
-
-    found: list[set[int]] = []
-    cells: set[tuple[int, ...]] = set()
-    for subset in candidates:
-        sset = set(subset)
-        if any(sset <= c for c in found):
-            continue
-        rows = [list(pts[i]) + [1] for i in subset]
-        rhs = [heights[i] for i in subset]
-        sol = solve_rational(rows, rhs)
-        if sol is None:
-            continue  # vertical facet; a downward normal rules it out
-        # Scale the functional to integers: ell(p) = (a.p + c0) / denom
-        (*a, c0), denom = clear_denominators(sol)
-        lower = True
-        eq = []
-        for q in range(n):
-            val = sum(ai * pq for ai, pq in zip(a, pts[q])) + c0
-            hq = heights[q] * denom
-            if val > hq:
-                lower = False
-                break
-            if val == hq:
-                eq.append(q)
-        if lower:
-            cell = tuple(eq)
-            if cell not in cells:
-                cells.add(cell)
-                found.append(set(cell))
+    lower = {func for func in map(hull.functional, hull.boundary) if func[rank] < 0}
+    cells = []
+    for func in lower:
+        values = [hull.evaluate(func, q) for q in range(n)]
+        if max(values) > 0:
+            raise ArithmeticError("a lifted point lies beyond a lower facet of its hull")
+        cells.append(tuple(q for q in range(n) if values[q] == 0))
     return Subdivision(config, tuple(sorted(cells)))

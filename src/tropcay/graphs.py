@@ -191,12 +191,6 @@ class ClassTable:
             ),
         )
 
-    def histogram_by_cycle_length(self) -> dict:
-        hist: dict = {}
-        for e in self.entries():
-            hist[e.cycle_length] = hist.get(e.cycle_length, 0) + 1
-        return hist
-
 
 def classify(stream, use_colors: bool = False) -> ClassTable:
     """Classification of (graph, provenance) pairs by canonical form."""

@@ -32,7 +32,6 @@ table maps each cell mask to its images under every group element.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from .errors import DegenerateConfigurationError, GroupBoundError, InputError
@@ -54,6 +53,9 @@ class Triangulation:
 
     Cells from outside go through ``make``.  The constructor checks nothing;
     the library calls it only with sorted cells it built as a triangulation.
+    ``walls`` maps each interior facet mask to its two cell masks
+    (``FlipEngine.walls``); ``make`` keeps the map its check built, so a
+    checked triangulation scans its facets once.
     """
 
     configuration: PointConfiguration
@@ -71,8 +73,15 @@ class Triangulation:
                 0 <= i < engine.n for i in cell
             ):
                 raise ValueError(f"cell {cell} is not {engine.cell_size} distinct point indices")
-        engine.check_triangulation(engine.to_masks(cells))
-        return cls(configuration, cells)
+        walls = engine.check_triangulation(engine.to_masks(cells))
+        t = cls(configuration, cells)
+        t.__dict__["walls"] = walls  # seeds the cached property; frozen refuses setattr
+        return t
+
+    @cached_property
+    def walls(self) -> dict[int, tuple[int, int]]:
+        engine = flip_engine(self.configuration)
+        return engine.walls(engine.to_masks(self.cells))
 
     def used_points(self) -> tuple[int, ...]:
         used = set()
@@ -209,8 +218,9 @@ class FlipEngine:
         """Normalized volume of the configuration's convex hull."""
         return sum(self.volume(self.mask_of(c)) for c in placing_cells(self.points))
 
-    def check_triangulation(self, masks) -> None:
-        """Raise ``ValueError`` unless the cells triangulate the configuration.
+    def check_triangulation(self, masks) -> dict[int, tuple[int, int]]:
+        """Raise ``ValueError`` unless the cells triangulate the configuration;
+        return their ``walls``.
 
         Distinct full-dimensional simplices form a triangulation iff their
         volumes sum to the total volume, every facet lies in at most two
@@ -230,6 +240,7 @@ class FlipEngine:
             raise ValueError(
                 f"cell volumes sum to {covered}, not the configuration's {self.total_volume}"
             )
+        walls = {}
         for fm, cs in self._facet_cells(masks).items():
             if len(cs) > 2:
                 raise ValueError(f"facet {self.bits(fm)} lies in more than two cells")
@@ -239,8 +250,10 @@ class FlipEngine:
                 b = (cs[1] & ~fm).bit_length() - 1
                 if self.circuit(sigma, b)[a] <= 0:
                     raise ValueError(f"two cells lie on one side of facet {self.bits(fm)}")
+                walls[fm] = (sigma, cs[1])
             elif not self._on_boundary(fm, sigma, a):
                 raise ValueError(f"unshared facet {self.bits(fm)} is not on the boundary")
+        return walls
 
     def _on_boundary(self, facet: int, sigma: int, a: int) -> bool:
         """Whether no point lies strictly beyond ``facet`` seen from apex
@@ -291,15 +304,13 @@ class FlipEngine:
                     rows.add(self.circuit(cm, p))
         return sorted(rows)
 
-    def is_regular(self, masks, mode: str = "global"):
-        """Witness heights inducing exactly this triangulation, or ``None``."""
-        rows = self.regularity_rows(masks, mode)
-        feasible, witness = strict_homogeneous_feasible(rows)
+    def is_regular(self, masks, mode: str = "global") -> tuple[int, ...] | None:
+        """Integer witness heights inducing exactly this triangulation, or
+        ``None``; without rows (one simplex) every height is 0."""
+        feasible, witness = strict_homogeneous_feasible(self.regularity_rows(masks, mode))
         if not feasible:
             return None
-        if not witness:
-            witness = (Fraction(0),) * self.n
-        return WeightVector(tuple(witness))
+        return witness or (0,) * self.n
 
     # -- flips -----------------------------------------------------------
 
@@ -395,7 +406,8 @@ def is_regular(t: Triangulation, mode: str = "global"):
     Both are exact; the local system is smaller and faster.
     """
     engine = flip_engine(t.configuration)
-    return engine.is_regular(engine.to_masks(t.cells), mode=mode)
+    witness = engine.is_regular(engine.to_masks(t.cells), mode=mode)
+    return None if witness is None else WeightVector(witness)
 
 
 def placing_triangulation(config: PointConfiguration, order=None) -> Triangulation:
@@ -420,25 +432,21 @@ def flips(t: Triangulation):
 class SymmetryGroup:
     """Point permutations extending to affine lattice automorphisms.
 
-    ``certificates`` holds, per generator, the exact affine map (integer
-    matrix in reduced coordinates, row-vector convention, and offset) that
-    was solved for during validation.
+    ``from_generators`` checks each generator with ``certify_affine_action``.
     """
 
     configuration: PointConfiguration
     generators: tuple[tuple[int, ...], ...]
     elements: tuple[tuple[int, ...], ...]
-    certificates: tuple[tuple[tuple[tuple[int, ...], ...], tuple[int, ...]], ...] = ()
 
     @classmethod
     def from_generators(cls, config: PointConfiguration, generators, bound: int = 10000):
         gens = tuple(tuple(g) for g in generators)
         n = len(config.points)
-        certificates = []
         for g in gens:
             if sorted(g) != list(range(n)):
                 raise ValueError("generator is not a permutation of the point indices")
-            certificates.append(certify_affine_action(config, g))
+            certify_affine_action(config, g)
         identity = tuple(range(n))
         elements = {identity}
         frontier = [identity]
@@ -453,7 +461,7 @@ class SymmetryGroup:
                         )
                     elements.add(nxt)
                     frontier.append(nxt)
-        return cls(config, gens, tuple(sorted(elements)), tuple(certificates))
+        return cls(config, gens, tuple(sorted(elements)))
 
     def __len__(self) -> int:
         return len(self.elements)

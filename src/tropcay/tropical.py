@@ -157,13 +157,13 @@ def _color_of(cell_type) -> str:
 
 def _wall_graph(t: Triangulation, cells, colors, keep=lambda facet: True) -> CurveGraph:
     """One vertex per cell of ``cells`` (cells of t), one edge per wall of t
-    that ``keep`` accepts (called on the wall's facet mask); rays fill
-    each degree to 3."""
+    (``Triangulation.walls``) that ``keep`` accepts (called on the wall's
+    facet mask); rays fill each degree to 3."""
     engine = flip_engine(t.configuration)
     index = {engine.mask_of(c): i for i, c in enumerate(cells)}
     edges = sorted(
         tuple(sorted((index[sigma], index[tau])))
-        for fm, (sigma, tau) in engine.walls(engine.to_masks(t.cells)).items()
+        for fm, (sigma, tau) in t.walls.items()
         if keep(fm)
     )
     deg = [0] * len(cells)

@@ -27,6 +27,11 @@ volume sum and the facet count, it asks of every pair of cells whether
 a strict LP finds a hyperplane through their common face separating the
 rest of the two cells.  Being a triangulation is a yes/no question, so
 the library's verdicts must agree with it exactly.
+
+``verify_closure`` re-checks a completed enumeration: every regular
+neighbor of every regular class must be in the visited set.
+``histogram_by_cycle_length`` counts a ``ClassTable``'s classes by cycle
+length, the figure the tests compare with the paper.
 """
 
 from __future__ import annotations
@@ -475,3 +480,20 @@ def validate_triangulation(t: Triangulation) -> bool:
             if not feasible:
                 return False
     return True
+
+
+def verify_closure(enumerator) -> bool:
+    """After completion, every regular neighbor of every regular class must
+    already be in the visited set."""
+    if not enumerator.complete:
+        raise ValueError("closure check requires a completed enumeration")
+    visited = enumerator.visited
+    regular = [key for key, ok in visited.items() if ok]
+    return all(key in visited for key in enumerator.walk.expand(regular))
+
+
+def histogram_by_cycle_length(table) -> dict:
+    hist: dict = {}
+    for e in table.entries():
+        hist[e.cycle_length] = hist.get(e.cycle_length, 0) + 1
+    return hist

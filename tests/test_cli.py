@@ -21,7 +21,7 @@ from tropcay.cli import (
 from tropcay.enumeration import Enumerator, _digest
 from tropcay.formats import config_from_dict, load_json, parse_triangulation_line
 from tropcay.geometry import simplex_lattice_points
-from tropcay.triangulation import Triangulation, builtin_symmetry, is_unimodular
+from tropcay.triangulation import FlipEngine, Triangulation, builtin_symmetry, is_unimodular
 
 
 def data_pair(name):
@@ -832,6 +832,23 @@ def test_classify_skips_non_unimodular_cayley_lines(tmp_path, capsys):
     assert code == EXIT_OK and "skipped" not in only_err
     assert _classified_line(err) == _classified_line(only_err)
     assert _tree(tmp_path / "all") == _tree(tmp_path / "only")
+
+
+def test_classify_scans_each_lines_facets_once(tmp_path, capsys, monkeypatch):
+    # The validity check's facet map is also the dual graph's walls.
+    cfg_path, stream = _stream(tmp_path, capsys, "3d2", "--group", "s3", "--unimodular")
+    scans = []
+    facet_cells = FlipEngine._facet_cells
+
+    def counted(engine, masks):
+        scans.append(masks)
+        return facet_cells(engine, masks)
+
+    monkeypatch.setattr(FlipEngine, "_facet_cells", counted)
+    code, _, err = run(capsys, "classify", "--config", str(cfg_path), "--in", str(stream), "--out", str(tmp_path / "out"))
+    assert code == EXIT_OK
+    assert _classified_line(err) == ["classified 18 inputs into 18 classes"]
+    assert len(scans) == 18
 
 
 # Each command reads one file that starts with a UTF-16 byte order mark,

@@ -5,6 +5,7 @@ from itertools import islice
 
 import pytest
 
+from oracles import verify_closure
 from test_triangulation import nested_triangles
 from tropcay.errors import CheckpointMismatchError
 from tropcay.formats import cells_to_text
@@ -23,7 +24,6 @@ from tropcay.enumeration import (
     enumerate_triangulations,
     load_checkpoint,
     resume,
-    verify_closure,
 )
 
 

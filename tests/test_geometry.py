@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from tropcay import geometry
 from tropcay.errors import DegenerateConfigurationError
 from tropcay.geometry import (
     PointConfiguration,
@@ -214,6 +215,18 @@ def test_regular_subdivision_of_segment_with_kink():
     assert sub.cells == ((0, 1), (1, 2))
     sub2 = regular_subdivision(cfg, WeightVector.of([0, 1, 0]))
     assert sub2.cells == ((0, 2),)
+
+
+def test_regular_subdivision_raises_on_a_point_below_its_hull(monkeypatch):
+    # A hull placed without the lowest point, the interior one here, has
+    # that point beyond a lower facet: the integer check refuses it.
+    cfg = simplex_lattice_points(2, 3)
+    heights = [x * x + y * y + x * y for x, y in cfg.points]
+    heights[cfg.points.index((1, 1))] = -5
+    place = geometry._place
+    monkeypatch.setattr(geometry, "_place", lambda points, order: place(points, order[1:]))
+    with pytest.raises(ArithmeticError):
+        regular_subdivision(cfg, WeightVector.of(heights))
 
 
 # -- the lifted lower hull and the integer placing against the oracles ------

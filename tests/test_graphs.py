@@ -3,6 +3,7 @@ import random
 import networkx as nx
 import pytest
 
+from oracles import histogram_by_cycle_length
 from tropcay.geometry import simplex_lattice_points
 from tropcay.graphs import (
     canonical_form,
@@ -89,7 +90,7 @@ def test_planar_curves_fall_into_18_classes(planar_curve_graphs):
     assert table.class_count() == 18
     assert table.total == 79
     assert sum(e.count for e in table.entries()) == 79
-    hist = table.histogram_by_cycle_length()
+    hist = histogram_by_cycle_length(table)
     assert hist == {3: 2, 4: 4, 5: 4, 6: 4, 7: 2, 8: 1, 9: 1}
     # representatives pairwise non-isomorphic, confirmed by independent search
     reps = [e.representative for e in table.entries()]

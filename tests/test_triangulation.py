@@ -206,6 +206,15 @@ def test_placing_triangulation_is_regular_with_roundtrip():
         assert w is not None
         sub = regular_subdivision(cfg, w)
         assert sub.cells == t.cells
+    # One simplex: neither system has a row, so the witness is all zeros.
+    for cfg in (simplex_lattice_points(2, 1), simplex_lattice_points(3, 1)):
+        t = placing_triangulation(cfg)
+        engine = flip_engine(cfg)
+        for mode in ("global", "local"):
+            assert engine.is_regular(engine.to_masks(t.cells), mode=mode) == (0,) * len(cfg)
+            w = is_regular(t, mode=mode)
+            assert w.heights == (0,) * len(cfg)
+            assert regular_subdivision(cfg, w).cells == t.cells
 
 
 def test_both_square_diagonals_are_regular():
@@ -423,11 +432,11 @@ def test_rotated_pair_dual_curves_are_elliptic_cycle_four():
     assert canonical_form(gl) == canonical_form(gr)
 
 
-def test_symmetry_group_stores_certificates():
+def test_certify_affine_action_maps_each_generator():
     cfg = cubic_polygon()
     grp = builtin_symmetry("simplex-3d2", cfg)
-    assert len(grp.certificates) == len(grp.generators)
-    for (matrix, offset), perm in zip(grp.certificates, grp.generators):
+    for perm in grp.generators:
+        matrix, offset = certify_affine_action(cfg, perm)
         pts = cfg.points
         r = len(matrix)
         for i, p in enumerate(pts):
