@@ -242,7 +242,8 @@ def cmd_enumerate(args) -> int:
     s = enumerator.stats()
     sys.stderr.write(
         f"done: visited={s['visited']} emitted={s['emitted']} "
-        f"frontier={s['frontier']} complete={s['complete']}\n"
+        f"frontier={s['frontier']} complete={s['complete']} "
+        f"carried={s['carried']} solved={s['solved']}\n"
     )
     return EXIT_OK
 

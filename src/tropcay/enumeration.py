@@ -14,8 +14,24 @@ emission only.  The visited set, frontier, and counters can be written to
 a self-describing JSON checkpoint and resumed later; fresh and resumed
 runs produce the same emission set.
 
-The search is one loop over waves: pop a wave of frontier nodes, expand
-it to the canonical keys of all neighbors, drop the keys already visited,
+A regular class keeps its integer witness heights while it waits in the
+frontier.  Adjacent secondary cones share the wall whose normal is the
+flip's circuit, so the parent's witness pushed just past that wall
+(``lp.relaxation_step``) and relabeled into the child's canonical form
+nearly always satisfies the child's local system.  The check tries that
+candidate and at most a few relaxation steps from it
+(``lp.relaxed_witness``), and runs the simplex only when they all miss.
+A verdict is accepted only from heights that satisfy every local row
+strictly, checked in integers, so a bad candidate costs a simplex call,
+never a wrong answer.  Witnesses are not saved in checkpoints: a resumed
+frontier class solves its own system when it is expanded, and one that
+turns out not to be regular is refused with ``CheckpointMismatchError``.
+``Enumerator.stats`` counts this run's verdicts as ``carried`` (from a
+candidate) and ``solved`` (from the simplex, re-solves included).
+
+The search is one loop over waves: pop a wave of frontier nodes with
+their witnesses, expand it to the canonical keys of all neighbors, each
+with what its candidate is built from, drop the keys already visited,
 regularity-check the rest and record the verdicts.  With one job a wave
 is a single node and both steps run in this process, which gives plain
 breadth-first order.  With ``jobs > 1`` a wave holds ``max(64, 32*jobs)``
@@ -40,7 +56,7 @@ import base64
 import hashlib
 import json
 import os
-from collections import deque
+from collections import Counter, deque
 from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import partial
@@ -49,6 +65,7 @@ from typing import Iterator
 from .errors import CheckpointMismatchError, GroupBoundError, InputError
 from .formats import FORMAT_CHECKPOINT, config_from_dict, config_to_dict
 from .geometry import PointConfiguration
+from .lp import relaxation_step, relaxed_witness
 from .triangulation import (
     RelabelContext,
     SymmetryGroup,
@@ -95,27 +112,82 @@ class _Codec:
         return tuple(int.from_bytes(blob[i : i + w], "big") for i in range(0, len(blob), w))
 
 
+def _compact(witness):
+    """A witness as an array of 4-byte integers, a fifth of a tuple's
+    memory; one with a larger entry stays a tuple."""
+    # imported on demand: loading it adds ~0.1 MiB to every process loading this module
+    from array import array
+
+    try:
+        return array("i", witness)
+    except OverflowError:
+        return witness
+
+
+def _candidate(witness, circuit, element) -> list[int]:
+    """A parent's witness pushed just past the wall of the flip along
+    ``circuit`` (the child's row there is ``-circuit``), relabeled by the
+    group element that takes the child to its canonical form."""
+    pushed = relaxation_step(witness, [-c for c in circuit])
+    out = [0] * len(pushed)
+    for i, height in zip(element, pushed):
+        out[i] = height
+    return out
+
+
 class _Walk:
     """Flip engine, key codec and group action of one process: the expand
-    and check steps of the search, which worker processes can take over."""
+    and check steps of the search, which worker processes can take over.
+    ``counts`` tallies the verdicts this process reached by a carried
+    candidate (``carried``) and by the simplex (``solved``)."""
 
     def __init__(self, config: PointConfiguration, group_elements):
         self.engine = flip_engine(config)
         self.codec = _Codec(self.engine.n)
         self.context = RelabelContext(self.engine, group_elements)
+        self.counts = Counter(carried=0, solved=0)
 
     def key(self, masks) -> bytes:
-        return self.codec.pack(self.context.canonical(masks))
+        return self.codec.pack(self.context.canonical(masks)[0])
 
-    def expand(self, keys) -> list[bytes]:
-        """Canonical keys of all flip neighbors of ``keys``, in order."""
-        unpack, neighbors = self.codec.unpack, self.engine.neighbors
-        return [self.key(nb) for key in keys for _flip, nb in neighbors(unpack(key))]
+    def expand(self, nodes) -> list[tuple[bytes, tuple]]:
+        """``(key, carry)`` for every flip neighbor of each ``(key, witness)``
+        node, in order; ``carry`` holds the node's witness, the flip's
+        circuit and the element relabeling the neighbor, from which
+        ``check`` builds the neighbor's candidate.  A node without a
+        witness (read from a checkpoint) solves its own system first."""
+        engine, unpack, canonical = self.engine, self.codec.unpack, self.context.canonical
+        out = []
+        for key, witness in nodes:
+            masks = unpack(key)
+            if witness is None:
+                self.counts["solved"] += 1
+                witness = engine.solve(engine.regularity_rows(masks, mode="local"))
+                if witness is None:
+                    raise CheckpointMismatchError("checkpoint frontier holds a class that is not regular")
+            for flip, nb in engine.neighbors(masks):
+                form, element = canonical(nb)
+                out.append((self.codec.pack(form), (witness, flip.circuit, element)))
+        return out
 
-    def check(self, keys) -> list[tuple[bytes, bool]]:
-        """``(key, regular)`` for each key, decided by the local wall system."""
+    def check(self, pairs) -> list[tuple[bytes, tuple[int, ...] | None]]:
+        """``(key, witness)`` for each ``(key, carry)`` pair, the witness
+        ``None`` for a key that is not regular: the carried candidate or a
+        few relaxation steps from it if they satisfy the key's local rows,
+        else the simplex's answer.  A ``None`` carry (the seed) goes
+        straight to the simplex."""
         engine, unpack = self.engine, self.codec.unpack
-        return [(key, engine.is_regular(unpack(key), mode="local") is not None) for key in keys]
+        out = []
+        for key, carry in pairs:
+            rows = engine.regularity_rows(unpack(key), mode="local")
+            witness = None if carry is None else relaxed_witness(rows, _candidate(*carry))
+            if witness is None:
+                self.counts["solved"] += 1
+                witness = engine.solve(rows)
+            else:
+                self.counts["carried"] += 1
+            out.append((key, witness))
+        return out
 
 
 def _check_run_options(jobs: int, checkpoint_every: int | None) -> None:
@@ -154,6 +226,7 @@ class Enumerator:
 
         self.visited: dict[bytes, bool] = {}
         self.frontier: deque[bytes] = deque()
+        self.witnesses: dict[bytes, object] = {}  # of frontier keys, _compact; not checkpointed
         self.emitted = 0
         self.expanded = 0
         self.complete = False
@@ -180,6 +253,9 @@ class Enumerator:
             "expanded": self.expanded,
             "frontier": len(self.frontier),
             "complete": self.complete,
+            # verdicts of this run, not saved in checkpoints
+            "carried": self.walk.counts["carried"],
+            "solved": self.walk.counts["solved"],
         }
 
     # -- search ----------------------------------------------------------
@@ -201,10 +277,14 @@ class Enumerator:
         )
 
         def mapped(step):
-            def run(keys):
-                size = max(1, len(keys) // (4 * self.jobs))
-                chunks = [keys[i : i + size] for i in range(0, len(keys), size)]
-                return [out for part in pool.map(partial(_in_worker, step), chunks) for out in part]
+            def run(items):
+                size = max(1, len(items) // (4 * self.jobs))
+                chunks = [items[i : i + size] for i in range(0, len(items), size)]
+                out = []
+                for part, counts in pool.map(partial(_in_worker, step), chunks):
+                    out += part
+                    self.walk.counts.update(counts)
+                return out
 
             return run
 
@@ -226,24 +306,27 @@ class Enumerator:
             wave, fresh = [], []
             if not self.visited:  # a fresh run: the seed is the first batch
                 seed = placing_triangulation(self.config, self.placing_order)
-                fresh = [self.walk.key(self.walk.engine.to_masks(seed.cells))]
+                fresh = [(self.walk.key(self.walk.engine.to_masks(seed.cells)), None)]
             while True:
                 emitted_now = []
                 cut = False
                 while fresh:
                     if limit is not None and self.emitted >= limit:
-                        self.frontier.extendleft(reversed(wave))
+                        self.frontier.extendleft(key for key, _witness in reversed(wave))
+                        self.witnesses.update((key, w) for key, w in wave if w is not None)
                         self.expanded -= len(wave)
                         cut = True
                         break
                     # a key emits at most once: check no more keys than the limit can record
                     size = len(fresh) if limit is None else limit - self.emitted
-                    for key, regular in check(fresh[:size]):
+                    for key, witness in check(fresh[:size]):
+                        regular = witness is not None
                         if not (regular or self.visited):  # the seed's verdict
                             raise RuntimeError("placing triangulation must be regular")
                         self.visited[key] = regular
                         if regular:
                             self.frontier.append(key)
+                            self.witnesses[key] = _compact(witness)
                             if self._passes_filters(unpack(key)):
                                 self.emitted += 1
                                 emitted_now.append(key)
@@ -258,9 +341,13 @@ class Enumerator:
                 if self._stop or (limit is not None and self.emitted >= limit):
                     break
                 self._maybe_checkpoint()  # every stop above ends in the final write
-                wave = [self.frontier.popleft() for _ in range(min(wave_size, len(self.frontier)))]
+                wave = []
+                for _ in range(min(wave_size, len(self.frontier))):
+                    key = self.frontier.popleft()
+                    wave.append((key, self.witnesses.pop(key, None)))
                 self.expanded += len(wave)
-                fresh = [key for key in dict.fromkeys(expand(wave)) if key not in self.visited]
+                # one carry per new key, in first-seen order
+                fresh = list({key: carry for key, carry in expand(wave) if key not in self.visited}.items())
         self._write_checkpoint()
 
     # -- checkpointing -----------------------------------------------------
@@ -413,5 +500,8 @@ def _start_worker(config_doc, group_elements):
     _worker_walk = _Walk(config_from_dict(config_doc), group_elements)
 
 
-def _in_worker(step: str, keys):
-    return getattr(_worker_walk, step)(keys)
+def _in_worker(step: str, items):
+    """One step on a chunk, with the verdict counts it added."""
+    out = getattr(_worker_walk, step)(items)
+    counts, _worker_walk.counts = _worker_walk.counts, Counter()
+    return out, counts

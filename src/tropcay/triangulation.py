@@ -22,11 +22,17 @@ on cells from outside; cells the engine builds skip it.
 Regularity is decided exactly.  Two equivalent strict systems are
 available: the reference formulation with one inequality per (cell,
 outside point) pair, and the local one above.  Both go to the integer
-simplex of ``lp``, which certifies each answer with integer witness
-heights or a Gordan certificate; tests cross-check the two systems.
+simplex of ``lp`` (``FlipEngine.solve``), which certifies each answer
+with integer witness heights or a Gordan certificate; tests cross-check
+the two systems.  A flip's circuit is the normal of the wall between the
+secondary cones of the two triangulations (Gelfand, Kapranov and
+Zelevinsky 1994), so ``Flip.circuit`` is what the enumerator needs to
+carry a witness across it.
 
 Canonical orbit representatives come from ``RelabelContext``, whose one
-table maps each cell mask to its images under every group element.
+table maps each cell mask to its images under every group element;
+``canonical`` also returns an element reaching the representative, which
+relabels heights along with cells.
 """
 
 from __future__ import annotations
@@ -99,9 +105,10 @@ class Flip:
 
     plus: tuple[int, ...]   # circuit points whose opposite simplices are present
     minus: tuple[int, ...]  # circuit points of the replacement side
+    circuit: tuple[int, ...]  # the circuit over all points, positive on ``plus``
 
     def reversed(self) -> "Flip":
-        return Flip(self.minus, self.plus)
+        return Flip(self.minus, self.plus, tuple(-c for c in self.circuit))
 
 
 class FlipEngine:
@@ -307,7 +314,12 @@ class FlipEngine:
     def is_regular(self, masks, mode: str = "global") -> tuple[int, ...] | None:
         """Integer witness heights inducing exactly this triangulation, or
         ``None``; without rows (one simplex) every height is 0."""
-        feasible, witness = strict_homogeneous_feasible(self.regularity_rows(masks, mode))
+        return self.solve(self.regularity_rows(masks, mode))
+
+    def solve(self, rows) -> tuple[int, ...] | None:
+        """The integer simplex's witness of ``rows . w > 0``, or ``None``
+        when a Gordan certificate shows there is none."""
+        feasible, witness = strict_homogeneous_feasible(rows)
         if not feasible:
             return None
         return witness or (0,) * self.n
@@ -326,7 +338,7 @@ class FlipEngine:
                     minus |= 1 << i
             flipped = self._flip(masks, plus, minus)
             if flipped is not None:
-                results.append((Flip(self.bits(plus), self.bits(minus)), flipped))
+                results.append((Flip(self.bits(plus), self.bits(minus), row), flipped))
         return results
 
     def _flip(self, masks, plus: int, minus: int):
@@ -359,7 +371,7 @@ class RelabelContext:
     mask to its images under every element, its least image and the
     elements reaching that.  The canonical form starts with the least
     image over all cells, so only the elements reaching it are sorted in
-    full.
+    full.  Element ``g`` sends point ``i`` to point ``g[i]``.
     """
 
     def __init__(self, engine: FlipEngine, elements):
@@ -377,11 +389,15 @@ class RelabelContext:
             entry = self._images[mask] = (images, least, reach)
         return entry
 
-    def canonical(self, masks) -> tuple[int, ...]:
+    def canonical(self, masks) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The least relabeling of ``masks`` and the first element giving it."""
         entries = [self._cell(m) for m in masks]
         first = min(least for _images, least, _reach in entries)
         reach = {gi for _images, least, gis in entries if least == first for gi in gis}
-        return min(tuple(sorted(images[gi] for images, _least, _reach in entries)) for gi in reach)
+        form, gi = min(
+            (tuple(sorted(images[gi] for images, _least, _reach in entries)), gi) for gi in reach
+        )
+        return form, self.elements[gi]
 
 
 @lru_cache(maxsize=64)
@@ -535,7 +551,7 @@ def orbit_canonical_rep(t: Triangulation, grp: SymmetryGroup) -> Triangulation:
     engine = flip_engine(t.configuration)
     masks = engine.to_masks(t.cells)
     context = RelabelContext(engine, grp.elements)
-    return engine.triangulation(context.canonical(masks))
+    return engine.triangulation(context.canonical(masks)[0])
 
 
 SYMMETRY_PRESETS = ("cayley-2d3-2d3", "s3", "s4xz2", "simplex-3d2", "trivial")

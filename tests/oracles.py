@@ -30,12 +30,16 @@ the library's verdicts must agree with it exactly.
 
 ``verify_closure`` re-checks a completed enumeration: every regular
 neighbor of every regular class must be in the visited set.
+``cold_walk`` is the breadth-first walk with a cold simplex for every
+verdict, as the enumerator ran before it carried witnesses across flips;
+the enumerator's visited classes and verdicts must equal its own.
 ``histogram_by_cycle_length`` counts a ``ClassTable``'s classes by cycle
 length, the figure the tests compare with the paper.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -54,7 +58,7 @@ from tropcay.geometry import (
     normalized_volume,
 )
 from tropcay.lp import strict_homogeneous_feasible
-from tropcay.triangulation import Triangulation, flip_engine
+from tropcay.triangulation import RelabelContext, Triangulation, flip_engine, placing_triangulation
 
 
 def solve_general(a_rows, b_col) -> list[Fraction] | None:
@@ -489,7 +493,27 @@ def verify_closure(enumerator) -> bool:
         raise ValueError("closure check requires a completed enumeration")
     visited = enumerator.visited
     regular = [key for key, ok in visited.items() if ok]
-    return all(key in visited for key in enumerator.walk.expand(regular))
+    nodes = [(key, None) for key in regular]
+    return all(key in visited for key, _carry in enumerator.walk.expand(nodes))
+
+
+def cold_walk(config, elements) -> dict[tuple[int, ...], bool]:
+    """Every class the flip-graph BFS visits, as canonical masks, with the
+    verdict of a cold simplex on its local system: what the enumerator
+    visits when no witness is carried."""
+    engine = flip_engine(config)
+    context = RelabelContext(engine, elements)
+    seed = context.canonical(engine.to_masks(placing_triangulation(config).cells))[0]
+    visited = {seed: True}
+    queue = deque([seed])
+    while queue:
+        for _flip, nb in engine.neighbors(queue.popleft()):
+            key = context.canonical(nb)[0]
+            if key not in visited:
+                visited[key] = engine.is_regular(key, mode="local") is not None
+                if visited[key]:
+                    queue.append(key)
+    return visited
 
 
 def histogram_by_cycle_length(table) -> dict:

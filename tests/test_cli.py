@@ -659,6 +659,53 @@ def test_enumerate_resume_damaged_checkpoint_exit_5(tmp_path, capsys, damage):
     assert "checkpoint" in err
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_enumerate_resume_non_regular_frontier_class_exit_5(tmp_path, capsys, jobs):
+    # A signed checkpoint that lists a non-regular class of the nested
+    # triangles (18 classes, 16 regular) as regular and waiting in the
+    # frontier: expanding it re-solves its system, which refuses it.
+    cfg_path = tmp_path / "nested.json"
+    cfg_path.write_text(json.dumps({
+        "format": "tropcay/point-configuration/1",
+        "ambient_dim": 2,
+        "points": [[0, 0], [4, 0], [0, 4], [1, 1], [2, 1], [1, 2]],
+        "labels": ["A", "B", "C", "a", "b", "c"],
+    }))
+    ckpt = tmp_path / "run.ckpt"
+    code, out, _ = run(
+        capsys, "enumerate", "--config", str(cfg_path), "--group", "trivial", "--checkpoint", str(ckpt),
+    )
+    assert code == EXIT_OK and len(out.splitlines()) == 16
+    doc = json.loads(ckpt.read_text())
+    assert (len(doc["visited_regular"]), len(doc["visited_nonregular"]), doc["frontier"]) == (16, 2, [])
+    twisted = doc["visited_nonregular"].pop()
+    doc["visited_regular"].append(twisted)
+    doc["frontier"] = [twisted]
+    doc["digest"] = _digest(doc)
+    ckpt.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "enumerate", "--resume", "--checkpoint", str(ckpt), "--jobs", jobs)
+    assert code == EXIT_CHECKPOINT
+    assert "not regular" in err and out == ""
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_enumerate_done_line_counts_carried_verdicts(tmp_path, capsys, jobs):
+    # On the first 300 quadric classes most verdicts come from witnesses
+    # carried across flips; a fresh run decides each visited class once.
+    cfg_path = tmp_path / "c22.json"
+    run(capsys, "config", "cayley", "--d", "2", "--e", "2", "--out", str(cfg_path))
+    code, out, err = run(
+        capsys, "enumerate", "--config", str(cfg_path), "--group", "s4xz2", "--limit", "300",
+        "--jobs", jobs,
+    )
+    assert code == EXIT_OK and len(out.splitlines()) == 300
+    done = err.strip().splitlines()[-1]
+    assert done.startswith("done: ")
+    fields = dict(item.split("=") for item in done[len("done: "):].split())
+    assert int(fields["carried"]) > 0
+    assert int(fields["carried"]) + int(fields["solved"]) == int(fields["visited"])
+
+
 def test_classify_planar_pipeline(tmp_path, capsys):
     cfg_path = tmp_path / "3d2.json"
     run(capsys, "config", "simplex", "--dim", "2", "--dilation", "3", "--out", str(cfg_path))

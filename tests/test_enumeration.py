@@ -4,22 +4,34 @@ import os
 from itertools import islice
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from oracles import verify_closure
 from test_triangulation import nested_triangles
 from tropcay.errors import CheckpointMismatchError
 from tropcay.formats import cells_to_text
-from tropcay.geometry import PointConfiguration, cayley_config, simplex_lattice_points
+from tropcay.geometry import (
+    PointConfiguration,
+    WeightVector,
+    cayley_config,
+    regular_subdivision,
+    simplex_lattice_points,
+)
 from tropcay.triangulation import (
     apply_symmetry,
     builtin_symmetry,
     is_regular,
     is_unimodular,
+    placing_triangulation,
     validate_triangulation,
 )
 from tropcay.enumeration import (
     EnumerationFilters,
     Enumerator,
+    _Walk,
+    _candidate,
     _digest,
     enumerate_triangulations,
     load_checkpoint,
@@ -281,3 +293,82 @@ def test_quadric_emissions_are_triangulations():
     cfg = cayley_config(simplex_lattice_points(3, 2), simplex_lattice_points(3, 2))
     emitted = islice(enumerate_triangulations(cfg, builtin_symmetry("s4xz2", cfg)), 300)
     assert all(validate_triangulation(t) for t in emitted)
+
+
+# -- carried witnesses ---------------------------------------------------------
+
+_WALKS = {
+    "3D2/S3": (cubic_polygon, "simplex-3d2"),
+    "C(2D3,2D3)/S4xZ2": (
+        lambda: cayley_config(simplex_lattice_points(3, 2), simplex_lattice_points(3, 2)),
+        "s4xz2",
+    ),
+}
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(sorted(_WALKS)), st.integers(1, 12), st.data())
+def test_carried_witnesses_match_cold_verdicts(name, steps, data):
+    # A random walk through the enumerator's own expand and check steps:
+    # every verdict equals a cold simplex on the canonical child, and every
+    # carried witness satisfies each of its local rows.  The walk moves on
+    # to each regular child it draws.
+    make_config, kind = _WALKS[name]
+    cfg = make_config()
+    walk = _Walk(cfg, builtin_symmetry(kind, cfg).elements)
+    engine, unpack = walk.engine, walk.codec.unpack
+    [(key, witness)] = walk.check([(walk.key(engine.to_masks(placing_triangulation(cfg).cells)), None)])
+    for _ in range(steps):
+        children = walk.expand([(key, witness)])
+        child, carry = children[data.draw(st.integers(0, len(children) - 1))]
+        carried = walk.counts["carried"]
+        [(child_key, child_witness)] = walk.check([(child, carry)])
+        assert child_key == child
+        masks = unpack(child)
+        # the candidate lies on the child's side of the flipped wall, whose
+        # row is the flip's circuit negated and relabeled into the child's key
+        _witness, circuit, element = carry
+        wall = [0] * engine.n
+        for i, c in zip(element, circuit):
+            wall[i] = -c
+        assert tuple(wall) in engine.regularity_rows(masks, mode="local")
+        assert sum(c * x for c, x in zip(wall, _candidate(*carry))) > 0
+        assert (child_witness is not None) == (engine.is_regular(masks, mode="local") is not None)
+        if walk.counts["carried"] > carried:
+            rows = engine.regularity_rows(masks, mode="local")
+            assert all(sum(c * x for c, x in zip(row, child_witness)) > 0 for row in rows)
+        if child_witness is not None:
+            key, witness = child, child_witness
+    # the last witness, as heights, lifts exactly the canonical class it certifies
+    assert regular_subdivision(cfg, WeightVector(witness)).cells == engine.triangulation(unpack(key)).cells
+
+
+@pytest.mark.parametrize("make_config, kind, visited, regular", [
+    (cubic_polygon, "trivial", 1166, 1166),
+    (cubic_polygon, "simplex-3d2", 213, 213),
+    (lambda: nested_triangles()[0], "trivial", 18, 16),
+], ids=["3D2/trivial", "3D2/S3", "nested/trivial"])
+def test_carried_run_visits_the_cold_walks_classes(make_config, kind, visited, regular):
+    cfg = make_config()
+    grp = builtin_symmetry(kind, cfg)
+    en = Enumerator(cfg, grp)
+    list(en.run())
+    unpack = en.walk.codec.unpack
+    verdicts = {unpack(key): ok for key, ok in en.visited.items()}
+    assert verdicts == oracles.cold_walk(cfg, grp.elements)
+    assert (len(verdicts), sum(verdicts.values())) == (visited, regular)
+    s = en.stats()
+    assert s["carried"] > 0 and s["carried"] + s["solved"] == visited
+
+
+def test_resumed_frontier_solves_each_expanded_class_once(tmp_path):
+    cfg = cubic_polygon()
+    grp = builtin_symmetry("trivial", cfg)
+    ckpt = str(tmp_path / "run.ckpt.json")
+    list(Enumerator(cfg, grp, checkpoint_path=ckpt).run(limit=300))
+    en = load_checkpoint(ckpt)
+    resumed_frontier = set(en.frontier)
+    visited_before = len(en.visited)
+    list(en.run())
+    s = en.stats()
+    assert s["carried"] + s["solved"] == len(en.visited) - visited_before + len(resumed_frontier)

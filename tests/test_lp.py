@@ -1,3 +1,4 @@
+import math
 import random
 from contextlib import contextmanager
 from fractions import Fraction
@@ -219,3 +220,32 @@ def test_bland_rule_does_not_cycle(rows):
     with _pivot_budget():
         feasible, _ = strict_homogeneous_feasible(rows)
     assert feasible == (oracles.strict_lp_feasible(rows, [0] * len(rows)) is not None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_systems(), st.data())
+def test_relaxed_witness_is_certified_or_none(rows, data):
+    # A relaxed witness satisfies every row strictly; an infeasible system
+    # never gets one, whatever the start.
+    n = len(rows[0])
+    start = data.draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n))
+    witness = lp.relaxed_witness(rows, start)
+    feasible, _ = strict_homogeneous_feasible(rows)
+    if witness is not None:
+        assert all(sum(c * v for c, v in zip(row, witness)) > 0 for row in rows)
+    assert feasible or witness is None
+    row = data.draw(st.sampled_from(rows))
+    if any(row) and any(start):
+        stepped = lp.relaxation_step(start, row)
+        assert sum(c * v for c, v in zip(row, stepped)) > 0
+        assert math.gcd(*stepped) == 1
+
+
+def test_relaxed_witness_takes_a_bounded_number_of_steps():
+    # The start violates the first row; one step along it satisfies both.
+    rows = [(1, 0), (0, 1)]
+    assert lp.relaxed_witness(rows, (1, 1)) == (1, 1)
+    assert lp.relaxed_witness(rows, (-3, 1)) == (1, 1)
+    # 2x - y > 0 and y - 2x > 0 contradict each other, so every step
+    # fails and the answer is left to the simplex.
+    assert lp.relaxed_witness([(2, -1), (-2, 1)], (5, 3)) is None
