@@ -9,9 +9,10 @@ All linear algebra over Q runs through one fraction-free Gauss-Jordan
 kernel (Bareiss) on integer rows.  Rational rows are first scaled to
 integers by ``clear_denominators``; every intermediate value is then an
 integer minor, so each division is exact.  ``det_int``, ``rank_int``,
-``solve_rational`` and ``kernel_vector_int`` are thin wrappers that read
-the reduced rows and pivots.  Lattice bases need unimodular row
-operations over Z and use their own Hermite reduction.
+``solve_rational``, ``kernel_vector_int`` and ``basis_coordinates_int``
+are thin wrappers that read the reduced rows and pivots.  Lattice bases
+need unimodular row operations over Z and use their own Hermite
+reduction.
 
 Everything here is pure and exact; no floating point is ever used.
 """
@@ -166,6 +167,24 @@ def kernel_vector_int(cols: list[tuple[int, ...]]) -> tuple[int, ...] | None:
     for i, c in pivots:
         v[c] = -a[i][free[0]]
     return _primitive(v)
+
+
+def basis_coordinates_int(cols: list[tuple[int, ...]]) -> tuple[int, list[list[int]]] | None:
+    """Every integer column's coordinates in the basis of the first ones.
+
+    With ``k`` entries per column and the first ``k`` columns linearly
+    independent, returns ``(d, a)``: ``d`` is the last fraction-free pivot
+    (the determinant of the first ``k`` columns, up to sign) and
+    ``a[i][j] / d`` is the ``i``-th coordinate of column ``j``, so
+    ``d * cols[j] == sum_i a[i][j] * cols[i]``.  Returns ``None`` if the
+    first ``k`` columns are dependent.  One elimination serves every
+    column.
+    """
+    k = len(cols[0])
+    a, pivots, _ = _eliminate(list(zip(*cols)), len(cols))
+    if len(pivots) < k or pivots[-1][1] != k - 1:
+        return None
+    return a[-1][k - 1], a
 
 
 def lattice_row_basis(vectors) -> list[list[int]]:

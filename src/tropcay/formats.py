@@ -100,8 +100,17 @@ def config_digest(config: PointConfiguration) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
+def _sorted_cells(cells) -> list[tuple[int, ...]]:
+    return sorted(map(tuple, map(sorted, cells)))
+
+
+def _text(labels, cells) -> str:
+    """Cell string of cells that are already sorted, each and together."""
+    return ",".join("".join(labels[i] for i in c) for c in cells)
+
+
 def cells_to_text(config: PointConfiguration, cells) -> str:
-    return ",".join("".join(config.labels[i] for i in sorted(c)) for c in sorted(map(tuple, map(sorted, cells))))
+    return _text(config.labels, _sorted_cells(cells))
 
 
 def text_to_cells(config: PointConfiguration, text: str) -> tuple[tuple[int, ...], ...]:
@@ -115,10 +124,11 @@ def text_to_cells(config: PointConfiguration, text: str) -> tuple[tuple[int, ...
 
 
 def triangulation_line(config: PointConfiguration, cells) -> str:
+    cells = _sorted_cells(cells)
     doc = {
         "format": FORMAT_TRIANGULATION,
-        "cells": [list(c) for c in sorted(map(tuple, map(sorted, cells)))],
-        "text": cells_to_text(config, cells),
+        "cells": [list(c) for c in cells],
+        "text": _text(config.labels, cells),
     }
     return json.dumps(doc, separators=(",", ":"))
 

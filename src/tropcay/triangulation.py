@@ -1,22 +1,27 @@
 """Triangulations: predicates, placing construction, bistellar flips, symmetry.
 
 The public types work with sorted index tuples.  A per-configuration
-``FlipEngine`` carries exact caches (cell volumes, the total volume, and
-the circuit of each cell with an outside point) and a fast bitmask
-representation of triangulations; the enumeration module drives the
-engine directly, while the functions here wrap it for one-off use.
+``FlipEngine`` carries one exact table per cell (``FlipEngine.cell``: its
+volume, its circuit with every outside point and the mask of points
+inside it), the total volume and a fast bitmask representation of
+triangulations; the enumeration module drives the engine directly, while
+the functions here wrap it for one-off use.
 
 A circuit is the primitive affine dependence of a cell and one more
 point (De Loera, Rambau and Santos, *Triangulations*, ch. 2 and 4).  Its
 signs give the two sides of a bistellar flip, and the same integer row
 is the regularity inequality "the point lifts strictly above the cell".
+One fraction-free elimination of all points against a cell's vertices
+gives the cell's volume (the last pivot), every circuit of the cell and
+the points inside it (those with no negative barycentric coordinate).
 One scan, ``FlipEngine.local_circuits``, lists the circuits of a
-triangulation's interior walls and of its unused points: each is a flip
-that ``neighbors`` tries, and together they are the local regularity
-rows.  Circuit signs also decide whether a set of cells is a
-triangulation at all (``FlipEngine.check_triangulation``): the two cells
-of every shared facet must lie on opposite sides of it, and no point may
-lie beyond an unshared one.  ``Triangulation.make`` runs that check once
+triangulation's interior walls and of its unused points with the cells
+containing them: each is a flip that ``neighbors`` tries, and together
+they are the local regularity rows.  Circuit signs also decide whether a
+set of cells is a triangulation at all
+(``FlipEngine.check_triangulation``): the two cells of every shared
+facet must lie on opposite sides of it, and no point may lie beyond an
+unshared one.  ``Triangulation.make`` runs that check once
 on cells from outside; cells the engine builds skip it.
 
 Regularity is decided exactly.  Two equivalent strict systems are
@@ -39,14 +44,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from math import gcd
+from operator import itemgetter
 
 from .errors import DegenerateConfigurationError, GroupBoundError, InputError
-from .exactarith import det_int, kernel_vector_int, rank_int, solve_rational
+from .exactarith import basis_coordinates_int, det_int, rank_int, solve_rational
 from .geometry import (
     PointConfiguration,
     WeightVector,
     _reduction,
-    _simplex_volume,
     placing_cells,
     simplex_lattice_points,
 )
@@ -115,8 +121,12 @@ class FlipEngine:
     """Exact flip/regularity machinery for one configuration.
 
     Wall flips, flips through unused points, the rows of both regularity
-    systems and the validity check all come from one cached table,
-    ``circuit``.
+    systems, cell volumes and the validity check all come from one table
+    with one entry per cell mask (``cell``), built by one elimination the
+    first time a cell is asked for.  Circuit rows are interned engine-wide:
+    the cells formed by all but one point of a circuit's support all hold
+    it, up to sign.  ``walls`` and ``to_cells`` use bit operations only
+    and never build an entry.
     Triangulations are handled as sorted tuples of cell bitmasks (bit i is
     point i).  The induced total order on triangulations (lexicographic on
     the sorted mask sequence, i.e. colexicographic on cells) is the
@@ -131,8 +141,9 @@ class FlipEngine:
         self.rank = reduced.ambient_dim
         self.cell_size = self.rank + 1
         self.all_mask = (1 << self.n) - 1
-        self._volume: dict[int, int] = {}
-        self._circuit: dict[tuple[int, int], tuple[int, ...]] = {}
+        self._columns = [p + (1,) for p in self.points]  # homogenized
+        self._cells: dict[int, tuple[int, tuple | None, int]] = {}
+        self._rows: dict[tuple[int, ...], tuple[int, ...]] = {}  # interned circuits
         self._boundary: dict[int, bool] = {}
 
     # -- mask plumbing -------------------------------------------------
@@ -161,13 +172,54 @@ class FlipEngine:
     def triangulation(self, masks) -> Triangulation:
         return Triangulation(self.config, self.to_cells(masks))
 
-    # -- exact geometry caches ----------------------------------------
+    # -- the cell table --------------------------------------------------
+
+    def cell(self, cellmask: int) -> tuple[int, tuple | None, int]:
+        """The table entry ``(volume, rows, inside)`` of a cell, built once.
+
+        ``volume`` is the cell's normalized volume; ``rows[p]`` is
+        ``circuit(cellmask, p)`` for each point ``p`` outside the cell
+        (``None`` at its vertices); ``inside`` is the mask of the points
+        in the closed cell, its vertices included.  A degenerate cell has
+        volume 0, no rows and an empty mask.
+
+        One fraction-free elimination of the homogenized points, the
+        cell's vertices first, gives the whole entry: the last pivot
+        ``d`` is the volume up to sign, and each other column holds ``d``
+        times the point's barycentric coordinates in the cell."""
+        entry = self._cells.get(cellmask)
+        if entry is None:
+            entry = self._cells[cellmask] = self._cell_entry(cellmask)
+        return entry
+
+    def _cell_entry(self, cellmask: int) -> tuple[int, tuple | None, int]:
+        vertices = self.bits(cellmask)
+        others = [p for p in range(self.n) if not (cellmask >> p) & 1]
+        solved = basis_coordinates_int([self._columns[i] for i in (*vertices, *others)])
+        if solved is None:
+            return 0, None, 0
+        d, a = solved
+        if d < 0:
+            d, a = -d, [[-x for x in row] for row in a]
+        intern = self._rows.setdefault
+        rows = [None] * self.n
+        inside = cellmask
+        for p, coords in zip(others, list(zip(*a))[len(vertices):]):
+            # d * p == sum of coords[i] * vertex i: the circuit is d at p
+            # and -coords on the vertices, positive at p.
+            if min(coords) >= 0:
+                inside |= 1 << p
+            g = gcd(d, *coords)
+            row = [0] * self.n
+            row[p] = d // g
+            for i, c in zip(vertices, coords):
+                row[i] = -(c // g)
+            row = tuple(row)
+            rows[p] = intern(row, row)
+        return d, tuple(rows), inside
 
     def volume(self, cellmask: int) -> int:
-        v = self._volume.get(cellmask)
-        if v is None:
-            v = self._volume[cellmask] = _simplex_volume(self.points, self.bits(cellmask))
-        return v
+        return self.cell(cellmask)[0]
 
     def circuit(self, cellmask: int, p: int) -> tuple[int, ...]:
         """Primitive affine dependence of the cell and point p, as a row over
@@ -175,17 +227,12 @@ class FlipEngine:
 
         As a constraint on heights it says: lifted p lies strictly above the
         span of the lifted cell.  Its support with signs is the circuit that
-        a flip through the cell and p exchanges."""
-        key = (cellmask, p)
-        row = self._circuit.get(key)
+        a flip through the cell and p exchanges.  Raises ``ValueError`` for
+        a degenerate cell or a vertex p."""
+        rows = self.cell(cellmask)[1]
+        row = None if rows is None else rows[p]
         if row is None:
-            idx = self.bits(cellmask | (1 << p))
-            coeffs = kernel_vector_int([self.points[i] + (1,) for i in idx])
-            sign = 1 if coeffs[idx.index(p)] > 0 else -1
-            out = [0] * self.n
-            for i, c in zip(idx, coeffs):
-                out[i] = sign * c
-            row = self._circuit[key] = tuple(out)
+            raise ValueError(f"no circuit of cell {self.bits(cellmask)} with point {p}")
         return row
 
     # -- predicates ----------------------------------------------------
@@ -268,35 +315,33 @@ class FlipEngine:
         only on the facet, so it is cached per facet."""
         verdict = self._boundary.get(facet)
         if verdict is None:
+            rows = self.cell(sigma)[1]
             verdict = self._boundary[facet] = not any(
-                self.circuit(sigma, p)[a] > 0 for p in range(self.n) if not (sigma >> p) & 1
+                row[a] > 0 for row in rows if row is not None
             )
         return verdict
-
-    def unused_points(self, masks) -> list[int]:
-        used = 0
-        for m in masks:
-            used |= m
-        return [i for i in range(self.n) if not (used >> i) & 1]
 
     def local_circuits(self, masks) -> list[tuple[int, ...]]:
         """The circuits a flip of this triangulation can use, which are also
         the rows of the local regularity system: each interior wall's
         circuit, then each circuit of an unused point with a cell containing
         it, in that order and without repeats."""
+        cell = self.cell
         # Both apexes of a wall are positive in the circuit of sigma and
         # tau's apex, so its positive side is the present one.
         out = [
-            self.circuit(sigma, (tau & ~fm).bit_length() - 1)
+            cell(sigma)[1][(tau & ~fm).bit_length() - 1]
             for fm, (sigma, tau) in self.walls(masks).items()
         ]
-        # An unused point lies in a cell iff its circuit with the cell
-        # has no positive entry on the cell's vertices.
-        for p in self.unused_points(masks):
-            for cm in masks:
-                row = self.circuit(cm, p)
-                if all(row[i] <= 0 for i in self.bits(cm)):
-                    out.append(row)
+        unused = self.all_mask
+        for cm in masks:
+            unused &= ~cm
+        if unused:  # tried against each cell's inside mask
+            entries = [cell(cm) for cm in masks]
+            for p in self.bits(unused):
+                for _volume, rows, inside in entries:
+                    if inside >> p & 1:
+                        out.append(rows[p])
         return list(dict.fromkeys(out))
 
     def regularity_rows(self, masks, mode: str = "global") -> list[tuple[int, ...]]:
@@ -306,9 +351,8 @@ class FlipEngine:
             raise ValueError(f"unknown regularity mode {mode!r}")
         rows = set()
         for cm in masks:
-            for p in range(self.n):
-                if not (cm >> p) & 1:
-                    rows.add(self.circuit(cm, p))
+            rows.update(self.cell(cm)[1])
+        rows.discard(None)
         return sorted(rows)
 
     def is_regular(self, masks, mode: str = "global") -> tuple[int, ...] | None:
@@ -394,9 +438,8 @@ class RelabelContext:
         entries = [self._cell(m) for m in masks]
         first = min(least for _images, least, _reach in entries)
         reach = {gi for _images, least, gis in entries if least == first for gi in gis}
-        form, gi = min(
-            (tuple(sorted(images[gi] for images, _least, _reach in entries)), gi) for gi in reach
-        )
+        image_rows = [images for images, _least, _reach in entries]
+        form, gi = min((tuple(sorted(map(itemgetter(gi), image_rows))), gi) for gi in reach)
         return form, self.elements[gi]
 
 

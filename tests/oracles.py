@@ -15,6 +15,12 @@ subdivision by the heights, so the library must agree with these exactly.
 ``Fraction`` barycentric coordinates before its circuit table.  The row
 is the primitive affine dependence of a cell and an outside point,
 positive at the point, so ``FlipEngine.circuit`` must agree exactly.
+``points_inside`` is the mask of points whose ``Fraction`` barycentric
+coordinates in a cell are all non-negative, which the ``inside`` mask of
+``FlipEngine.cell`` must equal.  ``local_circuits`` is the scan
+``FlipEngine.local_circuits`` ran before that mask: every unused point is
+tried against every cell by the signs of its row, here ``constraint_row``;
+the two must agree as ordered lists.
 
 ``simplex_maximize`` and ``strict_lp_feasible`` are the ``Fraction``
 two-phase simplex (Bland's rule) that ``tropcay.lp`` used before its
@@ -285,6 +291,40 @@ def constraint_row(engine, cellmask: int, p: int) -> tuple[int, ...]:
         row[i] -= num
     row[p] += den
     return tuple(row)
+
+
+def points_inside(engine, cellmask: int) -> int:
+    """Mask of the points whose barycentric coordinates in the cell are all
+    non-negative: the points of the closed cell, its vertices included."""
+    idx = engine.bits(cellmask)
+    a_rows = [[engine.points[i][j] for i in idx] for j in range(engine.rank)] + [[1] * len(idx)]
+    inside = 0
+    for p in range(engine.n):
+        coords = solve_general(a_rows, engine.points[p] + (1,))
+        assert coords is not None, "triangulation cell is degenerate"
+        if all(c >= 0 for c in coords):
+            inside |= 1 << p
+    return inside
+
+
+def local_circuits(engine, masks) -> list[tuple[int, ...]]:
+    """Each interior wall's circuit, then each unused point's circuit with
+    every cell on whose vertices that circuit has no positive entry, without
+    repeats."""
+    out = [
+        constraint_row(engine, sigma, (tau & ~fm).bit_length() - 1)
+        for fm, (sigma, tau) in engine.walls(masks).items()
+    ]
+    used = 0
+    for cm in masks:
+        used |= cm
+    for p in range(engine.n):
+        if not (used >> p) & 1:
+            for cm in masks:
+                row = constraint_row(engine, cm, p)
+                if all(row[i] <= 0 for i in engine.bits(cm)):
+                    out.append(row)
+    return list(dict.fromkeys(out))
 
 
 @dataclass

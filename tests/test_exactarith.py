@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import oracles
 from tropcay.exactarith import (
     DimensionError,
+    basis_coordinates_int,
     clear_denominators,
     coords_in_row_basis,
     det_int,
@@ -194,6 +195,25 @@ def test_kernel_vector_is_primitive_and_in_the_kernel(rows):
     assert gcd(*v) == 1
     assert next(x for x in v if x) > 0
     assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in rows)
+
+
+@_PROPERTY
+@given(matrices(rational=False))
+def test_basis_coordinates_match_oracle_solves(rows):
+    # k rows: the first k columns are the basis, each column is solved in it
+    k = len(rows)
+    if len(rows[0]) < k:
+        rows = [row + [0] * (k - len(row)) for row in rows]
+    cols = [tuple(col) for col in zip(*rows)]
+    basis = [row[:k] for row in rows]
+    solved = basis_coordinates_int(cols)
+    if oracles.nullspace_basis(basis):
+        assert solved is None
+        return
+    d, a = solved
+    assert abs(d) == abs(det_int(basis))
+    for j, col in enumerate(cols):
+        assert [Fraction(a[i][j], d) for i in range(k)] == oracles.solve_general(basis, col)
 
 
 def _cofactor_det(rows):

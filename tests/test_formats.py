@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -74,6 +75,23 @@ def test_triangulation_line_roundtrip():
     # text-only lines parse too
     text_only = json.dumps({"text": doc["text"]})
     assert parse_triangulation_line(cfg, text_only) == cells
+
+
+def test_triangulation_line_matches_the_two_sort_formula():
+    # Emission sorts once; the line must equal the one built with cells
+    # and text sorted separately, whatever order the cells come in.
+    cfg = cayley22()
+    rng = random.Random(3)
+    for _ in range(50):
+        cells = [rng.sample(range(len(cfg.points)), 5) for _ in range(rng.randint(1, 8))]
+        rng.shuffle(cells)
+        ordered = sorted(map(tuple, map(sorted, cells)))
+        text = ",".join("".join(cfg.labels[i] for i in sorted(c)) for c in ordered)
+        expected = json.dumps(
+            {"format": "tropcay/triangulation/1", "cells": [list(c) for c in ordered], "text": text},
+            separators=(",", ":"),
+        )
+        assert triangulation_line(cfg, cells) == expected
 
 
 def test_marked_cell_text_tags_toblerones():

@@ -17,6 +17,7 @@ from tropcay.geometry import (
 )
 from tropcay.lp import strict_lp_feasible
 from tropcay.triangulation import (
+    FlipEngine,
     RelabelContext,
     SymmetryGroup,
     Triangulation,
@@ -301,9 +302,48 @@ def test_circuit_matches_barycentric_row(name, steps, data):
             break
         masks = nbrs[data.draw(st.integers(0, len(nbrs) - 1))][1]
     for cm in masks:
+        volume, _rows, inside = engine.cell(cm)
+        assert volume == normalized_volume(_WALKED[name], engine.bits(cm))
+        assert inside == oracles.points_inside(engine, cm)
         for p in range(engine.n):
             if not (cm >> p) & 1:
                 assert engine.circuit(cm, p) == oracles.constraint_row(engine, cm, p)
+
+
+@pytest.mark.parametrize("name", ["3D2", "C(1D3,2D3)"])
+def test_local_circuits_match_the_oracle_scan(name):
+    # Seeded flip walks that leave points unused and use them again: the
+    # wall circuits and the inside-mask scan equal the sign scan in order.
+    cfg = _WALKED[name]
+    engine = flip_engine(cfg)
+    rng = random.Random(11)
+    with_unused = 0
+    for _ in range(6):
+        masks = engine.to_masks(placing_triangulation(cfg).cells)
+        for _ in range(15):
+            assert engine.local_circuits(masks) == oracles.local_circuits(engine, masks)
+            with_unused += not engine.is_full(masks)
+            masks = rng.choice(engine.neighbors(masks))[1]
+    assert with_unused >= 10
+
+
+def test_degenerate_cell_has_volume_zero_and_no_circuit():
+    engine = flip_engine(cubic_polygon())
+    line = engine.mask_of((0, 1, 3))  # (0, 0), (0, 1), (0, 2)
+    assert engine.cell(line) == (0, None, 0)
+    with pytest.raises(ValueError):
+        engine.circuit(line, 5)
+    with pytest.raises(ValueError):
+        engine.circuit(engine.mask_of((0, 6, 9)), 0)  # 0 is a vertex
+
+
+def test_walls_build_no_cell_entry():
+    # Dual curves need walls only; no elimination may run for them.
+    cfg = _WALKED["C(1D3,2D3)"]
+    engine = FlipEngine(cfg)
+    masks = engine.to_masks(placing_triangulation(cfg).cells)
+    assert engine.walls(masks) and engine.to_cells(masks)
+    assert engine._cells == {}
 
 
 def test_builtin_symmetry_orders():
