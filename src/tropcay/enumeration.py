@@ -17,15 +17,21 @@ runs produce the same emission set.
 A regular class keeps its integer witness heights while it waits in the
 frontier.  Adjacent secondary cones share the wall whose normal is the
 flip's circuit, so the parent's witness pushed just past that wall
-(``lp.relaxation_step``) and relabeled into the child's canonical form
-nearly always satisfies the child's local system.  The check tries that
-candidate and at most a few relaxation steps from it
-(``lp.relaxed_witness``), and runs the simplex only when they all miss.
-A verdict is accepted only from heights that satisfy every local row
-strictly, checked in integers, so a bad candidate costs a simplex call,
-never a wrong answer.  Witnesses are not saved in checkpoints: a resumed
-frontier class solves its own system when it is expanded, and one that
-turns out not to be regular is refused with ``CheckpointMismatchError``.
+(``lp.relaxation_step``) nearly always satisfies the child's local
+system.  The check tries that candidate and at most a few relaxation
+steps from it (``lp.relaxed_witness``), and runs the simplex only when
+they all miss.  It works in the flip's own labeling, on the child as the
+flip left it: the child's local rows are derived from the parent's wall
+scan that the flip carries (``FlipEngine.regularity_rows`` with
+``flip``), so neither the key nor the candidate is relabeled; the
+accepted witness is relabeled into the key's labeling once, when it is
+stored.  A verdict is accepted only from heights that satisfy every
+local row strictly, checked in integers, so a bad candidate costs a
+simplex call, never a wrong answer.  Witnesses are not saved in
+checkpoints: a resumed frontier class must pass
+``FlipEngine.check_triangulation`` and solves its own system when it is
+expanded; a key that is not a triangulation or not regular is refused
+with ``CheckpointMismatchError``.
 ``Enumerator.stats`` counts this run's verdicts as ``carried`` (from a
 candidate) and ``solved`` (from the simplex, re-solves included).
 
@@ -46,8 +52,9 @@ re-expands it and checks them.
 
 A checkpoint carries a SHA-256 digest of its whole document; a file that
 is not JSON, lacks a field, fails the digest, stores a group other than
-the certified closure of its generators or has a frontier outside its
-visited regular classes is refused with ``CheckpointMismatchError``.
+the certified closure of its generators, holds a key that is not a whole
+number of packed cells or has a frontier outside its visited regular
+classes is refused with ``CheckpointMismatchError``.
 """
 
 from __future__ import annotations
@@ -105,11 +112,11 @@ class _Codec:
 
     def pack(self, masks) -> bytes:
         w = self.width
-        return b"".join(m.to_bytes(w, "big") for m in masks)
+        return b"".join([m.to_bytes(w, "big") for m in masks])
 
     def unpack(self, blob: bytes):
-        w = self.width
-        return tuple(int.from_bytes(blob[i : i + w], "big") for i in range(0, len(blob), w))
+        w, from_bytes = self.width, int.from_bytes
+        return tuple([from_bytes(blob[i : i + w], "big") for i in range(0, len(blob), w)])
 
 
 def _compact(witness):
@@ -124,13 +131,18 @@ def _compact(witness):
         return witness
 
 
-def _candidate(witness, circuit, element) -> list[int]:
+def _candidate(witness, circuit) -> tuple[int, ...]:
     """A parent's witness pushed just past the wall of the flip along
-    ``circuit`` (the child's row there is ``-circuit``), relabeled by the
-    group element that takes the child to its canonical form."""
-    pushed = relaxation_step(witness, [-c for c in circuit])
-    out = [0] * len(pushed)
-    for i, height in zip(element, pushed):
+    ``circuit``, whose row in the child is ``-circuit``; both are in the
+    flip's labeling."""
+    return relaxation_step(witness, [-c for c in circuit])
+
+
+def _relabeled(heights, element) -> list[int]:
+    """Heights moved along the group element: point ``i``'s height goes to
+    point ``element[i]``."""
+    out = [0] * len(heights)
+    for i, height in zip(element, heights):
         out[i] = height
     return out
 
@@ -152,40 +164,63 @@ class _Walk:
 
     def expand(self, nodes) -> list[tuple[bytes, tuple]]:
         """``(key, carry)`` for every flip neighbor of each ``(key, witness)``
-        node, in order; ``carry`` holds the node's witness, the flip's
-        circuit and the element relabeling the neighbor, from which
-        ``check`` builds the neighbor's candidate.  A node without a
-        witness (read from a checkpoint) solves its own system first."""
+        node, in order.  ``carry`` is ``(witness, flip, child, element)``:
+        the node's witness, the flip with its scan of the node, the
+        neighbor's masks in the node's labeling and the element taking them
+        to the key.  ``check`` works in that labeling.  A node without a
+        witness (read from a checkpoint) must be a triangulation, and
+        solves its own system first."""
         engine, unpack, canonical = self.engine, self.codec.unpack, self.context.canonical
         out = []
         for key, witness in nodes:
             masks = unpack(key)
             if witness is None:
-                self.counts["solved"] += 1
-                witness = engine.solve(engine.regularity_rows(masks, mode="local"))
-                if witness is None:
-                    raise CheckpointMismatchError("checkpoint frontier holds a class that is not regular")
-            for flip, nb in engine.neighbors(masks):
-                form, element = canonical(nb)
-                out.append((self.codec.pack(form), (witness, flip.circuit, element)))
+                witness = self._resumed_witness(masks)
+            for flip, child in engine.neighbors(masks):
+                form, element = canonical(child)
+                out.append((self.codec.pack(form), (witness, flip, child, element)))
         return out
+
+    def _resumed_witness(self, masks) -> tuple[int, ...]:
+        engine = self.engine
+        try:
+            engine.check_triangulation(masks)
+        except ValueError as err:
+            raise CheckpointMismatchError(
+                f"checkpoint frontier holds a key that is not a triangulation: {err}"
+            ) from err
+        self.counts["solved"] += 1
+        witness = engine.solve(engine.regularity_rows(masks, mode="local"))
+        if witness is None:
+            raise CheckpointMismatchError("checkpoint frontier holds a class that is not regular")
+        return witness
 
     def check(self, pairs) -> list[tuple[bytes, tuple[int, ...] | None]]:
         """``(key, witness)`` for each ``(key, carry)`` pair, the witness
-        ``None`` for a key that is not regular: the carried candidate or a
-        few relaxation steps from it if they satisfy the key's local rows,
-        else the simplex's answer.  A ``None`` carry (the seed) goes
-        straight to the simplex."""
+        ``None`` for a key that is not regular.  The child's local rows are
+        derived from its flip's scan, in the flip's labeling; the
+        parent's witness pushed past the flipped wall, or a few relaxation
+        steps from it, is accepted if it satisfies them, else the simplex
+        decides.  A witness is relabeled into the key's labeling once,
+        when it is returned.  A ``None`` carry (the seed) goes straight to
+        the simplex on the key's own rows."""
         engine, unpack = self.engine, self.codec.unpack
         out = []
         for key, carry in pairs:
-            rows = engine.regularity_rows(unpack(key), mode="local")
-            witness = None if carry is None else relaxed_witness(rows, _candidate(*carry))
+            if carry is None:
+                witness, element = None, None
+                rows = engine.regularity_rows(unpack(key), mode="local")
+            else:
+                parent, flip, child, element = carry
+                rows = engine.regularity_rows(child, mode="local", flip=flip)
+                witness = relaxed_witness(rows, _candidate(parent, flip.circuit))
             if witness is None:
                 self.counts["solved"] += 1
                 witness = engine.solve(rows)
             else:
                 self.counts["carried"] += 1
+            if witness is not None and element is not None:
+                witness = _relabeled(witness, element)
             out.append((key, witness))
         return out
 
@@ -327,12 +362,13 @@ class Enumerator:
                         if regular:
                             self.frontier.append(key)
                             self.witnesses[key] = _compact(witness)
-                            if self._passes_filters(unpack(key)):
+                            masks = unpack(key)
+                            if self._passes_filters(masks):
                                 self.emitted += 1
-                                emitted_now.append(key)
+                                emitted_now.append(masks)
                     fresh = fresh[size:]
-                for key in emitted_now:
-                    yield self.walk.engine.triangulation(unpack(key))
+                for masks in emitted_now:
+                    yield self.walk.engine.triangulation(masks)
                 if cut:
                     break
                 if not self.frontier:
@@ -460,9 +496,15 @@ def load_checkpoint(
             checkpoint_path=path,
             checkpoint_every=checkpoint_every,
         )
+        width = enumerator.walk.codec.width
         for field, regular in (("visited_regular", True), ("visited_nonregular", False)):
             for b64 in doc[field]:
-                enumerator.visited[base64.b64decode(b64, validate=True)] = regular
+                key = base64.b64decode(b64, validate=True)
+                if not key or len(key) % width:
+                    raise CheckpointMismatchError(
+                        f"checkpoint key of {len(key)} bytes is not a whole number of {width}-byte cells"
+                    )
+                enumerator.visited[key] = regular
         enumerator.frontier = deque(base64.b64decode(b64, validate=True) for b64 in doc["frontier"])
         if not all(enumerator.visited.get(key) for key in enumerator.frontier):
             raise CheckpointMismatchError("checkpoint frontier is not among its visited regular classes")

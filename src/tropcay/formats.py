@@ -15,6 +15,7 @@ import hashlib
 import json
 import re
 from contextlib import contextmanager
+from functools import lru_cache
 from fractions import Fraction
 
 from .errors import InputError, SupportError
@@ -100,17 +101,9 @@ def config_digest(config: PointConfiguration) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def _sorted_cells(cells) -> list[tuple[int, ...]]:
-    return sorted(map(tuple, map(sorted, cells)))
-
-
-def _text(labels, cells) -> str:
-    """Cell string of cells that are already sorted, each and together."""
-    return ",".join("".join(labels[i] for i in c) for c in cells)
-
-
 def cells_to_text(config: PointConfiguration, cells) -> str:
-    return _text(config.labels, _sorted_cells(cells))
+    labels = config.labels
+    return ",".join("".join(labels[i] for i in c) for c in sorted(map(tuple, map(sorted, cells))))
 
 
 def text_to_cells(config: PointConfiguration, text: str) -> tuple[tuple[int, ...], ...]:
@@ -123,14 +116,43 @@ def text_to_cells(config: PointConfiguration, text: str) -> tuple[tuple[int, ...
     return tuple(sorted(tuple(sorted(c)) for c in cells))
 
 
+_LINE_HEAD = '{"format":"' + FORMAT_TRIANGULATION + '","cells":['
+
+
+@lru_cache(maxsize=16)
+def _line_fragments(labels) -> dict:
+    """Per-cell fragments of ``triangulation_line`` for one label tuple,
+    filled as cells are seen: cell -> (sorted cell, its JSON, its text)."""
+    return {}
+
+
 def triangulation_line(config: PointConfiguration, cells) -> str:
-    cells = _sorted_cells(cells)
-    doc = {
-        "format": FORMAT_TRIANGULATION,
-        "cells": [list(c) for c in cells],
-        "text": _text(config.labels, cells),
-    }
-    return json.dumps(doc, separators=(",", ":"))
+    """``{"format", "cells", "text"}`` as compact JSON, the cells sorted;
+    each line is joined from cached per-cell JSON fragments."""
+    labels = config.labels
+    fragments = _line_fragments(labels)
+    parts = []
+    for cell in cells:
+        cell = tuple(cell)
+        part = fragments.get(cell)
+        if part is None:
+            ordered = tuple(sorted(cell))
+            if ordered == cell:
+                ordered = cell  # keep one tuple per cell in the cache
+            part = fragments[cell] = (
+                ordered,
+                json.dumps(ordered, separators=(",", ":")),
+                json.dumps("".join(labels[i] for i in ordered))[1:-1],
+            )
+        parts.append(part)
+    parts.sort()
+    return "".join((
+        _LINE_HEAD,
+        ",".join([part[1] for part in parts]),
+        '],"text":"',
+        ",".join([part[2] for part in parts]),
+        '"}',
+    ))
 
 
 def parse_triangulation_line(config: PointConfiguration, line: str) -> tuple[tuple[int, ...], ...]:

@@ -17,7 +17,13 @@ the points inside it (those with no negative barycentric coordinate).
 One scan, ``FlipEngine.local_circuits``, lists the circuits of a
 triangulation's interior walls and of its unused points with the cells
 containing them: each is a flip that ``neighbors`` tries, and together
-they are the local regularity rows.  Circuit signs also decide whether a
+they are the local regularity rows.  A flip changes only the cells of its
+circuit's star, so each ``Flip`` from ``neighbors`` keeps the cells it
+removes and adds and its parent's wall scan, and
+``regularity_rows(child, "local", flip=flip)`` derives the child's rows
+from them in the flip's own labeling instead of scanning the child.
+Cell facets, cell point indices and circuit sign masks are cached per
+cell and per circuit, beside the cell table.  Circuit signs also decide whether a
 set of cells is a triangulation at all
 (``FlipEngine.check_triangulation``): the two cells of every shared
 facet must lie on opposite sides of it, and no point may lie beyond an
@@ -42,10 +48,9 @@ relabels heights along with cells.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from math import gcd
-from operator import itemgetter
 
 from .errors import DegenerateConfigurationError, GroupBoundError, InputError
 from .exactarith import basis_coordinates_int, det_int, rank_int, solve_rational
@@ -107,14 +112,24 @@ class Triangulation:
 
 @dataclass(frozen=True)
 class Flip:
-    """A bistellar flip along a circuit, oriented from the present side."""
+    """A bistellar flip along a circuit, oriented from the present side.
+
+    A flip from ``FlipEngine.neighbors`` also records the cell masks it
+    removes and adds and the present triangulation's wall scan
+    (``FlipEngine.wall_circuits``), from which
+    ``FlipEngine.regularity_rows`` derives the result's local rows.  These
+    three fields take no part in comparisons; ``reversed`` knows no scan.
+    """
 
     plus: tuple[int, ...]   # circuit points whose opposite simplices are present
     minus: tuple[int, ...]  # circuit points of the replacement side
     circuit: tuple[int, ...]  # the circuit over all points, positive on ``plus``
+    removed: tuple[int, ...] = field(default=(), compare=False, repr=False)
+    added: tuple[int, ...] = field(default=(), compare=False, repr=False)
+    walls: dict | None = field(default=None, compare=False, repr=False)
 
     def reversed(self) -> "Flip":
-        return Flip(self.minus, self.plus, tuple(-c for c in self.circuit))
+        return Flip(self.minus, self.plus, tuple(-c for c in self.circuit), self.added, self.removed)
 
 
 class FlipEngine:
@@ -145,6 +160,10 @@ class FlipEngine:
         self._cells: dict[int, tuple[int, tuple | None, int]] = {}
         self._rows: dict[tuple[int, ...], tuple[int, ...]] = {}  # interned circuits
         self._boundary: dict[int, bool] = {}
+        # Bit-level caches, filled lazily and never by an elimination:
+        self._indices: dict[int, tuple[int, ...]] = {}  # cell mask -> its points
+        self._facets: dict[int, tuple[int, ...]] = {}   # cell mask -> its facet masks
+        self._signs: dict[tuple[int, ...], tuple[int, int]] = {}  # row -> (plus, minus) masks
 
     # -- mask plumbing -------------------------------------------------
 
@@ -166,8 +185,15 @@ class FlipEngine:
     def to_masks(self, cells) -> tuple[int, ...]:
         return tuple(sorted(self.mask_of(c) for c in cells))
 
+    def indices(self, cellmask: int) -> tuple[int, ...]:
+        """``bits(cellmask)``, cached per cell."""
+        points = self._indices.get(cellmask)
+        if points is None:
+            points = self._indices[cellmask] = self.bits(cellmask)
+        return points
+
     def to_cells(self, masks) -> tuple[tuple[int, ...], ...]:
-        return tuple(sorted(self.bits(m) for m in masks))
+        return tuple(sorted(map(self.indices, masks)))
 
     def triangulation(self, masks) -> Triangulation:
         return Triangulation(self.config, self.to_cells(masks))
@@ -246,15 +272,24 @@ class FlipEngine:
             used |= m
         return used == self.all_mask
 
+    def facets(self, cellmask: int) -> tuple[int, ...]:
+        """The facet masks of a cell, cached per cell."""
+        out = self._facets.get(cellmask)
+        if out is None:
+            out = self._facets[cellmask] = tuple(cellmask ^ (1 << i) for i in self.indices(cellmask))
+        return out
+
     def _facet_cells(self, masks) -> dict[int, list[int]]:
         """Map each facet mask to the cells containing it."""
         owners: dict[int, list[int]] = {}
+        cached = self._facets.get
         for cm in masks:
-            rest = cm
-            while rest:
-                low = rest & -rest
-                owners.setdefault(cm ^ low, []).append(cm)
-                rest ^= low
+            for fm in cached(cm) or self.facets(cm):
+                cs = owners.get(fm)
+                if cs is None:
+                    owners[fm] = [cm]
+                else:
+                    cs.append(cm)
         return owners
 
     def walls(self, masks):
@@ -285,6 +320,8 @@ class FlipEngine:
         outside point ``p`` lie on opposite sides iff ``circuit(sigma, p)``
         is positive at ``a``.
         """
+        if any(m & ~self.all_mask or m.bit_count() != self.cell_size for m in masks):
+            raise ValueError(f"a cell is not {self.cell_size} points of the configuration")
         if len(set(masks)) != len(masks):
             raise ValueError("a cell is repeated")
         if any(self.volume(m) == 0 for m in masks):
@@ -321,32 +358,92 @@ class FlipEngine:
             )
         return verdict
 
+    def wall_circuits(self, masks) -> dict[int, tuple[int, int, tuple[int, ...]]]:
+        """Map interior facet mask -> (cell, cell, the wall's circuit): the
+        from-scratch wall scan behind ``local_circuits`` and ``neighbors``."""
+        cell = self.cell
+        out = {}
+        for fm, cs in self._facet_cells(masks).items():
+            if len(cs) == 2:
+                sigma, tau = cs
+                # Both apexes of a wall are positive in the circuit of sigma
+                # and tau's apex, so its positive side is the present one.
+                out[fm] = (sigma, tau, cell(sigma)[1][(tau & ~fm).bit_length() - 1])
+            elif len(cs) > 2:
+                raise ValueError("facet shared by more than two cells: not a triangulation")
+        return out
+
     def local_circuits(self, masks) -> list[tuple[int, ...]]:
         """The circuits a flip of this triangulation can use, which are also
         the rows of the local regularity system: each interior wall's
         circuit, then each circuit of an unused point with a cell containing
         it, in that order and without repeats."""
-        cell = self.cell
-        # Both apexes of a wall are positive in the circuit of sigma and
-        # tau's apex, so its positive side is the present one.
-        out = [
-            cell(sigma)[1][(tau & ~fm).bit_length() - 1]
-            for fm, (sigma, tau) in self.walls(masks).items()
-        ]
+        return self._circuits(masks, self.wall_circuits(masks))
+
+    def _circuits(self, masks, walls) -> list[tuple[int, ...]]:
+        out = [row for _sigma, _tau, row in walls.values()]
+        out += self._unused_circuits(masks)
+        return list(dict.fromkeys(out))
+
+    def _unused_circuits(self, masks) -> list[tuple[int, ...]]:
+        """The circuit of each unused point with each cell containing it,
+        by point, tried against the cells' inside masks."""
         unused = self.all_mask
         for cm in masks:
             unused &= ~cm
-        if unused:  # tried against each cell's inside mask
-            entries = [cell(cm) for cm in masks]
-            for p in self.bits(unused):
-                for _volume, rows, inside in entries:
-                    if inside >> p & 1:
-                        out.append(rows[p])
-        return list(dict.fromkeys(out))
+        if not unused:
+            return []
+        cached = self._cells.get
+        entries = [cached(cm) or self.cell(cm) for cm in masks]
+        return [
+            rows[p]
+            for p in self.bits(unused)
+            for _volume, rows, inside in entries
+            if inside >> p & 1
+        ]
 
-    def regularity_rows(self, masks, mode: str = "global") -> list[tuple[int, ...]]:
+    def _child_circuits(self, flip: Flip, masks) -> set[tuple[int, ...]]:
+        """The local circuits of ``masks``, the result of ``flip``, derived
+        from the flip's scan of the triangulation it leaves: the walls whose
+        cells survive, the walls the added cells form with survivors or
+        with each other, and the circuits of the unused points."""
+        removed, cell, facets = flip.removed, self.cell, self.facets
+        walls = dict(flip.walls)
+        survivors = {}  # facet of a removed cell -> its owner outside the flip
+        for cm in removed:
+            for fm in facets(cm):
+                wall = walls.pop(fm, None)
+                if wall is not None:
+                    other = wall[1] if wall[0] == cm else wall[0]
+                    if other not in removed:
+                        survivors[fm] = other
+        rows = {row for _sigma, _tau, row in walls.values()}
+        owners: dict[int, list[int]] = {}
+        for cm in flip.added:
+            for fm in facets(cm):
+                owners.setdefault(fm, []).append(cm)
+        for fm, cs in owners.items():
+            if len(cs) == 1:
+                if fm not in survivors:
+                    continue  # a boundary facet
+                cs.append(survivors[fm])
+            sigma, tau = cs
+            rows.add(cell(sigma)[1][(tau & ~fm).bit_length() - 1])
+        rows.update(self._unused_circuits(masks))
+        return rows
+
+    def regularity_rows(
+        self, masks, mode: str = "global", flip: Flip | None = None
+    ) -> list[tuple[int, ...]]:
+        """The sorted rows of the ``global`` or ``local`` regularity system.
+
+        With ``flip``, a flip from ``neighbors`` whose result is ``masks``,
+        the local rows are derived from the flip's scan of the triangulation
+        it leaves instead of a scan of ``masks``; both give the same rows."""
         if mode == "local":
-            return sorted(self.local_circuits(masks))
+            if flip is None:
+                return sorted(self.local_circuits(masks))
+            return sorted(self._child_circuits(flip, masks))
         if mode != "global":
             raise ValueError(f"unknown regularity mode {mode!r}")
         rows = set()
@@ -372,39 +469,59 @@ class FlipEngine:
 
     def neighbors(self, masks):
         """All bistellar flips from this triangulation: (Flip, masks) pairs."""
+        walls = self.wall_circuits(masks)
+        signs, bits = self._signs, self.bits
         results = []
-        for row in self.local_circuits(masks):
-            plus = minus = 0
-            for i, c in enumerate(row):
-                if c > 0:
-                    plus |= 1 << i
-                elif c < 0:
-                    minus |= 1 << i
-            flipped = self._flip(masks, plus, minus)
-            if flipped is not None:
-                results.append((Flip(self.bits(plus), self.bits(minus), row), flipped))
+        for row in self._circuits(masks, walls):
+            sign = signs.get(row)
+            if sign is None:
+                sign = signs[row] = self._sign_masks(row)
+            plus, minus = sign
+            step = self._flip(masks, plus, minus)
+            if step is not None:
+                flipped, removed, added = step
+                results.append((Flip(bits(plus), bits(minus), row, removed, added, walls), flipped))
         return results
 
+    @staticmethod
+    def _sign_masks(row) -> tuple[int, int]:
+        plus = minus = 0
+        for i, c in enumerate(row):
+            if c > 0:
+                plus |= 1 << i
+            elif c < 0:
+                minus |= 1 << i
+        return plus, minus
+
     def _flip(self, masks, plus: int, minus: int):
-        """The triangulation with the circuit ``plus | minus`` flipped from
-        its plus side, or ``None`` unless the stars of the plus-side
-        simplices share one link that misses the circuit."""
+        """``(masks, removed, added)`` of the triangulation with the circuit
+        ``plus | minus`` flipped from its plus side, or ``None`` unless the
+        stars of the plus-side simplices share one link.
+
+        No cell holds a whole circuit, so a cell in the star of
+        ``circuit - {i}`` misses exactly ``i`` of the circuit, and its link
+        misses the circuit."""
         circuit = plus | minus
+        stars: dict[int, list[int]] = {}  # the missing plus point's bit -> its star
+        for cm in [cm for cm in masks if cm & minus == minus]:
+            missing = circuit & ~cm  # a plus point or more
+            if not missing & (missing - 1):
+                stars.setdefault(missing, []).append(cm)
+        if len(stars) != plus.bit_count():
+            return None
         link = None
-        removed = set()
-        for i in self.bits(plus):
-            s = circuit ^ (1 << i)
-            star = [cm for cm in masks if cm & s == s]
-            ls = frozenset(cm & ~s for cm in star)
-            if not ls or (link is not None and ls != link):
-                return None
+        removed = []
+        for missing, star in stars.items():
+            simplex = circuit ^ missing
+            ls = frozenset(cm ^ simplex for cm in star)
             if link is None:
-                if any(l & circuit for l in ls):
-                    return None
                 link = ls
-            removed.update(star)
-        added = {(circuit ^ (1 << i)) | l for i in self.bits(minus) for l in link}
-        return tuple(sorted((set(masks) - removed) | added))
+            elif ls != link:
+                return None
+            removed += star
+        added = [(circuit ^ (1 << i)) | l for i in self.bits(minus) for l in link]
+        flipped = tuple(sorted([cm for cm in masks if cm not in removed] + added))
+        return flipped, tuple(removed), tuple(added)
 
 
 class RelabelContext:
@@ -413,21 +530,24 @@ class RelabelContext:
     The representative of an orbit is the minimum relabeling in the
     engine's documented (colexicographic) order.  One table maps each cell
     mask to its images under every element, its least image and the
-    elements reaching that.  The canonical form starts with the least
-    image over all cells, so only the elements reaching it are sorted in
-    full.  Element ``g`` sends point ``i`` to point ``g[i]``.
+    elements reaching that.  An entry is the column sum of its points'
+    image columns: point ``i``'s column holds ``1 << g[i]`` for every
+    element ``g``.  The canonical form starts with the least image over
+    all cells, so only the elements reaching it are sorted in full.
+    Element ``g`` sends point ``i`` to point ``g[i]``.
     """
 
     def __init__(self, engine: FlipEngine, elements):
         self.engine = engine
         self.elements = [tuple(g) for g in elements]
+        self._columns = [tuple(1 << g[i] for g in self.elements) for i in range(engine.n)]
         self._images: dict[int, tuple[tuple[int, ...], int, tuple[int, ...]]] = {}
 
     def _cell(self, mask: int) -> tuple[tuple[int, ...], int, tuple[int, ...]]:
         entry = self._images.get(mask)
         if entry is None:
-            points = self.engine.bits(mask)
-            images = tuple(sum(1 << g[i] for i in points) for g in self.elements)
+            columns = self._columns
+            images = tuple(map(sum, zip(*[columns[i] for i in self.engine.indices(mask)])))
             least = min(images)
             reach = tuple(gi for gi, image in enumerate(images) if image == least)
             entry = self._images[mask] = (images, least, reach)
@@ -435,11 +555,12 @@ class RelabelContext:
 
     def canonical(self, masks) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """The least relabeling of ``masks`` and the first element giving it."""
-        entries = [self._cell(m) for m in masks]
-        first = min(least for _images, least, _reach in entries)
+        cached, cell = self._images.get, self._cell
+        entries = [cached(m) or cell(m) for m in masks]
+        first = min([least for _images, least, _reach in entries])
         reach = {gi for _images, least, gis in entries if least == first for gi in gis}
-        image_rows = [images for images, _least, _reach in entries]
-        form, gi = min((tuple(sorted(map(itemgetter(gi), image_rows))), gi) for gi in reach)
+        by_element = list(zip(*[images for images, _least, _reach in entries]))
+        form, gi = min((tuple(sorted(by_element[gi])), gi) for gi in reach)
         return form, self.elements[gi]
 
 

@@ -307,6 +307,12 @@ def points_inside(engine, cellmask: int) -> int:
     return inside
 
 
+def cell_images(elements, points) -> tuple[int, ...]:
+    """The mask of a cell's image under each group element, summed point
+    by point per element."""
+    return tuple(sum(1 << g[i] for i in points) for g in elements)
+
+
 def local_circuits(engine, masks) -> list[tuple[int, ...]]:
     """Each interior wall's circuit, then each unused point's circuit with
     every cell on whose vertices that circuit has no positive entry, without

@@ -688,6 +688,37 @@ def test_enumerate_resume_non_regular_frontier_class_exit_5(tmp_path, capsys, jo
     assert "not regular" in err and out == ""
 
 
+# Frontier keys that are not triangulations, each listed as a visited
+# regular class in a signed checkpoint: (craft from key and width, message).
+_CRAFTED_KEYS = {
+    "cut-one-byte": (lambda key, w: key[:-1], "whole number"),
+    "repeated-mask": (lambda key, w: key[:w] * 2 + key[2 * w :], "not a triangulation"),
+}
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("craft", sorted(_CRAFTED_KEYS))
+def test_enumerate_resume_frontier_key_not_a_triangulation_exit_5(tmp_path, capsys, craft, jobs):
+    cfg_path = tmp_path / "3d2.json"
+    run(capsys, "config", "simplex", "--dim", "2", "--dilation", "3", "--out", str(cfg_path))
+    ckpt = tmp_path / "run.ckpt"
+    code, _, _ = run(
+        capsys, "enumerate", "--config", str(cfg_path), "--group", "s3", "--limit", "20",
+        "--checkpoint", str(ckpt),
+    )
+    assert code == EXIT_OK
+    doc = json.loads(ckpt.read_text())
+    change, message = _CRAFTED_KEYS[craft]
+    bad = base64.b64encode(change(base64.b64decode(doc["frontier"][0]), 2)).decode()  # 10 points: 2 bytes
+    doc["visited_regular"].append(bad)
+    doc["frontier"].insert(0, bad)
+    doc["digest"] = _digest(doc)
+    ckpt.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "enumerate", "--resume", "--checkpoint", str(ckpt), "--jobs", jobs)
+    assert code == EXIT_CHECKPOINT
+    assert message in err and out == ""
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_enumerate_done_line_counts_carried_verdicts(tmp_path, capsys, jobs):
     # On the first 300 quadric classes most verdicts come from witnesses

@@ -325,14 +325,14 @@ def test_carried_witnesses_match_cold_verdicts(name, steps, data):
         [(child_key, child_witness)] = walk.check([(child, carry)])
         assert child_key == child
         masks = unpack(child)
-        # the candidate lies on the child's side of the flipped wall, whose
-        # row is the flip's circuit negated and relabeled into the child's key
-        _witness, circuit, element = carry
-        wall = [0] * engine.n
-        for i, c in zip(element, circuit):
-            wall[i] = -c
-        assert tuple(wall) in engine.regularity_rows(masks, mode="local")
-        assert sum(c * x for c, x in zip(wall, _candidate(*carry))) > 0
+        # the carry is in the flip's labeling, which its element takes to
+        # the key; there the candidate lies on the child's side of the
+        # flipped wall, whose row is the flip's circuit negated
+        parent, flip, flipped, _element = carry
+        assert walk.key(flipped) == child
+        wall = tuple(-c for c in flip.circuit)
+        assert wall in engine.regularity_rows(flipped, mode="local")
+        assert sum(c * x for c, x in zip(wall, _candidate(parent, flip.circuit))) > 0
         assert (child_witness is not None) == (engine.is_regular(masks, mode="local") is not None)
         if walk.counts["carried"] > carried:
             rows = engine.regularity_rows(masks, mode="local")

@@ -19,6 +19,7 @@ from tropcay.formats import (
     weights_to_dict,
 )
 from tropcay.geometry import (
+    PointConfiguration,
     WeightVector,
     cayley_config,
     simplex_lattice_points,
@@ -77,21 +78,29 @@ def test_triangulation_line_roundtrip():
     assert parse_triangulation_line(cfg, text_only) == cells
 
 
-def test_triangulation_line_matches_the_two_sort_formula():
-    # Emission sorts once; the line must equal the one built with cells
-    # and text sorted separately, whatever order the cells come in.
+def escaped_labels():
+    # Labels that JSON must escape; only configurations built in Python have them.
     cfg = cayley22()
-    rng = random.Random(3)
-    for _ in range(50):
-        cells = [rng.sample(range(len(cfg.points)), 5) for _ in range(rng.randint(1, 8))]
-        rng.shuffle(cells)
-        ordered = sorted(map(tuple, map(sorted, cells)))
-        text = ",".join("".join(cfg.labels[i] for i in sorted(c)) for c in ordered)
-        expected = json.dumps(
-            {"format": "tropcay/triangulation/1", "cells": [list(c) for c in ordered], "text": text},
-            separators=(",", ":"),
-        )
-        assert triangulation_line(cfg, cells) == expected
+    labels = tuple(f'{label}"\\é' for label in cfg.labels)
+    return PointConfiguration(cfg.ambient_dim, cfg.points, labels, cfg.cayley_sizes)
+
+
+def test_triangulation_line_matches_the_two_sort_formula():
+    # Lines are joined from cached per-cell fragments; each must equal the
+    # one json.dumps builds with cells and text sorted separately, whatever
+    # order the cells come in.
+    for cfg in (cayley22(), escaped_labels()):
+        rng = random.Random(3)
+        for _ in range(50):
+            cells = [rng.sample(range(len(cfg.points)), 5) for _ in range(rng.randint(1, 8))]
+            rng.shuffle(cells)
+            ordered = sorted(map(tuple, map(sorted, cells)))
+            text = ",".join("".join(cfg.labels[i] for i in sorted(c)) for c in ordered)
+            expected = json.dumps(
+                {"format": "tropcay/triangulation/1", "cells": [list(c) for c in ordered], "text": text},
+                separators=(",", ":"),
+            )
+            assert triangulation_line(cfg, cells) == expected
 
 
 def test_marked_cell_text_tags_toblerones():

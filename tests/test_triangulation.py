@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
+from operator import or_
 
 import pytest
 from hypothesis import given, settings
@@ -327,6 +329,59 @@ def test_local_circuits_match_the_oracle_scan(name):
     assert with_unused >= 10
 
 
+# Walks for the rows a flip derives from its scan: 3D2, C(1D3,2D3) and the
+# nested triangles use and drop points; the nested triangles and the
+# quadric have non-regular children.
+_DERIVED = {
+    "3D2/trivial": (_WALKED["3D2"], "trivial"),
+    "C(1D3,2D3)/trivial": (_WALKED["C(1D3,2D3)"], "trivial"),
+    "C(2D3,2D3)/S4xZ2": (
+        cayley_config(simplex_lattice_points(3, 2), simplex_lattice_points(3, 2)), "s4xz2",
+    ),
+    "nested/trivial": (nested_triangles()[0], "trivial"),
+}
+
+
+def _flip_walk(name, steps, choose):
+    """``(engine, flip, child)`` for every flip of every step of a walk
+    that moves, as the enumerator does, to the canonical form of the
+    child ``choose(count)`` picks, regular or not."""
+    cfg, kind = _DERIVED[name]
+    engine = flip_engine(cfg)
+    context = RelabelContext(engine, builtin_symmetry(kind, cfg).elements)
+    masks = context.canonical(engine.to_masks(placing_triangulation(cfg).cells))[0]
+    for _ in range(steps):
+        nbrs = engine.neighbors(masks)
+        for flip, child in nbrs:
+            yield engine, flip, child
+        masks = context.canonical(nbrs[choose(len(nbrs))][1])[0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(_DERIVED)), st.integers(1, 10), st.data())
+def test_derived_rows_match_a_fresh_scan(name, steps, data):
+    for engine, flip, child in _flip_walk(name, steps, lambda k: data.draw(st.integers(0, k - 1))):
+        derived = engine.regularity_rows(child, mode="local", flip=flip)
+        assert derived == sorted(engine.local_circuits(child))
+
+
+def test_derived_rows_walks_change_points_and_leave_regularity():
+    # Seeded walks of the same kind, which must meet flips that use or
+    # drop a point and flips to non-regular children.
+    rng = random.Random(7)
+    changed = non_regular = checked = 0
+    for name in sorted(_DERIVED):
+        for _ in range(3):
+            for engine, flip, child in _flip_walk(name, 12, rng.randrange):
+                rows = engine.regularity_rows(child, mode="local", flip=flip)
+                assert rows == sorted(engine.local_circuits(child))
+                parent = set(child).difference(flip.added).union(flip.removed)
+                changed += reduce(or_, parent) != reduce(or_, child)
+                non_regular += engine.solve(rows) is None
+                checked += 1
+    assert changed >= 100 and non_regular >= 3, (changed, non_regular, checked)
+
+
 def test_degenerate_cell_has_volume_zero_and_no_circuit():
     engine = flip_engine(cubic_polygon())
     line = engine.mask_of((0, 1, 3))  # (0, 0), (0, 1), (0, 2)
@@ -448,6 +503,8 @@ def test_canonical_is_least_relabeling(name, steps, data):
     least = min(image(g, masks) for g in grp.elements)
     context = RelabelContext(engine, grp.elements)
     form, element = context.canonical(masks)
+    for m in masks:  # each entry is the column sum of its points' image columns
+        assert context._cell(m)[0] == oracles.cell_images(grp.elements, engine.bits(m))
     assert form == least == image(element, masks)
     g = grp.elements[data.draw(st.integers(0, len(grp) - 1))]
     assert context.canonical(image(g, masks))[0] == least
