@@ -70,7 +70,7 @@ from functools import partial
 from typing import Iterator
 
 from .errors import CheckpointMismatchError, GroupBoundError, InputError
-from .formats import FORMAT_CHECKPOINT, config_from_dict, config_to_dict
+from .formats import FORMAT_CHECKPOINT, _boolean, _integer, config_from_dict, config_to_dict
 from .geometry import PointConfiguration
 from .lp import relaxation_step, relaxed_witness
 from .triangulation import (
@@ -101,7 +101,7 @@ class EnumerationFilters:
     @classmethod
     def from_dict(cls, doc) -> "EnumerationFilters":
         # Older checkpoints also store an always-true regularity filter; it is ignored.
-        return cls(bool(doc["require_unimodular"]), bool(doc["require_full"]))
+        return cls(_boolean(doc["require_unimodular"]), _boolean(doc["require_full"]))
 
 
 class _Codec:
@@ -260,8 +260,8 @@ class Enumerator:
         self.walk = _Walk(config, group.elements)
 
         self.visited: dict[bytes, bool] = {}
-        self.frontier: deque[bytes] = deque()
-        self.witnesses: dict[bytes, object] = {}  # of frontier keys, _compact; not checkpointed
+        # (key, witness) pairs, the witness _compact; a key read from a checkpoint has None
+        self.frontier: deque[tuple[bytes, object]] = deque()
         self.emitted = 0
         self.expanded = 0
         self.complete = False
@@ -347,8 +347,7 @@ class Enumerator:
                 cut = False
                 while fresh:
                     if limit is not None and self.emitted >= limit:
-                        self.frontier.extendleft(key for key, _witness in reversed(wave))
-                        self.witnesses.update((key, w) for key, w in wave if w is not None)
+                        self.frontier.extendleft(reversed(wave))
                         self.expanded -= len(wave)
                         cut = True
                         break
@@ -360,8 +359,7 @@ class Enumerator:
                             raise RuntimeError("placing triangulation must be regular")
                         self.visited[key] = regular
                         if regular:
-                            self.frontier.append(key)
-                            self.witnesses[key] = _compact(witness)
+                            self.frontier.append((key, _compact(witness)))
                             masks = unpack(key)
                             if self._passes_filters(masks):
                                 self.emitted += 1
@@ -377,10 +375,7 @@ class Enumerator:
                 if self._stop or (limit is not None and self.emitted >= limit):
                     break
                 self._maybe_checkpoint()  # every stop above ends in the final write
-                wave = []
-                for _ in range(min(wave_size, len(self.frontier))):
-                    key = self.frontier.popleft()
-                    wave.append((key, self.witnesses.pop(key, None)))
+                wave = [self.frontier.popleft() for _ in range(min(wave_size, len(self.frontier)))]
                 self.expanded += len(wave)
                 # one carry per new key, in first-seen order
                 fresh = list({key: carry for key, carry in expand(wave) if key not in self.visited}.items())
@@ -410,7 +405,7 @@ class Enumerator:
             "visited_nonregular": [
                 base64.b64encode(k).decode() for k, v in self.visited.items() if not v
             ],
-            "frontier": [base64.b64encode(k).decode() for k in self.frontier],
+            "frontier": [base64.b64encode(k).decode() for k, _witness in self.frontier],
             "emitted": self.emitted,
             "expanded": self.expanded,
             "complete": self.complete,
@@ -505,12 +500,13 @@ def load_checkpoint(
                         f"checkpoint key of {len(key)} bytes is not a whole number of {width}-byte cells"
                     )
                 enumerator.visited[key] = regular
-        enumerator.frontier = deque(base64.b64decode(b64, validate=True) for b64 in doc["frontier"])
-        if not all(enumerator.visited.get(key) for key in enumerator.frontier):
+        enumerator.frontier = deque((base64.b64decode(b64, validate=True), None) for b64 in doc["frontier"])
+        if not all(enumerator.visited.get(key) for key, _witness in enumerator.frontier):
             raise CheckpointMismatchError("checkpoint frontier is not among its visited regular classes")
-        enumerator.emitted = int(doc["emitted"])
-        enumerator.expanded = int(doc["expanded"])
-        enumerator.complete = bool(doc["complete"])
+        enumerator.emitted, enumerator.expanded = _integer(doc["emitted"]), _integer(doc["expanded"])
+        if min(enumerator.emitted, enumerator.expanded) < 0:
+            raise ValueError("checkpoint counters must not be negative")
+        enumerator.complete = _boolean(doc["complete"])
     # ValueError covers json.JSONDecodeError, UnicodeDecodeError, binascii.Error and a
     # generator that is not an affine lattice map; GroupBoundError, a closure larger
     # than the stored group

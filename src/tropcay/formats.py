@@ -1,4 +1,4 @@
-"""JSON/text serialization: configurations, weights, polynomials, cell text.
+"""JSON/text serialization: configurations, polynomials, cell text, reports.
 
 All JSON documents carry a ``format`` field.  Rationals serialize as
 "p/q" or "p" strings.  Reading a document that is not an object, has the
@@ -11,7 +11,6 @@ by commas, e.g. ``ABCDe,ABCde``.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import re
 from contextlib import contextmanager
@@ -20,10 +19,9 @@ from fractions import Fraction
 
 from .errors import InputError, SupportError
 from .exactarith import format_rational, parse_rational
-from .geometry import PointConfiguration, WeightVector
+from .geometry import PointConfiguration
 
 FORMAT_POINTS = "tropcay/point-configuration/1"
-FORMAT_WEIGHTS = "tropcay/weight-vector/1"
 FORMAT_TRIANGULATION = "tropcay/triangulation/1"
 FORMAT_POLYNOMIAL = "tropcay/valued-polynomial/1"
 FORMAT_CHECKPOINT = "tropcay/checkpoint/2"
@@ -58,6 +56,13 @@ def _integer(value) -> int:
     return value
 
 
+def _boolean(value) -> bool:
+    """A JSON boolean; ``bool()`` would read "false" and 1 as true."""
+    if type(value) is not bool:
+        raise TypeError(f"{value!r} is not a boolean")
+    return value
+
+
 def config_to_dict(config: PointConfiguration) -> dict:
     doc = {
         "format": FORMAT_POINTS,
@@ -85,20 +90,6 @@ def config_from_dict(doc: dict) -> PointConfiguration:
             tuple(labels),
             tuple(_integer(x) for x in cayley) if cayley else None,
         )
-
-
-def weights_to_dict(w: WeightVector) -> dict:
-    return {"format": FORMAT_WEIGHTS, "heights": [format_rational(h) for h in w.heights]}
-
-
-def weights_from_dict(doc: dict) -> WeightVector:
-    with _reading(doc, FORMAT_WEIGHTS, "weight vector"):
-        return WeightVector.of(doc["heights"])
-
-
-def config_digest(config: PointConfiguration) -> str:
-    payload = json.dumps(config_to_dict(config), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode()).hexdigest()
 
 
 def cells_to_text(config: PointConfiguration, cells) -> str:
@@ -162,17 +153,6 @@ def parse_triangulation_line(config: PointConfiguration, line: str) -> tuple[tup
     if isinstance(doc, dict) and "text" in doc:
         return text_to_cells(config, doc["text"])
     raise ValueError("triangulation line has neither 'cells' nor 'text'")
-
-
-def polynomial_to_dict(degree: int, terms: dict) -> dict:
-    return {
-        "format": FORMAT_POLYNOMIAL,
-        "degree": degree,
-        "terms": [
-            {"exp": list(exp), "val": format_rational(val)}
-            for exp, val in sorted(terms.items())
-        ],
-    }
 
 
 def polynomial_terms_from_dict(doc: dict) -> tuple[int, dict[tuple[int, ...], Fraction]]:

@@ -14,21 +14,25 @@ is the regularity inequality "the point lifts strictly above the cell".
 One fraction-free elimination of all points against a cell's vertices
 gives the cell's volume (the last pivot), every circuit of the cell and
 the points inside it (those with no negative barycentric coordinate).
-One scan, ``FlipEngine.local_circuits``, lists the circuits of a
-triangulation's interior walls and of its unused points with the cells
-containing them: each is a flip that ``neighbors`` tries, and together
-they are the local regularity rows.  A flip changes only the cells of its
-circuit's star, so each ``Flip`` from ``neighbors`` keeps the cells it
-removes and adds and its parent's wall scan, and
-``regularity_rows(child, "local", flip=flip)`` derives the child's rows
-from them in the flip's own labeling instead of scanning the child.
-Cell facets, cell point indices and circuit sign masks are cached per
-cell and per circuit, beside the cell table.  Circuit signs also decide whether a
-set of cells is a triangulation at all
+One routine, ``FlipEngine.wall_circuits``, pairs facets into walls with
+their circuits.  ``FlipEngine.local_circuits`` adds the circuits of the
+unused points with the cells containing them: each is a flip that
+``neighbors`` tries, and together they are the local regularity rows.  A
+flip changes only the cells of its circuit's star, so each ``Flip`` from
+``neighbors`` keeps the cells it removes and adds and its parent's wall
+scan, and ``wall_circuits(child, flip)`` derives the child's walls from
+them, in the flip's own labeling, instead of scanning the child; the
+checked child's local rows (``regularity_rows(child, "local", flip)``)
+come from them.  Cell facets, cell point indices and circuit sign masks
+are cached per cell and per circuit, beside the cell table.  Circuit
+signs also decide whether a set of cells is a triangulation at all
 (``FlipEngine.check_triangulation``): the two cells of every shared
 facet must lie on opposite sides of it, and no point may lie beyond an
-unshared one.  ``Triangulation.make`` runs that check once
-on cells from outside; cells the engine builds skip it.
+unshared one.  ``Triangulation.make`` runs that check once on cells from
+outside; cells the engine builds skip it.  And they certify symmetries
+(``certify_affine_action``): a permutation is an affine lattice map iff
+it carries the circuits of one simplex of the placing triangulation
+(``FlipEngine.placing``) to the circuits of its image.
 
 Regularity is decided exactly.  Two equivalent strict systems are
 available: the reference formulation with one inequality per (cell,
@@ -52,8 +56,8 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from math import gcd
 
-from .errors import DegenerateConfigurationError, GroupBoundError, InputError
-from .exactarith import basis_coordinates_int, det_int, rank_int, solve_rational
+from .errors import GroupBoundError, InputError
+from .exactarith import basis_coordinates_int
 from .geometry import (
     PointConfiguration,
     WeightVector,
@@ -115,10 +119,9 @@ class Flip:
     """A bistellar flip along a circuit, oriented from the present side.
 
     A flip from ``FlipEngine.neighbors`` also records the cell masks it
-    removes and adds and the present triangulation's wall scan
-    (``FlipEngine.wall_circuits``), from which
-    ``FlipEngine.regularity_rows`` derives the result's local rows.  These
-    three fields take no part in comparisons; ``reversed`` knows no scan.
+    removes and adds and the present triangulation's wall scan, from which
+    ``FlipEngine.wall_circuits`` derives the result's walls.  These three
+    fields take no part in comparisons; ``reversed`` knows no scan.
     """
 
     plus: tuple[int, ...]   # circuit points whose opposite simplices are present
@@ -303,9 +306,14 @@ class FlipEngine:
         return out
 
     @cached_property
+    def placing(self) -> tuple[int, ...]:
+        """The placing triangulation of the points in index order, as masks."""
+        return self.to_masks(placing_cells(self.points))
+
+    @cached_property
     def total_volume(self) -> int:
         """Normalized volume of the configuration's convex hull."""
-        return sum(self.volume(self.mask_of(c)) for c in placing_cells(self.points))
+        return sum(map(self.volume, self.placing))
 
     def check_triangulation(self, masks) -> dict[int, tuple[int, int]]:
         """Raise ``ValueError`` unless the cells triangulate the configuration;
@@ -358,12 +366,33 @@ class FlipEngine:
             )
         return verdict
 
-    def wall_circuits(self, masks) -> dict[int, tuple[int, int, tuple[int, ...]]]:
-        """Map interior facet mask -> (cell, cell, the wall's circuit): the
-        from-scratch wall scan behind ``local_circuits`` and ``neighbors``."""
+    def wall_circuits(
+        self, masks, flip: Flip | None = None
+    ) -> dict[int, tuple[int, int, tuple[int, ...]]]:
+        """Map interior facet mask -> (cell, cell, the wall's circuit), the
+        one routine that pairs facets into walls.
+
+        Without ``flip`` every cell's facets are paired, in cell order.
+        With ``flip``, a flip from ``neighbors`` whose result is ``masks``,
+        the flip's scan of the triangulation it leaves is copied without
+        the walls of the cells it removes, and only the added cells' facets
+        are paired, with each other or with the owner that survives."""
+        if flip is None:
+            out, owners = {}, self._facet_cells(masks)
+        else:
+            out, owners, removed = dict(flip.walls), {}, flip.removed
+            for cm in removed:
+                for fm in self.facets(cm):
+                    wall = out.pop(fm, None)
+                    if wall is not None:
+                        other = wall[1] if wall[0] == cm else wall[0]
+                        if other not in removed:
+                            owners[fm] = [other]
+            for cm in flip.added:
+                for fm in self.facets(cm):
+                    owners.setdefault(fm, []).append(cm)
         cell = self.cell
-        out = {}
-        for fm, cs in self._facet_cells(masks).items():
+        for fm, cs in owners.items():
             if len(cs) == 2:
                 sigma, tau = cs
                 # Both apexes of a wall are positive in the circuit of sigma
@@ -402,48 +431,18 @@ class FlipEngine:
             if inside >> p & 1
         ]
 
-    def _child_circuits(self, flip: Flip, masks) -> set[tuple[int, ...]]:
-        """The local circuits of ``masks``, the result of ``flip``, derived
-        from the flip's scan of the triangulation it leaves: the walls whose
-        cells survive, the walls the added cells form with survivors or
-        with each other, and the circuits of the unused points."""
-        removed, cell, facets = flip.removed, self.cell, self.facets
-        walls = dict(flip.walls)
-        survivors = {}  # facet of a removed cell -> its owner outside the flip
-        for cm in removed:
-            for fm in facets(cm):
-                wall = walls.pop(fm, None)
-                if wall is not None:
-                    other = wall[1] if wall[0] == cm else wall[0]
-                    if other not in removed:
-                        survivors[fm] = other
-        rows = {row for _sigma, _tau, row in walls.values()}
-        owners: dict[int, list[int]] = {}
-        for cm in flip.added:
-            for fm in facets(cm):
-                owners.setdefault(fm, []).append(cm)
-        for fm, cs in owners.items():
-            if len(cs) == 1:
-                if fm not in survivors:
-                    continue  # a boundary facet
-                cs.append(survivors[fm])
-            sigma, tau = cs
-            rows.add(cell(sigma)[1][(tau & ~fm).bit_length() - 1])
-        rows.update(self._unused_circuits(masks))
-        return rows
-
     def regularity_rows(
         self, masks, mode: str = "global", flip: Flip | None = None
     ) -> list[tuple[int, ...]]:
         """The sorted rows of the ``global`` or ``local`` regularity system.
 
         With ``flip``, a flip from ``neighbors`` whose result is ``masks``,
-        the local rows are derived from the flip's scan of the triangulation
-        it leaves instead of a scan of ``masks``; both give the same rows."""
+        the walls come from ``wall_circuits(masks, flip)`` instead of a
+        scan of ``masks``; the rows are the same."""
         if mode == "local":
-            if flip is None:
-                return sorted(self.local_circuits(masks))
-            return sorted(self._child_circuits(flip, masks))
+            rows = {row for _sigma, _tau, row in self.wall_circuits(masks, flip).values()}
+            rows.update(self._unused_circuits(masks))
+            return sorted(rows)
         if mode != "global":
             raise ValueError(f"unknown regularity mode {mode!r}")
         rows = set()
@@ -591,12 +590,12 @@ def is_regular(t: Triangulation, mode: str = "global"):
 
 
 def placing_triangulation(config: PointConfiguration, order=None) -> Triangulation:
-    """Triangulation built by placing points one at a time (always regular)."""
-    reduced, _ = _reduction(config)
-    cells = placing_cells(reduced.points, order)
-    if cells is None:
-        raise DegenerateConfigurationError("configuration has no affine extent")
-    return Triangulation(config, tuple(cells))
+    """Triangulation built by placing points one at a time (always regular);
+    without ``order`` it is the engine's cached ``FlipEngine.placing``."""
+    engine = flip_engine(config)
+    if order is None:
+        return engine.triangulation(engine.placing)
+    return Triangulation(config, tuple(placing_cells(engine.points, order)))
 
 
 def flips(t: Triangulation):
@@ -647,55 +646,31 @@ class SymmetryGroup:
         return len(self.elements)
 
 
-def certify_affine_action(config: PointConfiguration, perm) -> tuple:
-    """Solve exactly for the affine map realizing a point permutation.
+def certify_affine_action(config: PointConfiguration, perm) -> None:
+    """Raise ``ValueError`` unless a point permutation is induced by an
+    affine automorphism of the configuration's lattice.
 
-    Returns (matrix, offset) in reduced coordinates and raises ``ValueError``
-    if the permutation is not induced by an affine automorphism of the
-    affine lattice (integer matrix with determinant +-1).
+    Read from the circuit table: let B be the first cell of the placing
+    triangulation.  An affine map is fixed by the images of B's vertices;
+    it sends every point p outside B to ``perm[p]`` iff ``perm`` of B is a
+    simplex and ``circuit(perm(B), perm[p])`` is ``circuit(B, p)``
+    relabeled by ``perm``, as both rows hold p's barycentric coordinates.
+    The lattice is then preserved too: in reduced coordinates the point
+    differences span the lattice, and the map permutes them.
     """
-    reduced, _ = _reduction(config)
-    pts = reduced.points
-    r = reduced.ambient_dim
-    base_idx = [0]
-    for i in range(1, len(pts)):
-        rows = [
-            [pts[j][k] - pts[base_idx[0]][k] for k in range(r)]
-            for j in base_idx[1:] + [i]
-        ]
-        if rank_int(rows) == len(base_idx):
-            base_idx.append(i)
-        if len(base_idx) == r + 1:
-            break
-    if len(base_idx) != r + 1:
-        raise DegenerateConfigurationError("cannot certify maps on a degenerate configuration")
-    o = pts[base_idx[0]]
-    o_img = pts[perm[base_idx[0]]]
-    d_rows = [[pts[i][k] - o[k] for k in range(r)] for i in base_idx[1:]]
-    e_rows = [[pts[perm[i]][k] - o_img[k] for k in range(r)] for i in base_idx[1:]]
-    # Solve D M = E column by column (row-vector convention: x' = x M + t).
-    cols = []
-    for c in range(r):
-        col = solve_rational(d_rows, [e[c] for e in e_rows])
-        assert col is not None
-        cols.append(col)
-    matrix = [[cols[c][k] for c in range(r)] for k in range(r)]
-    if any(v.denominator != 1 for row in matrix for v in row):
-        raise ValueError("permutation is not an affine lattice map (non-integer matrix)")
-    int_matrix = [[int(v) for v in row] for row in matrix]
-    if abs(det_int(int_matrix)) != 1:
-        raise ValueError("permutation does not preserve the lattice (determinant != +-1)")
-    offset = [
-        o_img[k] - sum(o[j] * int_matrix[j][k] for j in range(r))
-        for k in range(r)
-    ]
-    for i, p in enumerate(pts):
-        image = tuple(
-            sum(p[j] * int_matrix[j][k] for j in range(r)) + offset[k] for k in range(r)
-        )
-        if image != pts[perm[i]]:
-            raise ValueError(f"permutation is not affine: point {i} maps inconsistently")
-    return tuple(tuple(row) for row in int_matrix), tuple(offset)
+    engine = flip_engine(config)
+    base = engine.placing[0]
+    image = engine.mask_of(perm[i] for i in engine.bits(base))
+    if image.bit_count() != engine.cell_size or not engine.volume(image):
+        raise ValueError("permutation is not affine: it maps a simplex to a degenerate cell")
+    for p in range(engine.n):
+        if base >> p & 1:
+            continue
+        moved = [0] * engine.n
+        for i, c in enumerate(engine.circuit(base, p)):
+            moved[perm[i]] = c
+        if engine.circuit(image, perm[p]) != tuple(moved):
+            raise ValueError(f"permutation is not affine: point {p} maps inconsistently")
 
 
 def apply_symmetry(t: Triangulation, perm) -> Triangulation:

@@ -34,6 +34,13 @@ a strict LP finds a hyperplane through their common face separating the
 rest of the two cells.  Being a triangulation is a yes/no question, so
 the library's verdicts must agree with it exactly.
 
+``certify_affine_action`` is the check ``SymmetryGroup.from_generators``
+ran before it read circuits: it solves ``Fraction`` systems for the affine
+map fixed by one simplex, then requires an integer matrix of determinant
++-1 that sends every point to its image.  Being a lattice symmetry is a
+yes/no question, so the library must accept exactly the permutations
+this oracle accepts.
+
 ``verify_closure`` re-checks a completed enumeration: every regular
 neighbor of every regular class must be in the visited set.
 ``cold_walk`` is the breadth-first walk with a cold simplex for every
@@ -53,7 +60,9 @@ from itertools import combinations
 from tropcay.exactarith import (
     DimensionError,
     clear_denominators,
+    det_int,
     kernel_vector_int,
+    rank_int,
     solve_rational,
 )
 from tropcay.geometry import (
@@ -530,6 +539,46 @@ def validate_triangulation(t: Triangulation) -> bool:
             if not feasible:
                 return False
     return True
+
+
+def certify_affine_action(config: PointConfiguration, perm) -> tuple:
+    """Solve exactly for the affine map realizing a point permutation.
+
+    Returns (matrix, offset) in reduced coordinates and raises ``ValueError``
+    if the permutation is not induced by an affine automorphism of the
+    affine lattice (integer matrix with determinant +-1).
+    """
+    reduced, _ = affine_reduce(config)
+    pts = reduced.points
+    r = reduced.ambient_dim
+    base_idx = [0]
+    for i in range(1, len(pts)):
+        rows = [
+            [pts[j][k] - pts[base_idx[0]][k] for k in range(r)]
+            for j in base_idx[1:] + [i]
+        ]
+        if rank_int(rows) == len(base_idx):
+            base_idx.append(i)
+        if len(base_idx) == r + 1:
+            break
+    o = pts[base_idx[0]]
+    o_img = pts[perm[base_idx[0]]]
+    d_rows = [[pts[i][k] - o[k] for k in range(r)] for i in base_idx[1:]]
+    e_rows = [[pts[perm[i]][k] - o_img[k] for k in range(r)] for i in base_idx[1:]]
+    # Solve D M = E column by column (row-vector convention: x' = x M + t).
+    cols = [solve_rational(d_rows, [e[c] for e in e_rows]) for c in range(r)]
+    matrix = [[cols[c][k] for c in range(r)] for k in range(r)]
+    if any(v.denominator != 1 for row in matrix for v in row):
+        raise ValueError("permutation is not an affine lattice map (non-integer matrix)")
+    int_matrix = [[int(v) for v in row] for row in matrix]
+    if abs(det_int(int_matrix)) != 1:
+        raise ValueError("permutation does not preserve the lattice (determinant != +-1)")
+    offset = [o_img[k] - sum(o[j] * int_matrix[j][k] for j in range(r)) for k in range(r)]
+    for i, p in enumerate(pts):
+        image = tuple(sum(p[j] * int_matrix[j][k] for j in range(r)) + offset[k] for k in range(r))
+        if image != pts[perm[i]]:
+            raise ValueError(f"permutation is not affine: point {i} maps inconsistently")
+    return tuple(tuple(row) for row in int_matrix), tuple(offset)
 
 
 def verify_closure(enumerator) -> bool:

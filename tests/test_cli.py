@@ -639,6 +639,14 @@ _DAMAGE = {
     "foreign-frontier-signed": _edit(
         lambda doc: doc["frontier"].append(base64.b64encode(b"\xff\xff").decode()), sign=True
     ),
+    # int() and bool() would read these as counts and flags
+    "complete-string-signed": _edit(lambda doc: doc.update(complete="false"), sign=True),
+    "emitted-float-signed": _edit(lambda doc: doc.update(emitted=9.9), sign=True),
+    "emitted-bool-signed": _edit(lambda doc: doc.update(emitted=True), sign=True),
+    "emitted-negative-signed": _edit(lambda doc: doc.update(emitted=-1), sign=True),
+    "expanded-string-signed": _edit(lambda doc: doc.update(expanded="3"), sign=True),
+    "filter-string-signed": _edit(lambda doc: doc["filters"].update(require_unimodular="no"), sign=True),
+    "filter-int-signed": _edit(lambda doc: doc["filters"].update(require_full=0), sign=True),
 }
 
 

@@ -367,7 +367,7 @@ def test_resumed_frontier_solves_each_expanded_class_once(tmp_path):
     ckpt = str(tmp_path / "run.ckpt.json")
     list(Enumerator(cfg, grp, checkpoint_path=ckpt).run(limit=300))
     en = load_checkpoint(ckpt)
-    resumed_frontier = set(en.frontier)
+    resumed_frontier = {key for key, _witness in en.frontier}
     visited_before = len(en.visited)
     list(en.run())
     s = en.stats()

@@ -6,24 +6,15 @@ import pytest
 
 from tropcay.formats import (
     cells_to_text,
-    config_digest,
     config_from_dict,
     config_to_dict,
     marked_cell_text,
     parse_triangulation_line,
     polynomial_terms_from_dict,
-    polynomial_to_dict,
     text_to_cells,
     triangulation_line,
-    weights_from_dict,
-    weights_to_dict,
 )
-from tropcay.geometry import (
-    PointConfiguration,
-    WeightVector,
-    cayley_config,
-    simplex_lattice_points,
-)
+from tropcay.geometry import PointConfiguration, cayley_config, simplex_lattice_points
 
 
 def cayley22():
@@ -35,27 +26,21 @@ def test_config_roundtrip_preserves_everything():
     cfg = cayley22()
     back = config_from_dict(config_to_dict(cfg))
     assert back == cfg
-    assert config_digest(back) == config_digest(cfg)
-
-
-def test_config_digest_changes_with_contents():
-    a = simplex_lattice_points(2, 2)
-    b = simplex_lattice_points(2, 3)
-    assert config_digest(a) != config_digest(b)
-
-
-def test_weights_roundtrip_with_puiseux_entries():
-    w = WeightVector.of(["1/2", 3, "7/3", 0])
-    doc = weights_to_dict(w)
-    assert doc["heights"] == ["1/2", "3", "7/3", "0"]
-    assert weights_from_dict(doc) == w
 
 
 def test_polynomial_roundtrip():
+    doc = {
+        "format": "tropcay/valued-polynomial/1",
+        "degree": 1,
+        "terms": [
+            {"exp": [0, 0, 0], "val": "3/2"},
+            {"exp": [0, 0, 1], "val": "1"},
+            {"exp": [0, 1, 0], "val": "2"},
+            {"exp": [1, 0, 0], "val": "0"},
+        ],
+    }
     terms = {(0, 0, 0): Fraction(3, 2), (1, 0, 0): Fraction(0), (0, 1, 0): Fraction(2), (0, 0, 1): Fraction(1)}
-    doc = polynomial_to_dict(1, terms)
-    degree, back = polynomial_terms_from_dict(doc)
-    assert degree == 1 and back == terms
+    assert polynomial_terms_from_dict(doc) == (1, terms)
 
 
 def test_cell_text_roundtrip():
@@ -114,7 +99,7 @@ def test_rejects_wrong_format_field():
     with pytest.raises(ValueError):
         config_from_dict({"format": "something/else", "ambient_dim": 1, "points": [[0]], "labels": ["A"]})
     with pytest.raises(ValueError):
-        weights_from_dict({"format": "nope", "heights": []})
+        polynomial_terms_from_dict({"format": "nope", "degree": 1, "terms": []})
 
 
 def test_extended_labels_parse_back():

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations
+from itertools import combinations, permutations
 from operator import or_
 
 import pytest
@@ -12,6 +12,7 @@ import oracles
 from tropcay.errors import GroupBoundError
 from tropcay.geometry import (
     PointConfiguration,
+    block_labels,
     cayley_config,
     normalized_volume,
     regular_subdivision,
@@ -360,9 +361,14 @@ def _flip_walk(name, steps, choose):
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(sorted(_DERIVED)), st.integers(1, 10), st.data())
 def test_derived_rows_match_a_fresh_scan(name, steps, data):
+    # A wall paired with a survivor may list its two cells in either order.
+    def unordered(walls):
+        return {fm: ({sigma, tau}, row) for fm, (sigma, tau, row) in walls.items()}
+
     for engine, flip, child in _flip_walk(name, steps, lambda k: data.draw(st.integers(0, k - 1))):
         derived = engine.regularity_rows(child, mode="local", flip=flip)
         assert derived == sorted(engine.local_circuits(child))
+        assert unordered(engine.wall_circuits(child, flip)) == unordered(engine.wall_circuits(child))
 
 
 def test_derived_rows_walks_change_points_and_leave_regularity():
@@ -530,18 +536,93 @@ def test_rotated_pair_dual_curves_are_elliptic_cycle_four():
     assert canonical_form(gl) == canonical_form(gr)
 
 
-def test_certify_affine_action_maps_each_generator():
-    cfg = cubic_polygon()
-    grp = builtin_symmetry("simplex-3d2", cfg)
-    for perm in grp.generators:
-        matrix, offset = certify_affine_action(cfg, perm)
-        pts = cfg.points
-        r = len(matrix)
-        for i, p in enumerate(pts):
-            image = tuple(
-                sum(p[j] * matrix[j][k] for j in range(r)) + offset[k] for k in range(r)
-            )
-            assert image == pts[perm[i]]
+def _configuration(*points):
+    return PointConfiguration(len(points[0]), points, block_labels(len(points)))
+
+
+def _cayley_symmetries(cfg, d):
+    """S4 x Z2 on C(dD3, dD3): two generators of S4 on the factor, and the
+    swap of the two factors."""
+    maps = [
+        lambda p: (p[0], p[1], p[3], p[2], p[4]),
+        lambda p: (p[0], p[1], d - p[2] - p[3] - p[4], p[2], p[3]),
+        lambda p: (p[1], p[0], p[2], p[3], p[4]),
+    ]
+    index = {p: i for i, p in enumerate(cfg.points)}
+    return SymmetryGroup.from_generators(
+        cfg, [tuple(index[f(p)] for p in cfg.points) for f in maps]
+    ).elements
+
+
+# Configurations for symmetry certification, with the number of lattice
+# symmetries of those small enough to try every permutation.
+_CERTIFIED = {
+    "square": (square_config(), 8),
+    "{0,2}^2": (_configuration((0, 0), (2, 0), (0, 2), (2, 2)), 8),
+    "skew-5": (_configuration((0, 0), (1, 0), (0, 1), (2, 3), (3, 1)), 1),
+    "collinear-3": (_configuration((0, 0), (1, 1), (2, 2)), 2),
+    "hexagon-centre": (_configuration((0, 0), (1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1)), 12),
+    "3D2": (cubic_polygon(), None),
+    "C(1D3,1D3)": (_WALKED["C(1D3,1D3)"], None),
+    "C(2D3,2D3)": (_DERIVED["C(2D3,2D3)/S4xZ2"][0], None),
+}
+_SYMMETRIES = {
+    "3D2": lambda cfg: builtin_symmetry("s3", cfg).elements,
+    "C(1D3,1D3)": lambda cfg: _cayley_symmetries(cfg, 1),
+    "C(2D3,2D3)": lambda cfg: builtin_symmetry("s4xz2", cfg).elements,
+}
+
+
+def _certified(certify, cfg, perm) -> bool:
+    try:
+        certify(cfg, perm)
+    except ValueError:
+        return False
+    return True
+
+
+def _assert_certified_as_the_oracle(cfg, perm) -> bool:
+    verdict = _certified(certify_affine_action, cfg, perm)
+    assert verdict == _certified(oracles.certify_affine_action, cfg, perm), perm
+    return verdict
+
+
+@pytest.mark.parametrize("name", [name for name, (_, order) in _CERTIFIED.items() if order])
+def test_certify_affine_action_matches_the_oracle_on_every_permutation(name):
+    cfg, order = _CERTIFIED[name]
+    accepted = sum(
+        _assert_certified_as_the_oracle(cfg, perm) for perm in permutations(range(len(cfg.points)))
+    )
+    assert accepted == order
+
+
+@pytest.mark.parametrize("name", sorted(_SYMMETRIES))
+def test_certify_affine_action_matches_the_oracle_on_groups_and_transpositions(name):
+    cfg, _ = _CERTIFIED[name]
+    elements = _SYMMETRIES[name](cfg)
+    assert len(elements) == (6 if name == "3D2" else 48)
+    for g in elements:
+        assert _assert_certified_as_the_oracle(cfg, g)
+    for i, j in combinations(range(len(cfg.points)), 2):
+        perm = list(range(len(cfg.points)))
+        perm[i], perm[j] = j, i
+        assert not _assert_certified_as_the_oracle(cfg, tuple(perm))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(_CERTIFIED)), st.booleans(), st.data())
+def test_certify_affine_action_matches_the_oracle_on_random_permutations(name, near_group, data):
+    # Either any permutation, or a symmetry followed by at most one
+    # transposition, which lands near the accepted ones.
+    cfg, _ = _CERTIFIED[name]
+    n = len(cfg.points)
+    if near_group and name in _SYMMETRIES:
+        perm = list(data.draw(st.sampled_from(_SYMMETRIES[name](cfg))))
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        perm[i], perm[j] = perm[j], perm[i]
+    else:
+        perm = data.draw(st.permutations(range(n)))
+    _assert_certified_as_the_oracle(cfg, tuple(perm))
 
 
 def test_validate_rejects_overlapping_cells():
