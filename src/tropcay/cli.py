@@ -23,7 +23,7 @@ import os
 import signal
 import sys
 import time
-from functools import partial, reduce
+from functools import cache, partial, reduce
 
 from .enumeration import EnumerationFilters, Enumerator, load_checkpoint
 from .errors import (
@@ -68,6 +68,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+@cache  # built once per process; each parse_args call returns its own namespace
 def _build_parser() -> _Parser:
     parser = _Parser(prog="tropcay", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -11,7 +11,9 @@ the configuration's own dimension it gives placing triangulations
 (``placing_cells``).  Run one dimension up on the points lifted by
 heights it gives the lower hull: each distinct integer functional of a
 downward boundary facet is one cell of ``regular_subdivision``, and every
-point is checked against it.
+point is checked against it.  A placed cell's facet functionals come from
+its parent cell's by a rank-one update; only the cells present when the
+span last grows are solved for by elimination.
 """
 
 from __future__ import annotations
@@ -22,13 +24,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd
+from operator import mul
 
 from .errors import DegenerateConfigurationError, InputError
 from .exactarith import (
+    basis_coordinates_int,
     clear_denominators,
     coords_in_row_basis,
     det_int,
-    kernel_vector_int,
     lattice_row_basis,
     parse_rational,
     solve_rational,  # unused here; perfbench traces ``geometry.solve_rational``
@@ -255,11 +258,14 @@ def normalized_volume(config: PointConfiguration, cell=None) -> int:
     return sum(_simplex_volume(pts, tuple(indices[i] for i in c)) for c in cells)
 
 
-def _functional_through(rows):
-    """Primitive integer functional vanishing on all given (coord..., 1) rows."""
-    ncols = len(rows[0])
-    cols = [tuple(r[j] for r in rows) for j in range(ncols)]
-    return kernel_vector_int(cols)
+def _dot(func, chart) -> int:
+    return sum(map(mul, func, chart))
+
+
+def _outward(sign: int, vec) -> tuple[int, ...]:
+    """``sign * vec`` divided by its (positive) content."""
+    g = sign * gcd(*vec)
+    return tuple([c // g for c in vec])
 
 
 class _BeneathBeyond:
@@ -267,12 +273,22 @@ class _BeneathBeyond:
 
     The affine span is tracked by an integer echelon basis of difference
     vectors.  Projection onto its pivot columns is an affine isomorphism
-    of the span, so those coordinates serve as an integer chart.
-    ``boundary`` maps each boundary facet (a face of exactly one cell) to
-    the opposite vertex of that cell.  A facet's oriented functional
-    (negative at that vertex) is computed once and cached.  When the span
-    grows, the chart grows with it and every facet gains a point, so no
-    cached functional can be looked up again; the cache is then cleared.
+    of the span, so those coordinates (and a trailing 1) serve as an
+    integer chart.  ``boundary`` maps each boundary facet (a face of
+    exactly one cell) to the opposite vertex and that cell.
+
+    ``table`` holds, for a cell and each of its vertices ``u``, the
+    primitive integer functional of the facet ``cell - {u}``, negative at
+    ``u``.  A cell placed beyond a visible facet ``F`` of a cell
+    ``C = F + {a}`` gets its row from ``C``'s by a rank-one update: with
+    ``h`` the functional opposite ``a``, the new cell has ``-h`` opposite
+    the new point ``x`` and, for each ``u`` in ``F``, ``h(x) g - g(x) h``
+    over its content, where ``g`` is ``C``'s functional opposite ``u``.
+    That combination vanishes on ``F - {u}`` and at ``x`` and is negative
+    at ``u``, so it is the facet's primitive outward functional itself.
+    When the span grows, the chart grows with it and every functional
+    loses its meaning, so the table is cleared; the cells that exist then
+    get theirs from one fraction-free elimination each, when first asked.
     """
 
     def __init__(self, points, first: int):
@@ -280,25 +296,38 @@ class _BeneathBeyond:
         self.origin = points[first]
         self.basis: list[list[int]] = []
         self.pivots: list[int] = []
-        self.cells: set[frozenset[int]] = {frozenset([first])}
-        self.boundary: dict[frozenset[int], int] = {frozenset(): first}
-        self._functionals: dict[frozenset[int], tuple[int, ...]] = {}
+        cell = frozenset([first])
+        self.cells: set[frozenset[int]] = {cell}
+        self.boundary: dict[frozenset[int], tuple[int, frozenset[int]]] = {
+            frozenset(): (first, cell)
+        }
+        self.table: dict[frozenset[int], dict[int, tuple[int, ...]]] = {}
+
+    def chart(self, idx: int) -> list[int]:
+        p = self.points[idx]
+        return [p[c] for c in self.pivots] + [1]
+
+    def functionals(self, cell: frozenset[int]) -> dict[int, tuple[int, ...]]:
+        """Each vertex's opposite facet functional, negative at the vertex."""
+        row = self.table.get(cell)
+        if row is None:
+            # A cell of the last span growth.  Solving for the unit vectors
+            # in the basis of its vertices' charts gives each vertex's
+            # barycentric coordinate, which vanishes on the opposite facet.
+            verts = list(cell)
+            k = len(verts)
+            unit = [tuple(int(i == j) for i in range(k)) for j in range(k)]
+            d, a = basis_coordinates_int([self.chart(u) for u in verts] + unit)
+            sign = -1 if d > 0 else 1
+            row = self.table[cell] = {
+                u: _outward(sign, a[i][k:]) for i, u in enumerate(verts)
+            }
+        return row
 
     def functional(self, facet: frozenset[int]) -> tuple[int, ...]:
         """Chart coefficients and constant of the facet's outward functional."""
-        func = self._functionals.get(facet)
-        if func is None:
-            func = _functional_through(
-                [[self.points[i][c] for c in self.pivots] + [1] for i in facet]
-            )
-            if self.evaluate(func, self.boundary[facet]) > 0:
-                func = tuple(-x for x in func)
-            self._functionals[facet] = func
-        return func
-
-    def evaluate(self, func, idx: int) -> int:
-        p = self.points[idx]
-        return sum(f * p[c] for f, c in zip(func, self.pivots)) + func[-1]
+        apex, cell = self.boundary[facet]
+        return self.functionals(cell)[apex]
 
     def insert(self, idx: int) -> None:
         v = [x - o for x, o in zip(self.points[idx], self.origin)]
@@ -313,25 +342,35 @@ class _BeneathBeyond:
             k = bisect_left(self.pivots, lead)
             self.basis.insert(k, [x // g for x in v])
             self.pivots.insert(k, lead)
-            self.boundary = {c: idx for c in self.cells} | {
-                f | {idx}: apex for f, apex in self.boundary.items()
+            cones = {c: c | {idx} for c in self.cells}
+            self.boundary = {c: (idx, cone) for c, cone in cones.items()} | {
+                f | {idx}: (apex, cones[c]) for f, (apex, c) in self.boundary.items()
             }
-            self.cells = {c | {idx} for c in self.cells}
-            self._functionals.clear()
+            self.cells = set(cones.values())
+            self.table.clear()
             return
-        visible = [
-            f for f in self.boundary if self.evaluate(self.functional(f), idx) > 0
-        ]
-        for facet in visible:
+        x = self.chart(idx)
+        visible = []
+        for facet, (apex, cell) in self.boundary.items():
+            parent = self.functionals(cell)
+            hx = _dot(parent[apex], x)
+            if hx > 0:
+                visible.append((facet, parent, parent[apex], hx))
+        for facet, parent, h, hx in visible:
             cell = facet | {idx}
+            row = {idx: tuple([-c for c in h])}
+            for u in facet:
+                g = parent[u]
+                gx = _dot(g, x)
+                row[u] = _outward(1, [hx * a - gx * b for a, b in zip(g, h)])
+            self.table[cell] = row
             self.cells.add(cell)
             for apex in cell:
                 face = cell - {apex}
                 if face in self.boundary:  # now shared by two cells
                     del self.boundary[face]
-                    self._functionals.pop(face, None)
                 else:
-                    self.boundary[face] = apex
+                    self.boundary[face] = (apex, cell)
 
 
 def _place(points, order) -> _BeneathBeyond:
@@ -351,9 +390,9 @@ def placing_cells(points, order=None):
     points coincide affinely (nothing to triangulate).
 
     Points are distinct tuples of integers.  All arithmetic is on
-    integers: each boundary facet's functional is an integer kernel
-    vector in a chart of the current affine span, cached until the span
-    grows.
+    integers: each boundary facet's functional is a primitive integer
+    vector in a chart of the current affine span, carried from cell to
+    placed cell by a rank-one update (see ``_BeneathBeyond``).
     """
     n = len(points)
     if n == 0:
@@ -398,9 +437,10 @@ def regular_subdivision(config: PointConfiguration, w: WeightVector) -> Subdivis
     # The chart is every lifted coordinate, so entry ``rank`` of a facet's
     # outward functional is its height coefficient.
     lower = {func for func in map(hull.functional, hull.boundary) if func[rank] < 0}
+    charts = [hull.chart(q) for q in range(n)]
     cells = []
     for func in lower:
-        values = [hull.evaluate(func, q) for q in range(n)]
+        values = [_dot(func, y) for y in charts]
         if max(values) > 0:
             raise ArithmeticError("a lifted point lies beyond a lower facet of its hull")
         cells.append(tuple(q for q in range(n) if values[q] == 0))

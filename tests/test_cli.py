@@ -1008,3 +1008,29 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["census", "--v", "9"])
     assert exc.value.code == EXIT_USAGE
+
+
+def test_one_parser_serves_successive_calls(tmp_path, capsys, monkeypatch):
+    # main parses with one parser per process; every call still gets its
+    # own namespace and its own exit code.
+    from tropcay import cli
+
+    seen = []
+    for name in ("cmd_tropicalize", "cmd_census"):
+        command = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda args, command=command: seen.append(args) or command(args))
+    f1, f2 = data_pair("cycle16")
+    code, _, err = run(capsys, "tropicalize", f1, f2, "--out", str(tmp_path))
+    assert code == EXIT_OK and "genus=1 cycle_length=16" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["tropicalize", f1])
+    assert exc.value.code == EXIT_USAGE
+    code, out, _ = run(capsys, "census", "--v", "3", "--e", "3")
+    assert code == EXIT_OK and out.strip() == "1"
+    first, second = seen
+    assert first is not second
+    assert vars(first) == {"command": "tropicalize", "f1": f1, "f2": f2, "out": str(tmp_path)}
+    assert vars(second) == {
+        "command": "census", "v": 3, "e": 3, "max_degree": 3, "convention": "simple"
+    }
+    assert cli._build_parser() is cli._build_parser()

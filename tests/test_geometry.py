@@ -1,14 +1,17 @@
 import random
 from fractions import Fraction
-from math import comb
+from importlib import resources
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from tropcay import geometry
+from tropcay import exactarith, geometry
 from tropcay.errors import DegenerateConfigurationError
+from tropcay.exactarith import clear_denominators
+from tropcay.formats import load_json, polynomial_terms_from_dict
 from tropcay.geometry import (
     PointConfiguration,
     WeightVector,
@@ -20,6 +23,7 @@ from tropcay.geometry import (
     regular_subdivision,
     simplex_lattice_points,
 )
+from tropcay.tropical import ValuedPolynomial
 
 
 def square_config():
@@ -298,3 +302,65 @@ def test_placing_cells_matches_fraction_placing(placement):
     assert cells == oracles.placing_cells(pts, order)
     if len(pts) == 1:
         assert cells is None
+
+
+# -- the per-cell functional table against the elimination oracle ------------
+
+
+def _check_boundary_functionals(hull):
+    """Every boundary facet's functional vanishes on the facet, is negative
+    at its apex, is primitive and is the oracle's kernel vector of the
+    facet's chart rows, oriented."""
+    for facet, (apex, _cell) in hull.boundary.items():
+        func = hull.functional(facet)
+        assert all(geometry._dot(func, hull.chart(i)) == 0 for i in facet)
+        assert geometry._dot(func, hull.chart(apex)) < 0
+        assert gcd(*func) == 1
+        want = oracles._functional_through([hull.chart(i) for i in facet])
+        if geometry._dot(want, hull.chart(apex)) > 0:
+            want = tuple(-x for x in want)
+        assert func == want
+
+
+def _check_every_insert(points, order):
+    hull = geometry._BeneathBeyond(points, order[0])
+    for idx in order[1:]:
+        hull.insert(idx)
+        _check_boundary_functionals(hull)
+
+
+@settings(max_examples=300, deadline=None)
+@given(placements())
+def test_placed_functionals_match_the_elimination(placement):
+    pts, order = placement
+    _check_every_insert(pts, order)
+
+
+@settings(max_examples=60, deadline=None)
+@given(lifts())
+def test_lifted_functionals_match_the_elimination(lift):
+    cfg, w = lift
+    reduced, _ = affine_reduce(cfg)
+    heights, _ = clear_denominators(w.heights)
+    order = sorted(range(len(cfg)), key=lambda i: (heights[i], i))
+    _check_every_insert([p + (h,) for p, h in zip(reduced.points, heights)], order)
+
+
+def test_lower_hull_of_a_quadric_pair_eliminates_once_per_start_cell(monkeypatch):
+    # Placed cells get their functionals from their parent cells; only the
+    # cells present when the span last grows are eliminated.  Here that is
+    # the first simplex, against 279 eliminations with one per facet.
+    pkg = resources.files("tropcay.data") / "pairs"
+    f1, f2 = (
+        ValuedPolynomial.make(*polynomial_terms_from_dict(load_json(pkg / f"cycle16_{f}.json")))
+        for f in ("f1", "f2")
+    )
+    p1, p2 = simplex_lattice_points(3, f1.degree), simplex_lattice_points(3, f2.degree)
+    cfg = cayley_config(p1, p2)
+    w = WeightVector(tuple(f1.heights_for(p1.points) + f2.heights_for(p2.points)))
+    affine_reduce(cfg)  # cached: the count below is the hull's alone
+    eliminate, calls = exactarith._eliminate, []
+    monkeypatch.setattr(exactarith, "_eliminate", lambda *a: calls.append(1) or eliminate(*a))
+    sub = regular_subdivision(cfg, w)
+    assert len(sub.cells) == 32
+    assert 1 <= len(calls) <= 3
