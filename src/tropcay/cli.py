@@ -4,7 +4,8 @@ Subcommands: ``config`` (build point configurations), ``tropicalize``
 (polynomial pair to curve report), ``enumerate`` (stream triangulation
 representatives with checkpointing), ``classify`` (isomorphism classes +
 atlas of the curves of the unimodular triangulations in a stream; other
-lines are skipped with a note; ``--jobs N`` classifies N shares of the
+lines are skipped with a note, and a configuration with no dual graph is
+refused before the stream is read; ``--jobs N`` classifies N shares of the
 lines into their own tables and joins them with ``ClassTable.merge``),
 ``census`` (abstract graph counts).
 
@@ -270,6 +271,14 @@ def cmd_classify(args) -> int:
     if args.jobs < 1:
         raise InputError(f"--jobs must be at least 1, not {args.jobs}")
     config = config_from_dict(load_json(args.config))
+    # the dual graphs: dual_curve_3d of a quadric pair's Cayley
+    # configuration, dual_curve_planar of a plane polygon
+    want = 4 if config.is_cayley else 2
+    if config.affine_dim() != want:
+        kind = "a Cayley configuration" if config.is_cayley else "a configuration that is not Cayley"
+        raise InputError(
+            f"classify needs affine dimension {want} for {kind}, not {config.affine_dim()}"
+        )
     with open(args.input, "r", encoding="utf-8") as fh:
         lines = [(i + 1, line) for i, line in enumerate(fh) if line.strip()]
     shares = [lines[i :: args.jobs] for i in range(args.jobs)]

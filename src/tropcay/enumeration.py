@@ -190,7 +190,7 @@ class _Walk:
                 f"checkpoint frontier holds a key that is not a triangulation: {err}"
             ) from err
         self.counts["solved"] += 1
-        witness = engine.solve(engine.regularity_rows(masks, mode="local"))
+        witness = engine.solve(engine.regularity_rows(masks))
         if witness is None:
             raise CheckpointMismatchError("checkpoint frontier holds a class that is not regular")
         return witness
@@ -209,10 +209,10 @@ class _Walk:
         for key, carry in pairs:
             if carry is None:
                 witness, element = None, None
-                rows = engine.regularity_rows(unpack(key), mode="local")
+                rows = engine.regularity_rows(unpack(key))
             else:
                 parent, flip, child, element = carry
-                rows = engine.regularity_rows(child, mode="local", flip=flip)
+                rows = engine.regularity_rows(child, flip)
                 witness = relaxed_witness(rows, _candidate(parent, flip.circuit))
             if witness is None:
                 self.counts["solved"] += 1

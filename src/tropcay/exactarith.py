@@ -8,11 +8,10 @@ string (de)serialization, exact linear algebra over Q, and lattice
 All linear algebra over Q runs through one fraction-free Gauss-Jordan
 kernel (Bareiss) on integer rows.  Rational rows are first scaled to
 integers by ``clear_denominators``; every intermediate value is then an
-integer minor, so each division is exact.  ``det_int``, ``rank_int``,
-``solve_rational``, ``kernel_vector_int`` and ``basis_coordinates_int``
-are thin wrappers that read the reduced rows and pivots.  Lattice bases
-need unimodular row operations over Z and use their own Hermite
-reduction.
+integer minor, so each division is exact.  ``det_int``,
+``solve_rational`` and ``basis_coordinates_int`` are thin wrappers that
+read the reduced rows and pivots.  Lattice bases need unimodular row
+operations over Z and use their own Hermite reduction.
 
 Everything here is pure and exact; no floating point is ever used.
 """
@@ -20,7 +19,7 @@ Everything here is pure and exact; no floating point is ever used.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 
 def parse_rational(text: str | int | Fraction) -> Fraction:
@@ -129,44 +128,6 @@ def solve_rational(a_rows, b_col) -> list[Fraction] | None:
     if [c for _, c in pivots] != list(range(n)):
         return None
     return [Fraction(a[i][n], a[i][c]) for i, c in pivots]
-
-
-def rank_int(rows) -> int:
-    """Rank of an integer (or rational) matrix, computed exactly."""
-    ncols = len(rows[0]) if rows else 0
-    return len(_eliminate(_integer_rows(rows), ncols)[1])
-
-
-def _primitive(vec: list[int]) -> tuple[int, ...]:
-    """Divide by the content; first nonzero entry > 0."""
-    g = gcd(*vec)
-    if next((v for v in vec if v), 0) < 0:
-        g = -g
-    return tuple(v // g for v in vec) if g else tuple(vec)
-
-
-def kernel_vector_int(cols: list[tuple[int, ...]]) -> tuple[int, ...] | None:
-    """A primitive integer vector v with sum_i v_i * cols[i] = 0.
-
-    Requires the kernel to be exactly one-dimensional; returns ``None``
-    if the columns are linearly independent, raises if the kernel has
-    dimension two or more (callers rely on uniqueness).  The vector is
-    read off the reduced rows: the last pivot ``d`` at the free column,
-    minus that column's entries at the pivot columns.
-    """
-    ncols = len(cols)
-    a, pivots, _ = _eliminate(_integer_rows(zip(*cols)), ncols)
-    pivot_cols = {c for _, c in pivots}
-    free = [c for c in range(ncols) if c not in pivot_cols]
-    if not free:
-        return None
-    if len(free) > 1:
-        raise ValueError("kernel is not one-dimensional")
-    v = [0] * ncols
-    v[free[0]] = a[pivots[-1][0]][pivots[-1][1]] if pivots else 1
-    for i, c in pivots:
-        v[c] = -a[i][free[0]]
-    return _primitive(v)
 
 
 def basis_coordinates_int(cols: list[tuple[int, ...]]) -> tuple[int, list[list[int]]] | None:

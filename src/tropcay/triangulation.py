@@ -22,8 +22,8 @@ flip changes only the cells of its circuit's star, so each ``Flip`` from
 ``neighbors`` keeps the cells it removes and adds and its parent's wall
 scan, and ``wall_circuits(child, flip)`` derives the child's walls from
 them, in the flip's own labeling, instead of scanning the child; the
-checked child's local rows (``regularity_rows(child, "local", flip)``)
-come from them.  Cell facets, cell point indices and circuit sign masks
+checked child's local rows (``regularity_rows(child, flip)``) come from
+them.  Cell facets, cell point indices and circuit sign masks
 are cached per cell and per circuit, beside the cell table.  Circuit
 signs also decide whether a set of cells is a triangulation at all
 (``FlipEngine.check_triangulation``): the two cells of every shared
@@ -34,12 +34,13 @@ outside; cells the engine builds skip it.  And they certify symmetries
 it carries the circuits of one simplex of the placing triangulation
 (``FlipEngine.placing``) to the circuits of its image.
 
-Regularity is decided exactly.  Two equivalent strict systems are
-available: the reference formulation with one inequality per (cell,
-outside point) pair, and the local one above.  Both go to the integer
-simplex of ``lp`` (``FlipEngine.solve``), which certifies each answer
-with integer witness heights or a Gordan certificate; tests cross-check
-the two systems.  A flip's circuit is the normal of the wall between the
+Regularity is decided exactly.  The engine holds only the local system
+above (``FlipEngine.regularity_rows``); ``is_regular(t, mode="global")``
+builds the equivalent reference system, one inequality per (cell,
+outside point) pair, from the cell table, and tests cross-check the two.
+Both go to the integer simplex of ``lp`` (``FlipEngine.solve``), which
+certifies each answer with integer witness heights or a Gordan
+certificate.  A flip's circuit is the normal of the wall between the
 secondary cones of the two triangulations (Gelfand, Kapranov and
 Zelevinsky 1994), so ``Flip.circuit`` is what the enumerator needs to
 carry a witness across it.
@@ -118,28 +119,37 @@ class Triangulation:
 class Flip:
     """A bistellar flip along a circuit, oriented from the present side.
 
-    A flip from ``FlipEngine.neighbors`` also records the cell masks it
-    removes and adds and the present triangulation's wall scan, from which
+    The circuit, a row over all points, is positive on ``plus``, the
+    points whose opposite simplices are present, and negative on
+    ``minus``, those of the replacement side.  A flip from
+    ``FlipEngine.neighbors`` also records the cell masks it removes and
+    adds and the present triangulation's wall scan, from which
     ``FlipEngine.wall_circuits`` derives the result's walls.  These three
     fields take no part in comparisons; ``reversed`` knows no scan.
     """
 
-    plus: tuple[int, ...]   # circuit points whose opposite simplices are present
-    minus: tuple[int, ...]  # circuit points of the replacement side
-    circuit: tuple[int, ...]  # the circuit over all points, positive on ``plus``
+    circuit: tuple[int, ...]
     removed: tuple[int, ...] = field(default=(), compare=False, repr=False)
     added: tuple[int, ...] = field(default=(), compare=False, repr=False)
     walls: dict | None = field(default=None, compare=False, repr=False)
 
+    @property
+    def plus(self) -> tuple[int, ...]:
+        return tuple(i for i, c in enumerate(self.circuit) if c > 0)
+
+    @property
+    def minus(self) -> tuple[int, ...]:
+        return tuple(i for i, c in enumerate(self.circuit) if c < 0)
+
     def reversed(self) -> "Flip":
-        return Flip(self.minus, self.plus, tuple(-c for c in self.circuit), self.added, self.removed)
+        return Flip(tuple(-c for c in self.circuit), self.added, self.removed)
 
 
 class FlipEngine:
     """Exact flip/regularity machinery for one configuration.
 
-    Wall flips, flips through unused points, the rows of both regularity
-    systems, cell volumes and the validity check all come from one table
+    Wall flips, flips through unused points, the local regularity rows,
+    cell volumes and the validity check all come from one table
     with one entry per cell mask (``cell``), built by one elimination the
     first time a cell is asked for.  Circuit rows are interned engine-wide:
     the cells formed by all but one point of a circuit's support all hold
@@ -402,14 +412,12 @@ class FlipEngine:
                 raise ValueError("facet shared by more than two cells: not a triangulation")
         return out
 
-    def local_circuits(self, masks) -> list[tuple[int, ...]]:
+    def local_circuits(self, masks, walls) -> list[tuple[int, ...]]:
         """The circuits a flip of this triangulation can use, which are also
         the rows of the local regularity system: each interior wall's
-        circuit, then each circuit of an unused point with a cell containing
-        it, in that order and without repeats."""
-        return self._circuits(masks, self.wall_circuits(masks))
-
-    def _circuits(self, masks, walls) -> list[tuple[int, ...]]:
+        circuit (``walls`` is ``wall_circuits(masks)``), then each circuit
+        of an unused point with a cell containing it, in that order and
+        without repeats."""
         out = [row for _sigma, _tau, row in walls.values()]
         out += self._unused_circuits(masks)
         return list(dict.fromkeys(out))
@@ -431,30 +439,15 @@ class FlipEngine:
             if inside >> p & 1
         ]
 
-    def regularity_rows(
-        self, masks, mode: str = "global", flip: Flip | None = None
-    ) -> list[tuple[int, ...]]:
-        """The sorted rows of the ``global`` or ``local`` regularity system.
+    def regularity_rows(self, masks, flip: Flip | None = None) -> list[tuple[int, ...]]:
+        """The sorted rows of the local regularity system, the circuits of
+        ``local_circuits``; ``is_regular(mode="global")`` builds the
+        equivalent reference system (De Loera, Rambau and Santos, ch. 5).
 
         With ``flip``, a flip from ``neighbors`` whose result is ``masks``,
         the walls come from ``wall_circuits(masks, flip)`` instead of a
         scan of ``masks``; the rows are the same."""
-        if mode == "local":
-            rows = {row for _sigma, _tau, row in self.wall_circuits(masks, flip).values()}
-            rows.update(self._unused_circuits(masks))
-            return sorted(rows)
-        if mode != "global":
-            raise ValueError(f"unknown regularity mode {mode!r}")
-        rows = set()
-        for cm in masks:
-            rows.update(self.cell(cm)[1])
-        rows.discard(None)
-        return sorted(rows)
-
-    def is_regular(self, masks, mode: str = "global") -> tuple[int, ...] | None:
-        """Integer witness heights inducing exactly this triangulation, or
-        ``None``; without rows (one simplex) every height is 0."""
-        return self.solve(self.regularity_rows(masks, mode))
+        return sorted(self.local_circuits(masks, self.wall_circuits(masks, flip)))
 
     def solve(self, rows) -> tuple[int, ...] | None:
         """The integer simplex's witness of ``rows . w > 0``, or ``None``
@@ -469,17 +462,16 @@ class FlipEngine:
     def neighbors(self, masks):
         """All bistellar flips from this triangulation: (Flip, masks) pairs."""
         walls = self.wall_circuits(masks)
-        signs, bits = self._signs, self.bits
+        signs = self._signs
         results = []
-        for row in self._circuits(masks, walls):
+        for row in self.local_circuits(masks, walls):
             sign = signs.get(row)
             if sign is None:
                 sign = signs[row] = self._sign_masks(row)
-            plus, minus = sign
-            step = self._flip(masks, plus, minus)
+            step = self._flip(masks, *sign)
             if step is not None:
                 flipped, removed, added = step
-                results.append((Flip(bits(plus), bits(minus), row, removed, added, walls), flipped))
+                results.append((Flip(row, removed, added, walls), flipped))
         return results
 
     @staticmethod
@@ -580,12 +572,19 @@ def is_unimodular(t: Triangulation) -> bool:
 def is_regular(t: Triangulation, mode: str = "global"):
     """A witness WeightVector with regular_subdivision(config, w) == t, or None.
 
-    ``mode="global"`` uses one strict inequality per (cell, outside point);
-    ``mode="local"`` uses interior-wall folds plus unused-point conditions.
-    Both are exact; the local system is smaller and faster.
+    ``mode="local"`` solves ``FlipEngine.regularity_rows``; ``mode="global"``
+    solves the equivalent reference system, built here from the cell
+    table: one strict inequality per (cell, outside point).
     """
     engine = flip_engine(t.configuration)
-    witness = engine.is_regular(engine.to_masks(t.cells), mode=mode)
+    masks = engine.to_masks(t.cells)
+    if mode == "local":
+        rows = engine.regularity_rows(masks)
+    elif mode == "global":
+        rows = sorted({row for cm in masks for row in engine.cell(cm)[1] if row is not None})
+    else:
+        raise ValueError(f"unknown regularity mode {mode!r}")
+    witness = engine.solve(rows)
     return None if witness is None else WeightVector(witness)
 
 

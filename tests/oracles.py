@@ -3,7 +3,10 @@
 ``solve_general`` and ``nullspace_basis`` are the plain ``Fraction``
 Gauss-Jordan eliminations that ``tropcay.exactarith`` used before its
 fraction-free integer kernel.  Reduced row echelon form is unique, so the
-library wrappers must agree with these exactly.
+library wrappers must agree with these exactly.  ``rank_int`` and
+``kernel_vector_int`` are read from ``nullspace_basis``; no library code
+needs a rank or a kernel vector, and the oracles below that do no longer
+run the kernel they check.
 
 ``placing_cells`` and ``regular_subdivision`` are the ``Fraction``-chart
 beneath-beyond and the exhaustive search over spanning subsets that
@@ -15,9 +18,11 @@ subdivision by the heights, so the library must agree with these exactly.
 ``Fraction`` barycentric coordinates before its circuit table.  The row
 is the primitive affine dependence of a cell and an outside point,
 positive at the point, so ``FlipEngine.circuit`` must agree exactly.
-``points_inside`` is the mask of points whose ``Fraction`` barycentric
-coordinates in a cell are all non-negative, which the ``inside`` mask of
-``FlipEngine.cell`` must equal.  ``local_circuits`` is the scan
+``global_rows`` lists those rows for every cell and outside point: the
+system ``is_regular(t, mode="global")`` solves.  ``points_inside`` is
+the mask of points whose ``Fraction`` barycentric coordinates in a cell
+are all non-negative, which the ``inside`` mask of ``FlipEngine.cell``
+must equal.  ``local_circuits`` is the scan
 ``FlipEngine.local_circuits`` ran before that mask: every unused point is
 tried against every cell by the signs of its row, here ``constraint_row``;
 the two must agree as ordered lists.
@@ -56,15 +61,9 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
-from tropcay.exactarith import (
-    DimensionError,
-    clear_denominators,
-    det_int,
-    kernel_vector_int,
-    rank_int,
-    solve_rational,
-)
+from tropcay.exactarith import DimensionError, clear_denominators, det_int, solve_rational
 from tropcay.geometry import (
     PointConfiguration,
     Subdivision,
@@ -151,6 +150,27 @@ def nullspace_basis(rows) -> list[tuple[Fraction, ...]]:
             v[c] = -a[i][free] / a[i][c]
         basis.append(tuple(v))
     return basis
+
+
+def rank_int(rows) -> int:
+    """Rank of a rational matrix: its column count less its nullity."""
+    return len(rows[0]) - len(nullspace_basis(rows)) if rows else 0
+
+
+def kernel_vector_int(cols) -> tuple[int, ...] | None:
+    """The primitive integer vector v, first nonzero entry positive, with
+    sum_i v_i * cols[i] = 0; ``None`` if the columns are independent.
+    Raises ``ValueError`` if the kernel has dimension two or more."""
+    basis = nullspace_basis(list(zip(*cols)))
+    if not basis:
+        return None
+    if len(basis) > 1:
+        raise ValueError("kernel is not one-dimensional")
+    v, _ = clear_denominators(basis[0])
+    g = gcd(*v)
+    if next(x for x in v if x) < 0:
+        g = -g
+    return tuple(x // g for x in v)
 
 
 def _functional_through(rows):
@@ -300,6 +320,17 @@ def constraint_row(engine, cellmask: int, p: int) -> tuple[int, ...]:
         row[i] -= num
     row[p] += den
     return tuple(row)
+
+
+def global_rows(engine, masks) -> list[tuple[int, ...]]:
+    """The sorted rows of the reference regularity system: one
+    ``constraint_row`` per (cell, outside point) pair, without repeats."""
+    return sorted({
+        constraint_row(engine, cm, p)
+        for cm in masks
+        for p in range(engine.n)
+        if not (cm >> p) & 1
+    })
 
 
 def points_inside(engine, cellmask: int) -> int:
@@ -566,7 +597,7 @@ def certify_affine_action(config: PointConfiguration, perm) -> tuple:
     d_rows = [[pts[i][k] - o[k] for k in range(r)] for i in base_idx[1:]]
     e_rows = [[pts[perm[i]][k] - o_img[k] for k in range(r)] for i in base_idx[1:]]
     # Solve D M = E column by column (row-vector convention: x' = x M + t).
-    cols = [solve_rational(d_rows, [e[c] for e in e_rows]) for c in range(r)]
+    cols = [solve_general(d_rows, [e[c] for e in e_rows]) for c in range(r)]
     matrix = [[cols[c][k] for c in range(r)] for k in range(r)]
     if any(v.denominator != 1 for row in matrix for v in row):
         raise ValueError("permutation is not an affine lattice map (non-integer matrix)")
@@ -605,7 +636,7 @@ def cold_walk(config, elements) -> dict[tuple[int, ...], bool]:
         for _flip, nb in engine.neighbors(queue.popleft()):
             key = context.canonical(nb)[0]
             if key not in visited:
-                visited[key] = engine.is_regular(key, mode="local") is not None
+                visited[key] = engine.solve(engine.regularity_rows(key)) is not None
                 if visited[key]:
                     queue.append(key)
     return visited

@@ -984,6 +984,23 @@ def test_undecodable_input_file_is_io_error(tmp_path, capsys, case):
     assert err.startswith("i/o error: ") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("config_args", [
+    ["simplex", "--dim", "3", "--dilation", "2"],
+    ["cayley", "--d", "1", "--e", "1", "--dim", "2"],
+], ids=["simplex-3d", "cayley-3d"])
+def test_classify_refuses_a_configuration_without_a_dual_graph(tmp_path, capsys, config_args):
+    cfg_path = tmp_path / "cfg.json"
+    stream = tmp_path / "stream.jsonl"
+    assert run(capsys, "config", *config_args, "--out", str(cfg_path))[0] == EXIT_OK
+    assert run(capsys, "enumerate", "--config", str(cfg_path), "--limit", "3", "--out", str(stream))[0] == EXIT_OK
+    out_dir = tmp_path / "cls"
+    code, out, err = run(capsys, "classify", "--config", str(cfg_path), "--in", str(stream), "--out", str(out_dir))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("bad input: classify needs affine dimension") and len(err.splitlines()) == 1
+    assert not out_dir.exists()
+
+
 def test_classify_empty_input(tmp_path, capsys):
     cfg_path = tmp_path / "3d2.json"
     run(capsys, "config", "simplex", "--dim", "2", "--dilation", "3", "--out", str(cfg_path))

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import random
+from functools import cache
 from itertools import islice
 
 import pytest
@@ -111,6 +113,34 @@ def test_output_set_independent_of_jobs():
     assert serial == parallel
 
 
+@cache
+def _complete_3d2_runs(order):
+    """For each group, the sorted cells of a complete run of 3D2 seeded by
+    the placing triangulation of ``order``, its visited count and the
+    number of unimodular classes it emitted."""
+    cfg = cubic_polygon()
+    runs = {}
+    for kind in ("trivial", "simplex-3d2"):
+        en = Enumerator(cfg, builtin_symmetry(kind, cfg), placing_order=order)
+        out = list(en.run())
+        assert en.complete
+        runs[kind] = (cell_sets(out), len(en.visited), sum(map(is_unimodular, out)))
+    return runs
+
+
+@pytest.mark.parametrize(
+    "order",
+    [tuple(range(9, -1, -1)), tuple(random.Random(5).sample(range(10), 10))],
+    ids=["reversed", "seeded-random"],
+)
+def test_emission_set_does_not_depend_on_the_placing_order(order):
+    runs = _complete_3d2_runs(order)
+    _cells, visited, unimodular = runs["trivial"]
+    assert (visited, unimodular) == (1166, 79)
+    assert len(runs["simplex-3d2"][0]) == 213
+    assert runs == _complete_3d2_runs(None)
+
+
 def test_local_verdicts_match_global_regularity():
     cfg = cubic_polygon()
     grp = builtin_symmetry("simplex-3d2", cfg)
@@ -119,7 +149,8 @@ def test_local_verdicts_match_global_regularity():
     assert en.complete
     engine, unpack = en.walk.engine, en.walk.codec.unpack
     for key, regular in en.visited.items():
-        assert regular == (engine.is_regular(unpack(key), mode="global") is not None)
+        t = engine.triangulation(unpack(key))
+        assert regular == (is_regular(t, mode="global") is not None)
 
 
 def test_halt_and_resume_matches_fresh_run(tmp_path):
@@ -331,11 +362,11 @@ def test_carried_witnesses_match_cold_verdicts(name, steps, data):
         parent, flip, flipped, _element = carry
         assert walk.key(flipped) == child
         wall = tuple(-c for c in flip.circuit)
-        assert wall in engine.regularity_rows(flipped, mode="local")
+        assert wall in engine.regularity_rows(flipped)
         assert sum(c * x for c, x in zip(wall, _candidate(parent, flip.circuit))) > 0
-        assert (child_witness is not None) == (engine.is_regular(masks, mode="local") is not None)
+        assert (child_witness is not None) == (engine.solve(engine.regularity_rows(masks)) is not None)
         if walk.counts["carried"] > carried:
-            rows = engine.regularity_rows(masks, mode="local")
+            rows = engine.regularity_rows(masks)
             assert all(sum(c * x for c, x in zip(row, child_witness)) > 0 for row in rows)
         if child_witness is not None:
             key, witness = child, child_witness

@@ -137,11 +137,11 @@ def _pivot_budget(limit=1000):
 
 def _nested_triangle_rows():
     """Global regularity rows of the non-regular nested triangles (a
-    superset of its local rows) and its local rows."""
+    superset of its local rows), from the oracle, and its local rows."""
     cfg, t = nested_triangles()
     engine = flip_engine(cfg)
     masks = engine.to_masks(t.cells)
-    return engine.regularity_rows(masks, "global"), engine.regularity_rows(masks, "local")
+    return oracles.global_rows(engine, masks), engine.regularity_rows(masks)
 
 
 _NESTED_GLOBAL, _NESTED_LOCAL = _nested_triangle_rows()

@@ -214,8 +214,8 @@ def test_placing_triangulation_is_regular_with_roundtrip():
     for cfg in (simplex_lattice_points(2, 1), simplex_lattice_points(3, 1)):
         t = placing_triangulation(cfg)
         engine = flip_engine(cfg)
+        assert engine.solve(engine.regularity_rows(engine.to_masks(t.cells))) == (0,) * len(cfg)
         for mode in ("global", "local"):
-            assert engine.is_regular(engine.to_masks(t.cells), mode=mode) == (0,) * len(cfg)
             w = is_regular(t, mode=mode)
             assert w.heights == (0,) * len(cfg)
             assert regular_subdivision(cfg, w).cells == t.cells
@@ -234,8 +234,13 @@ def test_nested_triangles_not_regular():
     assert is_regular(t) is None
     assert is_regular(t, mode="local") is None
     engine = flip_engine(cfg)
-    rows = engine.regularity_rows(engine.to_masks(t.cells))
+    rows = oracles.global_rows(engine, engine.to_masks(t.cells))
     assert strict_lp_feasible(rows, [0] * len(rows)) is None
+
+
+def test_is_regular_refuses_an_unknown_mode():
+    with pytest.raises(ValueError, match="bogus"):
+        is_regular(square_left(), mode="bogus")
 
 
 def test_nested_triangles_infeasibility_certificate_by_brute_force():
@@ -243,7 +248,7 @@ def test_nested_triangles_infeasibility_certificate_by_brute_force():
     # {y >= 0, sum y = 1, y^T A = 0} over all supports.
     cfg, t = nested_triangles()
     engine = flip_engine(cfg)
-    rows = engine.regularity_rows(engine.to_masks(t.cells), mode="local")
+    rows = engine.regularity_rows(engine.to_masks(t.cells))
     m = len(rows)
     n = len(rows[0])
     certificate = None
@@ -324,7 +329,8 @@ def test_local_circuits_match_the_oracle_scan(name):
     for _ in range(6):
         masks = engine.to_masks(placing_triangulation(cfg).cells)
         for _ in range(15):
-            assert engine.local_circuits(masks) == oracles.local_circuits(engine, masks)
+            walls = engine.wall_circuits(masks)
+            assert engine.local_circuits(masks, walls) == oracles.local_circuits(engine, masks)
             with_unused += not engine.is_full(masks)
             masks = rng.choice(engine.neighbors(masks))[1]
     assert with_unused >= 10
@@ -366,8 +372,8 @@ def test_derived_rows_match_a_fresh_scan(name, steps, data):
         return {fm: ({sigma, tau}, row) for fm, (sigma, tau, row) in walls.items()}
 
     for engine, flip, child in _flip_walk(name, steps, lambda k: data.draw(st.integers(0, k - 1))):
-        derived = engine.regularity_rows(child, mode="local", flip=flip)
-        assert derived == sorted(engine.local_circuits(child))
+        derived = engine.regularity_rows(child, flip)
+        assert derived == sorted(engine.local_circuits(child, engine.wall_circuits(child)))
         assert unordered(engine.wall_circuits(child, flip)) == unordered(engine.wall_circuits(child))
 
 
@@ -379,8 +385,8 @@ def test_derived_rows_walks_change_points_and_leave_regularity():
     for name in sorted(_DERIVED):
         for _ in range(3):
             for engine, flip, child in _flip_walk(name, 12, rng.randrange):
-                rows = engine.regularity_rows(child, mode="local", flip=flip)
-                assert rows == sorted(engine.local_circuits(child))
+                rows = engine.regularity_rows(child, flip)
+                assert rows == sorted(engine.local_circuits(child, engine.wall_circuits(child)))
                 parent = set(child).difference(flip.added).union(flip.removed)
                 changed += reduce(or_, parent) != reduce(or_, child)
                 non_regular += engine.solve(rows) is None

@@ -186,7 +186,7 @@ def test_edge_rule_matches_geometric_slices(pair_name):
     # Brute-force cross-check of the combinatorial adjacency rule: two mixed
     # cells share a (2,2)-type facet exactly when their sliced Minkowski
     # cells share a planar quadrilateral face.
-    from tropcay.exactarith import rank_int
+    from oracles import rank_int
 
     f1, f2 = load_pair(pair_name)
     r = tropicalize_pair(f1, f2)
