@@ -50,11 +50,13 @@ no key is checked that the run cannot record; when keys are left over,
 the wave goes back to the front of the frontier, and a resumed run
 re-expands it and checks them.
 
-A checkpoint carries a SHA-256 digest of its whole document; a file that
-is not JSON, lacks a field, fails the digest, stores a group other than
-the certified closure of its generators, holds a key that is not a whole
-number of packed cells or has a frontier outside its visited regular
-classes is refused with ``CheckpointMismatchError``.
+The expanded count is derived: the regular classes, counted as they are
+recorded, less the frontier.  A checkpoint carries a SHA-256 digest of
+its whole document; a file that is not JSON, lacks a field, fails the
+digest, stores a group other than the certified closure of its
+generators, holds a key that is not a whole number of packed cells, has
+a frontier outside its visited regular classes or stores another
+expanded count is refused with ``CheckpointMismatchError``.
 """
 
 from __future__ import annotations
@@ -263,7 +265,7 @@ class Enumerator:
         # (key, witness) pairs, the witness _compact; a key read from a checkpoint has None
         self.frontier: deque[tuple[bytes, object]] = deque()
         self.emitted = 0
-        self.expanded = 0
+        self.regular = 0  # regular visited classes: the frontier and those expanded
         self.complete = False
         self._stop = False
         self._last_checkpoint_emitted = 0
@@ -283,9 +285,9 @@ class Enumerator:
     def stats(self) -> dict:
         return {
             "visited": len(self.visited),
-            "regular": sum(1 for v in self.visited.values() if v),
+            "regular": self.regular,
             "emitted": self.emitted,
-            "expanded": self.expanded,
+            "expanded": self.regular - len(self.frontier),
             "frontier": len(self.frontier),
             "complete": self.complete,
             # verdicts of this run, not saved in checkpoints
@@ -348,7 +350,6 @@ class Enumerator:
                 while fresh:
                     if limit is not None and self.emitted >= limit:
                         self.frontier.extendleft(reversed(wave))
-                        self.expanded -= len(wave)
                         cut = True
                         break
                     # a key emits at most once: check no more keys than the limit can record
@@ -359,6 +360,7 @@ class Enumerator:
                             raise RuntimeError("placing triangulation must be regular")
                         self.visited[key] = regular
                         if regular:
+                            self.regular += 1
                             self.frontier.append((key, _compact(witness)))
                             masks = unpack(key)
                             if self._passes_filters(masks):
@@ -376,7 +378,6 @@ class Enumerator:
                     break
                 self._maybe_checkpoint()  # every stop above ends in the final write
                 wave = [self.frontier.popleft() for _ in range(min(wave_size, len(self.frontier)))]
-                self.expanded += len(wave)
                 # one carry per new key, in first-seen order
                 fresh = list({key: carry for key, carry in expand(wave) if key not in self.visited}.items())
         self._write_checkpoint()
@@ -407,7 +408,7 @@ class Enumerator:
             ],
             "frontier": [base64.b64encode(k).decode() for k, _witness in self.frontier],
             "emitted": self.emitted,
-            "expanded": self.expanded,
+            "expanded": self.regular - len(self.frontier),
             "complete": self.complete,
         }
         doc["digest"] = _digest(doc)
@@ -503,9 +504,12 @@ def load_checkpoint(
         enumerator.frontier = deque((base64.b64decode(b64, validate=True), None) for b64 in doc["frontier"])
         if not all(enumerator.visited.get(key) for key, _witness in enumerator.frontier):
             raise CheckpointMismatchError("checkpoint frontier is not among its visited regular classes")
-        enumerator.emitted, enumerator.expanded = _integer(doc["emitted"]), _integer(doc["expanded"])
-        if min(enumerator.emitted, enumerator.expanded) < 0:
+        enumerator.regular = sum(enumerator.visited.values())
+        enumerator.emitted, expanded = _integer(doc["emitted"]), _integer(doc["expanded"])
+        if min(enumerator.emitted, expanded) < 0:
             raise ValueError("checkpoint counters must not be negative")
+        if expanded != enumerator.regular - len(enumerator.frontier):
+            raise ValueError("checkpoint's expanded count disagrees with its visited set and frontier")
         enumerator.complete = _boolean(doc["complete"])
     # ValueError covers json.JSONDecodeError, UnicodeDecodeError, binascii.Error and a
     # generator that is not an affine lattice map; GroupBoundError, a closure larger

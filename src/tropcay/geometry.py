@@ -3,8 +3,9 @@
 Coordinates are integer lattice points; all derived data (affine reduction,
 volumes, lower hulls) is computed exactly.  A configuration may sit on a
 proper affine sublattice of its ambient space (the Cayley configuration is
-4-dimensional inside R^5); volumes and subdivisions are always taken
-relative to the affine lattice actually spanned by the points.
+4-dimensional inside R^5); volumes and subdivisions are always taken in
+the coordinates ``affine_reduce`` gives the points in the affine lattice
+they span.  Cells are point-index tuples, so nothing maps back.
 
 One beneath-beyond routine on integer points serves two purposes.  Run in
 the configuration's own dimension it gives placing triangulations
@@ -94,7 +95,7 @@ class PointConfiguration:
     def affine_dim(self) -> int:
         if len(self.points) < 2:
             return 0
-        return len(_reduction(self)[1].basis)
+        return affine_reduce(self).ambient_dim
 
 
 @dataclass(frozen=True)
@@ -117,32 +118,6 @@ class Subdivision:
 
     configuration: PointConfiguration
     cells: tuple[tuple[int, ...], ...]
-
-
-@dataclass(frozen=True)
-class AffineTransform:
-    """Record of an affine lattice reduction: new = coords of (p - origin) in basis."""
-
-    origin: tuple[int, ...]
-    basis: tuple[tuple[int, ...], ...]
-
-    @property
-    def is_identity(self) -> bool:
-        n = len(self.origin)
-        if any(x != 0 for x in self.origin) or len(self.basis) != n:
-            return False
-        return all(
-            all(row[j] == (1 if j == i else 0) for j in range(n))
-            for i, row in enumerate(self.basis)
-        )
-
-    def lift(self, reduced_point) -> tuple[int, ...]:
-        """Map reduced coordinates back to the original ambient space."""
-        out = list(self.origin)
-        for c, row in zip(reduced_point, self.basis):
-            for j, v in enumerate(row):
-                out[j] += c * v
-        return tuple(out)
 
 
 def simplex_lattice_points(dim: int, dilation: int) -> PointConfiguration:
@@ -184,7 +159,11 @@ def cayley_config(p1: PointConfiguration, p2: PointConfiguration) -> PointConfig
 
 
 @lru_cache(maxsize=256)
-def _reduction(config: PointConfiguration) -> tuple[PointConfiguration, AffineTransform]:
+def affine_reduce(config: PointConfiguration) -> PointConfiguration:
+    """Full-dimensional coordinates in the affine lattice spanned by the
+    points, taken in a Z-basis (Hermite-style) of the difference lattice, so
+    lattice volume is preserved.  A configuration whose difference lattice
+    is all of Z^d is returned unchanged."""
     if len(config.points) < 2:
         raise DegenerateConfigurationError("affine reduction needs at least two points")
     origin = config.points[0]
@@ -197,11 +176,7 @@ def _reduction(config: PointConfiguration) -> tuple[PointConfiguration, AffineTr
     if len(basis) == config.ambient_dim:
         unit = [[1 if j == i else 0 for j in range(config.ambient_dim)] for i in range(config.ambient_dim)]
         if all(coords_in_row_basis(basis, row) is not None for row in unit):
-            transform = AffineTransform(
-                (0,) * config.ambient_dim,
-                tuple(tuple(r) for r in unit),
-            )
-            return config, transform
+            return config
 
     new_points = []
     for p in config.points:
@@ -209,21 +184,7 @@ def _reduction(config: PointConfiguration) -> tuple[PointConfiguration, AffineTr
         coords = coords_in_row_basis(basis, diff)
         assert coords is not None, "point escaped its own difference lattice"
         new_points.append(tuple(coords))
-    reduced = PointConfiguration(
-        len(basis), tuple(new_points), config.labels, config.cayley_sizes
-    )
-    return reduced, AffineTransform(origin, tuple(tuple(r) for r in basis))
-
-
-def affine_reduce(config: PointConfiguration) -> tuple[PointConfiguration, AffineTransform]:
-    """Full-dimensional coordinates in the affine lattice spanned by the points.
-
-    Lattice volume is preserved: the new coordinates are taken with respect
-    to a Z-basis (Hermite-style) of the difference lattice.  The transform
-    record maps reduced coordinates back to the original ambient space; cell
-    index tuples are unaffected by the reduction.
-    """
-    return _reduction(config)
+    return PointConfiguration(len(basis), tuple(new_points), config.labels, config.cayley_sizes)
 
 
 def _simplex_volume(pts, cell) -> int:
@@ -240,7 +201,7 @@ def normalized_volume(config: PointConfiguration, cell=None) -> int:
     with more points than a simplex are measured through their placing
     triangulation.
     """
-    reduced, _ = _reduction(config)
+    reduced = affine_reduce(config)
     pts = reduced.points
     rank = reduced.ambient_dim
     indices = tuple(range(len(pts))) if cell is None else tuple(cell)
@@ -422,7 +383,7 @@ def regular_subdivision(config: PointConfiguration, w: WeightVector) -> Subdivis
     """
     if len(w) != len(config.points):
         raise ValueError("weight vector length must match the point count")
-    reduced, _ = _reduction(config)
+    reduced = affine_reduce(config)
     pts = reduced.points
     n = len(pts)
     rank = reduced.ambient_dim

@@ -14,25 +14,28 @@ is the regularity inequality "the point lifts strictly above the cell".
 One fraction-free elimination of all points against a cell's vertices
 gives the cell's volume (the last pivot), every circuit of the cell and
 the points inside it (those with no negative barycentric coordinate).
-One routine, ``FlipEngine.wall_circuits``, pairs facets into walls with
-their circuits.  ``FlipEngine.local_circuits`` adds the circuits of the
-unused points with the cells containing them: each is a flip that
-``neighbors`` tries, and together they are the local regularity rows.  A
-flip changes only the cells of its circuit's star, so each ``Flip`` from
-``neighbors`` keeps the cells it removes and adds and its parent's wall
-scan, and ``wall_circuits(child, flip)`` derives the child's walls from
-them, in the flip's own labeling, instead of scanning the child; the
-checked child's local rows (``regularity_rows(child, flip)``) come from
-them.  Cell facets, cell point indices and circuit sign masks
-are cached per cell and per circuit, beside the cell table.  Circuit
-signs also decide whether a set of cells is a triangulation at all
-(``FlipEngine.check_triangulation``): the two cells of every shared
-facet must lie on opposite sides of it, and no point may lie beyond an
-unshared one.  ``Triangulation.make`` runs that check once on cells from
-outside; cells the engine builds skip it.  And they certify symmetries
-(``certify_affine_action``): a permutation is an affine lattice map iff
-it carries the circuits of one simplex of the placing triangulation
-(``FlipEngine.placing``) to the circuits of its image.
+One map of each facet to its cells (``FlipEngine._facet_cells``), the
+only place that refuses a facet in more than two, lies beneath ``walls``,
+``check_triangulation`` and ``FlipEngine.wall_circuits``, which pairs
+facets into walls with their circuits.  ``FlipEngine.local_circuits``
+adds the circuits of the unused points with the cells containing them:
+each is a flip that ``neighbors`` tries, and together they are the local
+regularity rows.  A flip changes only the cells of its circuit's star,
+so each ``Flip`` from ``neighbors`` keeps the cells it removes and adds
+and its parent's wall scan, and ``wall_circuits(child, flip)`` derives
+the child's walls from them, in the flip's own labeling, instead of
+scanning the child; the checked child's local rows
+(``regularity_rows(child, flip)``) come from them.  Cell facets, cell
+point indices and circuit sign masks are cached per cell and per
+circuit, beside the cell table.  Circuit signs also decide whether a set
+of cells is a triangulation at all (``FlipEngine.check_triangulation``):
+the two cells of every shared facet must lie on opposite sides of it,
+and no point may lie beyond an unshared one.  ``Triangulation.make``
+runs that check once on cells from outside; cells the engine builds skip
+it.  And they certify symmetries (``certify_affine_action``): a
+permutation is an affine lattice map iff it carries the circuits of one
+simplex of the placing triangulation (``FlipEngine.placing``) to the
+circuits of its image.
 
 Regularity is decided exactly.  The engine holds only the local system
 above (``FlipEngine.regularity_rows``); ``is_regular(t, mode="global")``
@@ -62,7 +65,7 @@ from .exactarith import basis_coordinates_int
 from .geometry import (
     PointConfiguration,
     WeightVector,
-    _reduction,
+    affine_reduce,
     placing_cells,
     simplex_lattice_points,
 )
@@ -105,14 +108,8 @@ class Triangulation:
         engine = flip_engine(self.configuration)
         return engine.walls(engine.to_masks(self.cells))
 
-    def used_points(self) -> tuple[int, ...]:
-        used = set()
-        for c in self.cells:
-            used.update(c)
-        return tuple(sorted(used))
-
     def is_full(self) -> bool:
-        return len(self.used_points()) == len(self.configuration.points)
+        return len({i for c in self.cells for i in c}) == len(self.configuration.points)
 
 
 @dataclass(frozen=True)
@@ -163,7 +160,7 @@ class FlipEngine:
 
     def __init__(self, config: PointConfiguration):
         self.config = config
-        reduced, _ = _reduction(config)
+        reduced = affine_reduce(config)
         self.points = reduced.points
         self.n = len(self.points)
         self.rank = reduced.ambient_dim
@@ -293,7 +290,8 @@ class FlipEngine:
         return out
 
     def _facet_cells(self, masks) -> dict[int, list[int]]:
-        """Map each facet mask to the cells containing it."""
+        """Map each facet mask to the one or two cells containing it; the
+        one place that raises ``ValueError`` for a facet in more cells."""
         owners: dict[int, list[int]] = {}
         cached = self._facets.get
         for cm in masks:
@@ -301,19 +299,15 @@ class FlipEngine:
                 cs = owners.get(fm)
                 if cs is None:
                     owners[fm] = [cm]
+                elif len(cs) == 2:
+                    raise ValueError(f"facet {self.bits(fm)} lies in more than two cells")
                 else:
                     cs.append(cm)
         return owners
 
     def walls(self, masks):
         """Map interior facet mask -> (cell, cell); raises on non-complexes."""
-        out = {}
-        for fm, cs in self._facet_cells(masks).items():
-            if len(cs) == 2:
-                out[fm] = (cs[0], cs[1])
-            elif len(cs) > 2:
-                raise ValueError("facet shared by more than two cells: not a triangulation")
-        return out
+        return {fm: (cs[0], cs[1]) for fm, cs in self._facet_cells(masks).items() if len(cs) == 2}
 
     @cached_property
     def placing(self) -> tuple[int, ...]:
@@ -351,8 +345,6 @@ class FlipEngine:
             )
         walls = {}
         for fm, cs in self._facet_cells(masks).items():
-            if len(cs) > 2:
-                raise ValueError(f"facet {self.bits(fm)} lies in more than two cells")
             sigma = cs[0]
             a = (sigma & ~fm).bit_length() - 1
             if len(cs) == 2:
@@ -408,8 +400,6 @@ class FlipEngine:
                 # Both apexes of a wall are positive in the circuit of sigma
                 # and tau's apex, so its positive side is the present one.
                 out[fm] = (sigma, tau, cell(sigma)[1][(tau & ~fm).bit_length() - 1])
-            elif len(cs) > 2:
-                raise ValueError("facet shared by more than two cells: not a triangulation")
         return out
 
     def local_circuits(self, masks, walls) -> list[tuple[int, ...]]:

@@ -263,7 +263,7 @@ def regular_subdivision(config: PointConfiguration, w: WeightVector) -> Subdivis
     """
     if len(w) != len(config.points):
         raise ValueError("weight vector length must match the point count")
-    reduced, _ = affine_reduce(config)
+    reduced = affine_reduce(config)
     pts = reduced.points
     n = len(pts)
     rank = reduced.ambient_dim
@@ -579,7 +579,7 @@ def certify_affine_action(config: PointConfiguration, perm) -> tuple:
     if the permutation is not induced by an affine automorphism of the
     affine lattice (integer matrix with determinant +-1).
     """
-    reduced, _ = affine_reduce(config)
+    reduced = affine_reduce(config)
     pts = reduced.points
     r = reduced.ambient_dim
     base_idx = [0]

@@ -645,6 +645,10 @@ _DAMAGE = {
     "emitted-bool-signed": _edit(lambda doc: doc.update(emitted=True), sign=True),
     "emitted-negative-signed": _edit(lambda doc: doc.update(emitted=-1), sign=True),
     "expanded-string-signed": _edit(lambda doc: doc.update(expanded="3"), sign=True),
+    # the count is derived from the visited set and frontier, which must agree with it
+    "expanded-off-by-one-signed": _edit(
+        lambda doc: doc.update(expanded=len(doc["visited_regular"]) - len(doc["frontier"]) + 1), sign=True
+    ),
     "filter-string-signed": _edit(lambda doc: doc["filters"].update(require_unimodular="no"), sign=True),
     "filter-int-signed": _edit(lambda doc: doc["filters"].update(require_full=0), sign=True),
 }

@@ -195,6 +195,37 @@ def test_limit_checks_only_keys_it_records(jobs, limit):
     assert len(checked) == len(en.visited)
 
 
+def _assert_walk_counts(en):
+    s = en.stats()
+    assert s["regular"] == sum(en.visited.values())
+    assert s["expanded"] == s["regular"] - s["frontier"]
+
+
+@pytest.mark.parametrize("jobs, limit", [(1, 10), (2, 50)])
+def test_walk_counts_hold_across_a_halt_and_resume(tmp_path, jobs, limit):
+    cfg = cubic_polygon()
+    ckpt = str(tmp_path / "run.ckpt.json")
+    en = Enumerator(cfg, builtin_symmetry("trivial", cfg), jobs=jobs, checkpoint_path=ckpt)
+    waves = []
+    steps = en._steps
+
+    def recording_steps(stack):
+        expand, check = steps(stack)
+        return (lambda wave: waves.append(wave) or expand(wave)), check
+
+    en._steps = recording_steps
+    assert len(list(en.run(limit=limit))) == limit
+    _assert_walk_counts(en)
+    if jobs == 2:  # the limit cut the last wave, which went back to the frontier
+        assert list(en.frontier)[: len(waves[-1])] == waves[-1]
+    resumed = load_checkpoint(ckpt, jobs=jobs)
+    counts = ("regular", "expanded", "frontier")
+    assert [resumed.stats()[k] for k in counts] == [en.stats()[k] for k in counts]
+    list(resumed.run())
+    _assert_walk_counts(resumed)
+    assert (resumed.stats()["regular"], resumed.stats()["expanded"]) == (1166, 1166)
+
+
 def test_resume_checkpoint_with_require_regular_field(tmp_path):
     # Checkpoints once stored the always-true ``require_regular`` filter;
     # such files still resume to the fresh run's union.

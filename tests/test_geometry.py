@@ -4,7 +4,7 @@ from importlib import resources
 from math import comb, gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -23,6 +23,7 @@ from tropcay.geometry import (
     regular_subdivision,
     simplex_lattice_points,
 )
+from tropcay.triangulation import placing_triangulation
 from tropcay.tropical import ValuedPolynomial
 
 
@@ -95,24 +96,23 @@ def test_cayley_of_segments_is_square():
 
 def test_affine_reduce_diagonal_segment():
     cfg = PointConfiguration(2, ((0, 0), (1, 1)), ("A", "B"))
-    red, transform = affine_reduce(cfg)
+    red = affine_reduce(cfg)
     assert red.ambient_dim == 1
     assert red.points == ((0,), (1,))
-    assert transform.lift((1,)) == (1, 1)
 
 
 def test_affine_reduce_cayley_rank_four():
     cfg = cayley_config(simplex_lattice_points(3, 2), simplex_lattice_points(3, 2))
-    red, _ = affine_reduce(cfg)
+    red = affine_reduce(cfg)
     assert red.ambient_dim == 4
     assert len(red.points) == 20
 
 
 def test_affine_reduce_full_dimensional_is_identity():
+    # Equal, not identical: the cache may return an equal earlier instance.
     cfg = square_config()
-    red, transform = affine_reduce(cfg)
-    assert transform.is_identity
-    assert red.points == cfg.points
+    red = affine_reduce(cfg)
+    assert (red.ambient_dim, red.points) == (cfg.ambient_dim, cfg.points)
 
 
 def test_affine_reduce_single_point_raises():
@@ -273,6 +273,43 @@ def test_affine_heights_give_one_cell(cfg, data):
 
 
 @st.composite
+def embeddings(draw):
+    """A full-dimensional point set in Z^d, its image in Z^(d+1) under
+    x -> U (x, 0) + t for U in GL(d+1, Z), and integer heights.  U is a
+    product of row additions and a row permutation."""
+    d = draw(st.integers(2, 3))
+    pts = draw(st.lists(st.tuples(*[_SMALL] * d), min_size=d + 1, max_size=d + 4, unique=True))
+    cfg = PointConfiguration(d, tuple(pts), block_labels(len(pts)))
+    assume(cfg.affine_dim() == d)
+    u = [[int(i == j) for j in range(d + 1)] for i in range(d + 1)]
+    moves = st.tuples(st.integers(0, d), st.integers(0, d), st.integers(-2, 2))
+    for i, j, k in draw(st.lists(moves, max_size=8)):
+        if i != j:
+            u[i] = [a + k * b for a, b in zip(u[i], u[j])]
+    u = [u[i] for i in draw(st.permutations(range(d + 1)))]
+    t = draw(st.tuples(*[_SMALL] * (d + 1)))
+    image = [
+        tuple(sum(a * x for a, x in zip(row, p + (0,))) + c for row, c in zip(u, t)) for p in pts
+    ]
+    embedded = PointConfiguration(d + 1, tuple(image), cfg.labels)
+    heights = draw(st.lists(st.integers(-3, 3), min_size=len(pts), max_size=len(pts)))
+    return cfg, embedded, WeightVector.of(heights)
+
+
+@settings(max_examples=100, deadline=None)
+@given(embeddings())
+def test_a_unimodular_embedding_changes_nothing_the_library_reads(case):
+    # Cells are index tuples and volumes are taken in the reduced lattice,
+    # so no caller needs the reduction's map back to the ambient space.
+    cfg, embedded, w = case
+    assert embedded.affine_dim() == cfg.affine_dim()
+    cells = placing_triangulation(cfg).cells
+    assert placing_triangulation(embedded).cells == cells
+    assert [normalized_volume(embedded, c) for c in cells] == [normalized_volume(cfg, c) for c in cells]
+    assert regular_subdivision(embedded, w).cells == regular_subdivision(cfg, w).cells
+
+
+@st.composite
 def placements(draw):
     """Distinct integer points (general, collinear, coplanar or a single
     point) and a random insertion order."""
@@ -340,7 +377,7 @@ def test_placed_functionals_match_the_elimination(placement):
 @given(lifts())
 def test_lifted_functionals_match_the_elimination(lift):
     cfg, w = lift
-    reduced, _ = affine_reduce(cfg)
+    reduced = affine_reduce(cfg)
     heights, _ = clear_denominators(w.heights)
     order = sorted(range(len(cfg)), key=lambda i: (heights[i], i))
     _check_every_insert([p + (h,) for p, h in zip(reduced.points, heights)], order)

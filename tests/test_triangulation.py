@@ -663,6 +663,23 @@ def test_make_rejects_cells_that_are_not_a_triangulation(case):
         Triangulation.make(cfg, cells)
 
 
+@pytest.mark.parametrize("scan", ["make", "walls", "wall_circuits"])
+def test_one_check_refuses_a_facet_in_three_cells(scan):
+    # The volumes sum to the total, so ``make`` reaches the facet scan.
+    cfg, cells = _NOT_TRIANGULATIONS["facet-in-three-cells"]
+    engine = flip_engine(cfg)
+    masks = engine.to_masks(cells)
+    assert sum(map(engine.volume, masks)) == engine.total_volume
+    run = {
+        "make": lambda: Triangulation.make(cfg, cells),
+        "walls": lambda: engine.walls(masks),
+        "wall_circuits": lambda: engine.wall_circuits(masks),
+    }[scan]
+    with pytest.raises(ValueError, match=r"^facet \(0, 1\) lies in more than two cells$"):
+        run()
+    assert not validate_triangulation(Triangulation(cfg, tuple(cells)))
+
+
 _VALIDATED = {
     "square": square_config(),
     "3D2": cubic_polygon(),
