@@ -181,6 +181,9 @@ def _placing_order(text: str, n: int) -> list[int]:
 
 
 def cmd_enumerate(args) -> int:
+    # checked before --out is opened, which would truncate it
+    if args.limit is not None and args.limit < 0:
+        raise InputError(f"limit must be at least 0, not {args.limit}")
     if args.resume:
         if not args.checkpoint:
             sys.stderr.write("error: --resume needs --checkpoint\n")

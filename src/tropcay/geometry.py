@@ -10,11 +10,12 @@ they span.  Cells are point-index tuples, so nothing maps back.
 One beneath-beyond routine on integer points serves two purposes.  Run in
 the configuration's own dimension it gives placing triangulations
 (``placing_cells``).  Run one dimension up on the points lifted by
-heights it gives the lower hull: each distinct integer functional of a
-downward boundary facet is one cell of ``regular_subdivision``, and every
-point is checked against it.  A placed cell's facet functionals come from
-its parent cell's by a rank-one update; only the cells present when the
-span last grows are solved for by elimination.
+heights, with the vertical direction placed as an ideal point, it gives
+the lower hull alone: each distinct integer functional of a downward
+boundary facet is one cell of ``regular_subdivision``, and every point is
+checked against it.  A placed cell's facet functionals come from its
+parent cell's by a rank-one update; only the cells present when the span
+last grows are solved for by elimination.
 """
 
 from __future__ import annotations
@@ -238,6 +239,14 @@ class _BeneathBeyond:
     integer chart.  ``boundary`` maps each boundary facet (a face of
     exactly one cell) to the opposite vertex and that cell.
 
+    The chart is homogeneous: a point's is its pivot coordinates and a 1.
+    The point at index ``ideal``, if any, is a direction instead: its
+    chart ends in 0, and the span grows by the direction itself rather
+    than by its difference from the first point.  Placed right after the
+    first point, a direction ``e`` makes the hull that of the polyhedron
+    ``conv(points) + R>=0 e``, on which no facet functional is positive
+    at ``e``.
+
     ``table`` holds, for a cell and each of its vertices ``u``, the
     primitive integer functional of the facet ``cell - {u}``, negative at
     ``u``.  A cell placed beyond a visible facet ``F`` of a cell
@@ -252,9 +261,10 @@ class _BeneathBeyond:
     get theirs from one fraction-free elimination each, when first asked.
     """
 
-    def __init__(self, points, first: int):
+    def __init__(self, points, first: int, ideal: int | None = None):
         self.points = points
         self.origin = points[first]
+        self.ideal = ideal
         self.basis: list[list[int]] = []
         self.pivots: list[int] = []
         cell = frozenset([first])
@@ -266,7 +276,7 @@ class _BeneathBeyond:
 
     def chart(self, idx: int) -> list[int]:
         p = self.points[idx]
-        return [p[c] for c in self.pivots] + [1]
+        return [p[c] for c in self.pivots] + [int(idx != self.ideal)]
 
     def functionals(self, cell: frozenset[int]) -> dict[int, tuple[int, ...]]:
         """Each vertex's opposite facet functional, negative at the vertex."""
@@ -291,7 +301,8 @@ class _BeneathBeyond:
         return self.functionals(cell)[apex]
 
     def insert(self, idx: int) -> None:
-        v = [x - o for x, o in zip(self.points[idx], self.origin)]
+        pt = self.points[idx]
+        v = list(pt) if idx == self.ideal else [x - o for x, o in zip(pt, self.origin)]
         for row, c in zip(self.basis, self.pivots):
             if v[c]:
                 p, f = row[c], v[c]
@@ -334,8 +345,11 @@ class _BeneathBeyond:
                     self.boundary[face] = (apex, cell)
 
 
-def _place(points, order) -> _BeneathBeyond:
-    hull = _BeneathBeyond(points, order[0])
+def _place(points, order, ideal: int | None = None) -> _BeneathBeyond:
+    """Place ``order``, with the ideal point, if any, right after its first."""
+    hull = _BeneathBeyond(points, order[0], ideal)
+    if ideal is not None:
+        hull.insert(ideal)
     for idx in order[1:]:
         hull.insert(idx)
     return hull
@@ -353,7 +367,9 @@ def placing_cells(points, order=None):
     Points are distinct tuples of integers.  All arithmetic is on
     integers: each boundary facet's functional is a primitive integer
     vector in a chart of the current affine span, carried from cell to
-    placed cell by a rank-one update (see ``_BeneathBeyond``).
+    placed cell by a rank-one update (see ``_BeneathBeyond``).  Every
+    point is finite here; ``regular_subdivision`` places the same hull
+    with an ideal point.
     """
     n = len(points)
     if n == 0:
@@ -373,13 +389,18 @@ def regular_subdivision(config: PointConfiguration, w: WeightVector) -> Subdivis
     A maximal cell is the full set of points lying on a lower facet of the
     lifted configuration; points lifted strictly above a lower facet are
     excluded from its cell.  The lifted points ``(p, h)`` are placed one
-    dimension up, lowest first.  Every boundary facet whose outward
-    functional points down lies on a lower facet, and coplanar boundary
-    facets share one primitive functional, so each distinct such
-    functional is one cell: the points where it vanishes.  Every point is
-    evaluated against it in integers, and a point strictly beyond it
-    raises ``ArithmeticError``.  Affine heights span no extra dimension
-    and give one cell with every point.
+    dimension up, lowest first, with the upward direction as an ideal
+    point right after the lowest.  That hull is the one of ``conv(lifted
+    points) + R>=0 (0, ..., 0, 1)``, whose bounded faces are the lower
+    faces of the lift and whose other facets are vertical (De Loera,
+    Rambau and Santos, *Triangulations*, 2010, ch. 2): no upper facet is
+    built.  Coplanar boundary facets share one primitive functional, so
+    each distinct functional with a negative height coefficient is one
+    cell: the points where it vanishes.  The coefficient is zero on a
+    vertical facet, whether it holds the ideal point or only finite ones.
+    Every point is evaluated against each cell's functional in integers,
+    and a point strictly beyond it raises ``ArithmeticError``.  Affine
+    heights give one such functional, vanishing on every point.
     """
     if len(w) != len(config.points):
         raise ValueError("weight vector length must match the point count")
@@ -389,14 +410,15 @@ def regular_subdivision(config: PointConfiguration, w: WeightVector) -> Subdivis
     rank = reduced.ambient_dim
 
     heights, _ = clear_denominators(w.heights)
+    up = (0,) * rank + (1,)
     hull = _place(
-        [p + (h,) for p, h in zip(pts, heights)],
+        [p + (h,) for p, h in zip(pts, heights)] + [up],
         sorted(range(n), key=lambda i: (heights[i], i)),
+        ideal=n,
     )
-    if len(hull.basis) == rank:
-        return Subdivision(config, (tuple(range(n)),))
-    # The chart is every lifted coordinate, so entry ``rank`` of a facet's
-    # outward functional is its height coefficient.
+    # The ideal point spans the height axis, so the chart is every lifted
+    # coordinate and entry ``rank`` of a facet's outward functional is its
+    # height coefficient.
     lower = {func for func in map(hull.functional, hull.boundary) if func[rank] < 0}
     charts = [hull.chart(q) for q in range(n)]
     cells = []

@@ -554,6 +554,26 @@ def test_enumerate_resume_refuses_run_options_exit_64(tmp_path, capsys, option):
     assert ckpt.read_bytes() == before
 
 
+@pytest.mark.parametrize("resume", [False, True], ids=["fresh", "resume"])
+def test_enumerate_negative_limit_leaves_out_untouched(tmp_path, capsys, resume):
+    # A usage error must not truncate the output file it never writes to.
+    cfg_path, ckpt = tmp_path / "3d2.json", tmp_path / "run.ckpt"
+    run(capsys, "config", "simplex", "--dim", "2", "--dilation", "3", "--out", str(cfg_path))
+    run(
+        capsys, "enumerate", "--config", str(cfg_path), "--checkpoint", str(ckpt), "--limit", "5",
+        "--out", str(tmp_path / "first.jsonl"),
+    )
+    out = tmp_path / "keep.jsonl"
+    out.write_text("old data\n")
+    before = ckpt.read_bytes()
+    source = ["--resume", "--limit", "-5"] if resume else ["--config", str(cfg_path), "--limit", "-1"]
+    code, _, err = run(capsys, "enumerate", *source, "--checkpoint", str(ckpt), "--out", str(out))
+    _assert_usage_error(code, err)
+    assert "limit must be at least 0" in err
+    assert out.read_text() == "old data\n"
+    assert ckpt.read_bytes() == before
+
+
 @pytest.mark.parametrize("first_jobs, resume_jobs", [(2, 1), (1, 2)])
 def test_enumerate_halt_and_resume_across_job_counts(tmp_path, capsys, first_jobs, resume_jobs):
     cfg_path = tmp_path / "3d2.json"

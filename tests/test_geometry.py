@@ -228,7 +228,7 @@ def test_regular_subdivision_raises_on_a_point_below_its_hull(monkeypatch):
     heights = [x * x + y * y + x * y for x, y in cfg.points]
     heights[cfg.points.index((1, 1))] = -5
     place = geometry._place
-    monkeypatch.setattr(geometry, "_place", lambda points, order: place(points, order[1:]))
+    monkeypatch.setattr(geometry, "_place", lambda points, order, ideal: place(points, order[1:], ideal))
     with pytest.raises(ArithmeticError):
         regular_subdivision(cfg, WeightVector.of(heights))
 
@@ -359,9 +359,9 @@ def _check_boundary_functionals(hull):
         assert func == want
 
 
-def _check_every_insert(points, order):
-    hull = geometry._BeneathBeyond(points, order[0])
-    for idx in order[1:]:
+def _check_every_insert(points, order, ideal=None):
+    hull = geometry._BeneathBeyond(points, order[0], ideal)
+    for idx in ([] if ideal is None else [ideal]) + list(order[1:]):
         hull.insert(idx)
         _check_boundary_functionals(hull)
 
@@ -376,17 +376,32 @@ def test_placed_functionals_match_the_elimination(placement):
 @settings(max_examples=60, deadline=None)
 @given(lifts())
 def test_lifted_functionals_match_the_elimination(lift):
+    # Placed both as a plain hull and, as regular_subdivision places them,
+    # under the upward ideal point: there the ideal apex's functional is
+    # negative at the direction, that is, its height coefficient is.
     cfg, w = lift
     reduced = affine_reduce(cfg)
     heights, _ = clear_denominators(w.heights)
-    order = sorted(range(len(cfg)), key=lambda i: (heights[i], i))
-    _check_every_insert([p + (h,) for p, h in zip(reduced.points, heights)], order)
+    n, rank = len(cfg), reduced.ambient_dim
+    order = sorted(range(n), key=lambda i: (heights[i], i))
+    lifted = [p + (h,) for p, h in zip(reduced.points, heights)]
+    _check_every_insert(lifted, order)
+    _check_every_insert(lifted + [(0,) * rank + (1,)], order, ideal=n)
 
 
-def test_lower_hull_of_a_quadric_pair_eliminates_once_per_start_cell(monkeypatch):
-    # Placed cells get their functionals from their parent cells; only the
-    # cells present when the span last grows are eliminated.  Here that is
-    # the first simplex, against 279 eliminations with one per facet.
+def test_a_vertical_facet_is_not_a_lower_cell():
+    # The lifted points over the edge x + y = 2 span a vertical facet, and
+    # placing triangulates it by the finite simplex (3, 4, 5).  Its height
+    # coefficient is 0, so it is no cell; skipping only the facets through
+    # the ideal point would return it as a third.
+    cfg = simplex_lattice_points(2, 2)
+    w = WeightVector.of([3, 3, 0, 2, 3, 3])
+    cells = ((0, 2, 3), (2, 3, 5))
+    assert regular_subdivision(cfg, w).cells == cells
+    assert oracles.regular_subdivision(cfg, w).cells == cells
+
+
+def _cycle16():
     pkg = resources.files("tropcay.data") / "pairs"
     f1, f2 = (
         ValuedPolynomial.make(*polynomial_terms_from_dict(load_json(pkg / f"cycle16_{f}.json")))
@@ -394,7 +409,28 @@ def test_lower_hull_of_a_quadric_pair_eliminates_once_per_start_cell(monkeypatch
     )
     p1, p2 = simplex_lattice_points(3, f1.degree), simplex_lattice_points(3, f2.degree)
     cfg = cayley_config(p1, p2)
-    w = WeightVector(tuple(f1.heights_for(p1.points) + f2.heights_for(p2.points)))
+    return cfg, WeightVector(tuple(f1.heights_for(p1.points) + f2.heights_for(p2.points)))
+
+
+def test_lower_hull_of_a_quadric_pair_builds_no_upper_facet(monkeypatch):
+    # Under the upward ideal point no facet functional is positive at the
+    # direction, so no cell is placed on an upper facet: cycle16's hull
+    # places 59 cells, against 106 for its whole hull.
+    cfg, w = _cycle16()
+    place, hulls = geometry._place, []
+    monkeypatch.setattr(geometry, "_place", lambda *a, **k: hulls.append(place(*a, **k)) or hulls[-1])
+    assert len(regular_subdivision(cfg, w).cells) == 32
+    (hull,) = hulls
+    rank = affine_reduce(cfg).ambient_dim
+    assert all(hull.functional(facet)[rank] <= 0 for facet in hull.boundary)
+    assert len(hull.cells) <= 64
+
+
+def test_lower_hull_of_a_quadric_pair_eliminates_once_per_start_cell(monkeypatch):
+    # Placed cells get their functionals from their parent cells; only the
+    # cells present when the span last grows are eliminated.  Here that is
+    # the first simplex, against 279 eliminations with one per facet.
+    cfg, w = _cycle16()
     affine_reduce(cfg)  # cached: the count below is the hull's alone
     eliminate, calls = exactarith._eliminate, []
     monkeypatch.setattr(exactarith, "_eliminate", lambda *a: calls.append(1) or eliminate(*a))
