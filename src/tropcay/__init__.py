@@ -1,12 +1,7 @@
 """tropcay: exact enumeration and classification of smooth tropical curves
 obtained by slicing regular unimodular triangulations of Cayley polytopes."""
 
-from .enumeration import (
-    EnumerationFilters,
-    Enumerator,
-    enumerate_triangulations,
-    resume,
-)
+from .enumeration import EnumerationFilters, Enumerator
 from .geometry import (
     PointConfiguration,
     Subdivision,
@@ -30,7 +25,6 @@ from .triangulation import (
     is_unimodular,
     orbit_canonical_rep,
     placing_triangulation,
-    validate_triangulation,
 )
 from .tropical import (
     CurveGraph,
@@ -74,7 +68,6 @@ __all__ = [
     "cycle_length",
     "dual_curve_3d",
     "dual_curve_planar",
-    "enumerate_triangulations",
     "flips",
     "genus",
     "is_regular",
@@ -84,9 +77,7 @@ __all__ = [
     "orbit_canonical_rep",
     "placing_triangulation",
     "regular_subdivision",
-    "resume",
     "simplex_lattice_points",
     "strict_lp_feasible",
     "tropicalize_pair",
-    "validate_triangulation",
 ]

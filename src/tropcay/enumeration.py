@@ -55,8 +55,9 @@ recorded, less the frontier.  A checkpoint carries a SHA-256 digest of
 its whole document; a file that is not JSON, lacks a field, fails the
 digest, stores a group other than the certified closure of its
 generators, holds a key that is not a whole number of packed cells, has
-a frontier outside its visited regular classes or stores another
-expanded count is refused with ``CheckpointMismatchError``.
+a frontier outside its visited regular classes, stores another
+expanded count or claims more emissions than regular classes is refused
+with ``CheckpointMismatchError``.
 """
 
 from __future__ import annotations
@@ -390,8 +391,8 @@ class Enumerator:
         if self.emitted - self._last_checkpoint_emitted >= self.checkpoint_every:
             self._write_checkpoint()
 
-    def _write_checkpoint(self, path=None):
-        path = path or self.checkpoint_path
+    def _write_checkpoint(self):
+        path = self.checkpoint_path
         if path is None:
             return
         doc = {
@@ -433,28 +434,6 @@ def _digest(doc: dict) -> str:
     for chunk in _CANONICAL_JSON.iterencode({k: v for k, v in doc.items() if k != "digest"}):
         sha.update(chunk.encode())
     return sha.hexdigest()
-
-
-def enumerate_triangulations(
-    config: PointConfiguration,
-    group: SymmetryGroup,
-    filters: EnumerationFilters = EnumerationFilters(),
-    jobs: int = 1,
-    checkpoint_path=None,
-    checkpoint_every: int | None = None,
-    limit: int | None = None,
-) -> Iterator[Triangulation]:
-    """One canonical representative per symmetry class of regular
-    triangulations (optionally filtered to unimodular and/or full)."""
-    enumerator = Enumerator(
-        config,
-        group,
-        filters,
-        jobs=jobs,
-        checkpoint_path=checkpoint_path,
-        checkpoint_every=checkpoint_every,
-    )
-    yield from enumerator.run(limit)
 
 
 def load_checkpoint(
@@ -510,6 +489,8 @@ def load_checkpoint(
             raise ValueError("checkpoint counters must not be negative")
         if expanded != enumerator.regular - len(enumerator.frontier):
             raise ValueError("checkpoint's expanded count disagrees with its visited set and frontier")
+        if enumerator.emitted > enumerator.regular:  # each emission is a distinct regular class
+            raise ValueError("checkpoint claims more emissions than it has regular classes")
         enumerator.complete = _boolean(doc["complete"])
     # ValueError covers json.JSONDecodeError, UnicodeDecodeError, binascii.Error and a
     # generator that is not an affine lattice map; GroupBoundError, a closure larger
@@ -518,18 +499,6 @@ def load_checkpoint(
         raise CheckpointMismatchError(f"damaged checkpoint {path}: {err!r}") from err
     enumerator._last_checkpoint_emitted = enumerator.emitted
     return enumerator
-
-
-def resume(
-    path,
-    config: PointConfiguration | None = None,
-    jobs: int = 1,
-    checkpoint_every: int | None = None,
-) -> Iterator[Triangulation]:
-    """Continue emission from a checkpoint: only classes not yet seen are
-    emitted, and the union with the pre-halt emissions equals a fresh run."""
-    enumerator = load_checkpoint(path, config=config, jobs=jobs, checkpoint_every=checkpoint_every)
-    yield from enumerator.run()
 
 
 # -- worker-process side ------------------------------------------------

@@ -84,12 +84,21 @@ def config_from_dict(doc: dict) -> PointConfiguration:
             isinstance(label, str) and _LABEL_RE.fullmatch(label) for label in labels
         ):
             raise ValueError(f"labels must be a list of one letter and digits each, not {labels!r}")
-        return PointConfiguration(
+        config = PointConfiguration(
             _integer(doc["ambient_dim"]),
             tuple(tuple(_integer(x) for x in p) for p in doc["points"]),
             tuple(labels),
             tuple(_integer(x) for x in cayley) if cayley else None,
         )
+        # the layout ``cayley_config`` writes, which the slicing reads by index
+        if cayley:
+            n1, n2 = config.cayley_sizes
+            if [p[:2] for p in config.points] != [(1, 0)] * n1 + [(0, 1)] * n2:
+                raise ValueError(
+                    f"cayley_sizes {list(cayley)} do not match the points: the first {n1}"
+                    f" must start with 1, 0 and the other {n2} with 0, 1"
+                )
+        return config
 
 
 def cells_to_text(config: PointConfiguration, cells) -> str:

@@ -35,7 +35,6 @@ from .exactarith import (
     coords_in_row_basis,
     det_int,
     lattice_row_basis,
-    parse_rational,
     solve_rational,  # unused here; perfbench traces ``geometry.solve_rational``
 )
 
@@ -104,10 +103,6 @@ class WeightVector:
     """One rational lifting height per configuration point."""
 
     heights: tuple[Fraction, ...]
-
-    @classmethod
-    def of(cls, values) -> "WeightVector":
-        return cls(tuple(parse_rational(v) for v in values))
 
     def __len__(self) -> int:
         return len(self.heights)

@@ -108,9 +108,6 @@ class Triangulation:
         engine = flip_engine(self.configuration)
         return engine.walls(engine.to_masks(self.cells))
 
-    def is_full(self) -> bool:
-        return len({i for c in self.cells for i in c}) == len(self.configuration.points)
-
 
 @dataclass(frozen=True)
 class Flip:
@@ -735,14 +732,3 @@ def _perm_from_map(config: PointConfiguration, point_map):
             raise ValueError("map does not permute the configuration points")
         perm.append(index[q])
     return tuple(perm)
-
-
-def validate_triangulation(t: Triangulation) -> bool:
-    """True iff the cells of t triangulate its configuration
-    (``FlipEngine.check_triangulation``)."""
-    engine = flip_engine(t.configuration)
-    try:
-        engine.check_triangulation(engine.to_masks(t.cells))
-    except ValueError:
-        return False
-    return True

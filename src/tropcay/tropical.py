@@ -65,13 +65,6 @@ class ValuedPolynomial:
         ordered = tuple(sorted(mapping.items()))
         return cls(degree, ordered)
 
-    def valuation(self, exp) -> Fraction:
-        exp = tuple(exp)
-        for e, v in self.terms:
-            if e == exp:
-                return v
-        raise KeyError(exp)
-
     def heights_for(self, points) -> list[Fraction]:
         """Valuations aligned to a list of exponent points (graded-lex block)."""
         table = dict(self.terms)

@@ -17,7 +17,6 @@ from tropcay.cli import EXIT_OK, main
 from tropcay.enumeration import (
     EnumerationFilters,
     Enumerator,
-    enumerate_triangulations,
     load_checkpoint,
 )
 from tropcay.formats import load_json, polynomial_terms_from_dict
@@ -74,22 +73,13 @@ def planar_config():
 @pytest.fixture(scope="module")
 def planar_79(planar_config):
     grp = builtin_symmetry("trivial", planar_config)
-    out = list(
-        enumerate_triangulations(
-            planar_config, grp, EnumerationFilters(require_unimodular=True)
-        )
-    )
-    return out
+    return list(Enumerator(planar_config, grp, EnumerationFilters(require_unimodular=True)).run())
 
 
 @pytest.fixture(scope="module")
 def planar_18(planar_config):
     grp = builtin_symmetry("simplex-3d2", planar_config)
-    return list(
-        enumerate_triangulations(
-            planar_config, grp, EnumerationFilters(require_unimodular=True)
-        )
-    )
+    return list(Enumerator(planar_config, grp, EnumerationFilters(require_unimodular=True)).run())
 
 
 @pytest.fixture(scope="module")
@@ -221,12 +211,8 @@ def test_criterion_7_property_suites(planar_config, planar_79, planar_18, tmp_pa
     # enumeration output set: jobs=1 vs jobs=8
     grp = builtin_symmetry("simplex-3d2", planar_config)
     filters = EnumerationFilters(require_unimodular=True)
-    set1 = sorted(
-        t.cells for t in enumerate_triangulations(planar_config, grp, filters, jobs=1)
-    )
-    set8 = sorted(
-        t.cells for t in enumerate_triangulations(planar_config, grp, filters, jobs=8)
-    )
+    set1 = sorted(t.cells for t in Enumerator(planar_config, grp, filters, jobs=1).run())
+    set8 = sorted(t.cells for t in Enumerator(planar_config, grp, filters, jobs=8).run())
     assert set1 == set8
 
     # fresh vs halt-and-resume
@@ -235,7 +221,7 @@ def test_criterion_7_property_suites(planar_config, planar_79, planar_18, tmp_pa
     en = Enumerator(planar_config, trivial, filters, checkpoint_path=ckpt)
     first = list(en.run(limit=10))
     rest = list(load_checkpoint(ckpt).run())
-    fresh = sorted(t.cells for t in enumerate_triangulations(planar_config, trivial, filters))
+    fresh = sorted(t.cells for t in Enumerator(planar_config, trivial, filters).run())
     assert sorted(t.cells for t in first + rest) == fresh
     assert len(first) + len(rest) == len(fresh)
 

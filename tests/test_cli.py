@@ -320,6 +320,29 @@ def test_enumerate_config_point_of_wrong_dimension_exit_64(tmp_path, capsys):
     _assert_usage_error(code, err)
 
 
+@pytest.mark.parametrize("sizes", [[5, 15], [11, 9]], ids=["5-15", "11-9"])
+@pytest.mark.parametrize("command", ["enumerate", "classify"])
+def test_cayley_sizes_that_do_not_match_the_points_exit_64(tmp_path, capsys, command, sizes):
+    # The slicing splits the cells by index, so wrong sizes would give
+    # wrong cell types and colours.
+    cfg = tmp_path / "c22.json"
+    stream = tmp_path / "q.jsonl"
+    run(capsys, "config", "cayley", "--d", "2", "--e", "2", "--out", str(cfg))
+    run(capsys, "enumerate", "--config", str(cfg), "--group", "s4xz2", "--unimodular", "--limit", "20", "--out", str(stream))
+    doc = load_json(cfg)
+    doc["cayley_sizes"] = sizes
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    argv = {
+        "enumerate": ["enumerate", "--config", str(cfg), "--limit", "2", "--out", str(out)],
+        "classify": ["classify", "--config", str(cfg), "--in", str(stream), "--out", str(out)],
+    }[command]
+    code, _, err = run(capsys, *argv)
+    _assert_usage_error(code, err)
+    assert "cayley_sizes" in err
+    assert not out.exists()
+
+
 # Unit-square labels that cell text cannot name: text_to_cells reads one
 # letter and digits per point.
 _BAD_LABELS = {
@@ -500,9 +523,9 @@ def test_enumerate_resume_keeps_checkpoint_every(tmp_path, capsys, monkeypatch):
     writes = []
     write = Enumerator._write_checkpoint
 
-    def spy(self, path=None):
+    def spy(self):
         writes.append(self.emitted)
-        write(self, path)
+        write(self)
 
     monkeypatch.setattr(Enumerator, "_write_checkpoint", spy)
     code, _, _ = run(
@@ -669,6 +692,12 @@ _DAMAGE = {
     "expanded-off-by-one-signed": _edit(
         lambda doc: doc.update(expanded=len(doc["visited_regular"]) - len(doc["frontier"]) + 1), sign=True
     ),
+    # every emission is a distinct regular class
+    "emitted-above-regular-signed": _edit(
+        lambda doc: doc.update(emitted=len(doc["visited_regular"]) + 1), sign=True
+    ),
+    # the ten points of 3D2 do not have the Cayley layout
+    "cayley-sizes-signed": _edit(lambda doc: doc["config"].update(cayley_sizes=[4, 6]), sign=True),
     "filter-string-signed": _edit(lambda doc: doc["filters"].update(require_unimodular="no"), sign=True),
     "filter-int-signed": _edit(lambda doc: doc["filters"].update(require_full=0), sign=True),
 }
@@ -945,6 +974,42 @@ def test_classify_jobs_parallel_matches_serial(tmp_path, capsys, case):
         totals.append(_classified_line(err))
     assert trees[0] and trees[1] == trees[0] and trees[2] == trees[0]
     assert len(totals[0]) == 1 and totals[1] == totals[0] and totals[2] == totals[0]
+
+
+# (configuration, enumerate options, classify options, SHA-256 of the
+# output directory's listing in `sha256sum` form, last stderr line): the
+# class order, the representatives and their rendering are pinned byte
+# for byte.
+_CLASSIFY_DIGESTS = {
+    "3d2-s3-all-213": (
+        "3d2", ["--group", "s3"], [],
+        "e46d50e5401087cff550ef6479c10c90153b887e16252b253ef1a5d3e56d0e3f",
+        "classified 18 inputs into 18 classes",
+    ),
+    "quadric-1000": (
+        "quadric", ["--group", "s4xz2", "--limit", "1000"], [],
+        "850221d13cc89f0e08aa0115d9a460ac4d8c7dfb7c31d8223d9a34f1a2dc2287",
+        "classified 179 inputs into 21 classes",
+    ),
+    "quadric-1000-use-colors": (
+        "quadric", ["--group", "s4xz2", "--limit", "1000"], ["--use-colors"],
+        "f0bdead4308bc5f1b6a08c02ed9873288f2800a278fa106f0478651ec6346847",
+        "classified 179 inputs into 30 classes",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CLASSIFY_DIGESTS))
+def test_classify_outputs_are_pinned(tmp_path, capsys, case):
+    config, enumerate_options, options, digest, last_line = _CLASSIFY_DIGESTS[case]
+    cfg_path, stream = _stream(tmp_path, capsys, config, *enumerate_options)
+    out_dir = tmp_path / "classes"
+    code, _, err = run(
+        capsys, "classify", "--config", str(cfg_path), "--in", str(stream), "--out", str(out_dir), *options,
+    )
+    assert code == EXIT_OK
+    listing = "".join(f"{hashlib.sha256(data).hexdigest()}  {name}\n" for name, data in _tree(out_dir).items())
+    assert (hashlib.sha256(listing.encode()).hexdigest(), err.splitlines()[-1]) == (digest, last_line)
 
 
 def test_classify_skips_non_unimodular_cayley_lines(tmp_path, capsys):

@@ -22,12 +22,12 @@ from tropcay.geometry import (
     simplex_lattice_points,
 )
 from tropcay.triangulation import (
+    Triangulation,
     apply_symmetry,
     builtin_symmetry,
     is_regular,
     is_unimodular,
     placing_triangulation,
-    validate_triangulation,
 )
 from tropcay.enumeration import (
     EnumerationFilters,
@@ -35,9 +35,7 @@ from tropcay.enumeration import (
     _Walk,
     _candidate,
     _digest,
-    enumerate_triangulations,
     load_checkpoint,
-    resume,
 )
 
 
@@ -53,10 +51,14 @@ def cell_sets(triangulations):
     return sorted(t.cells for t in triangulations)
 
 
+def uses_every_point(t):
+    return {i for c in t.cells for i in c} == set(range(len(t.configuration)))
+
+
 def test_square_has_two_triangulations():
     cfg = square_config()
     grp = builtin_symmetry("trivial", cfg)
-    out = list(enumerate_triangulations(cfg, grp))
+    out = list(Enumerator(cfg, grp).run())
     assert len(out) == 2
 
 
@@ -68,13 +70,13 @@ def test_cubic_polygon_79_unimodular():
     assert len(out) == 79
     assert en.complete
     assert all(is_unimodular(t) for t in out)
-    assert all(t.is_full() for t in out)
+    assert all(uses_every_point(t) for t in out)
 
 
 def test_cubic_polygon_18_orbits_under_s3():
     cfg = cubic_polygon()
     grp = builtin_symmetry("simplex-3d2", cfg)
-    out = list(enumerate_triangulations(cfg, grp, EnumerationFilters(require_unimodular=True)))
+    out = list(Enumerator(cfg, grp, EnumerationFilters(require_unimodular=True)).run())
     assert len(out) == 18
     # no two representatives lie in the same orbit
     reps = set()
@@ -87,18 +89,16 @@ def test_cubic_polygon_18_orbits_under_s3():
 def test_emitted_triangulations_are_regular():
     cfg = square_config()
     grp = builtin_symmetry("trivial", cfg)
-    for t in enumerate_triangulations(cfg, grp):
+    for t in Enumerator(cfg, grp).run():
         assert is_regular(t) is not None
 
 
 def test_full_filter():
     cfg = cubic_polygon()
     grp = builtin_symmetry("simplex-3d2", cfg)
-    full = list(enumerate_triangulations(cfg, grp, EnumerationFilters(require_full=True)))
-    assert all(t.is_full() for t in full)
-    unimod = list(
-        enumerate_triangulations(cfg, grp, EnumerationFilters(require_unimodular=True))
-    )
+    full = list(Enumerator(cfg, grp, EnumerationFilters(require_full=True)).run())
+    assert all(uses_every_point(t) for t in full)
+    unimod = list(Enumerator(cfg, grp, EnumerationFilters(require_unimodular=True)).run())
     # unimodular triangulations use every lattice point, so they are full
     full_sets = {t.cells for t in full}
     assert all(t.cells in full_sets for t in unimod)
@@ -108,8 +108,8 @@ def test_output_set_independent_of_jobs():
     cfg = cubic_polygon()
     grp = builtin_symmetry("simplex-3d2", cfg)
     filters = EnumerationFilters(require_unimodular=True)
-    serial = cell_sets(enumerate_triangulations(cfg, grp, filters, jobs=1))
-    parallel = cell_sets(enumerate_triangulations(cfg, grp, filters, jobs=8))
+    serial = cell_sets(Enumerator(cfg, grp, filters, jobs=1).run())
+    parallel = cell_sets(Enumerator(cfg, grp, filters, jobs=8).run())
     assert serial == parallel
 
 
@@ -158,14 +158,14 @@ def test_halt_and_resume_matches_fresh_run(tmp_path):
     grp = builtin_symmetry("trivial", cfg)
     filters = EnumerationFilters(require_unimodular=True)
 
-    fresh = cell_sets(enumerate_triangulations(cfg, grp, filters))
+    fresh = cell_sets(Enumerator(cfg, grp, filters).run())
     assert len(fresh) == 79
 
     ckpt = str(tmp_path / "run.ckpt.json")
     en = Enumerator(cfg, grp, filters, checkpoint_path=ckpt)
     first = [t for t in en.run(limit=10)]
     assert len(first) >= 10
-    resumed = list(resume(ckpt))
+    resumed = list(load_checkpoint(ckpt).run())
     combined = cell_sets(first + resumed)
     assert combined == fresh
     assert len(first) + len(resumed) == 79  # no duplicates across the halt
@@ -232,7 +232,7 @@ def test_resume_checkpoint_with_require_regular_field(tmp_path):
     cfg = cubic_polygon()
     grp = builtin_symmetry("trivial", cfg)
     filters = EnumerationFilters(require_unimodular=True)
-    fresh = cell_sets(enumerate_triangulations(cfg, grp, filters))
+    fresh = cell_sets(Enumerator(cfg, grp, filters).run())
 
     ckpt = tmp_path / "run.ckpt.json"
     first = list(Enumerator(cfg, grp, filters, checkpoint_path=str(ckpt)).run(limit=10))
@@ -241,7 +241,7 @@ def test_resume_checkpoint_with_require_regular_field(tmp_path):
     doc["filters"]["require_regular"] = True
     doc["digest"] = _digest(doc)
     ckpt.write_text(json.dumps(doc))
-    resumed = list(resume(str(ckpt)))
+    resumed = list(load_checkpoint(str(ckpt)).run())
     assert cell_sets(first + resumed) == fresh
     assert len(first) + len(resumed) == len(fresh)
 
@@ -253,7 +253,7 @@ def test_resume_completed_checkpoint_is_empty(tmp_path):
     en = Enumerator(cfg, grp, checkpoint_path=ckpt)
     list(en.run())
     assert en.complete
-    assert list(resume(ckpt)) == []
+    assert list(load_checkpoint(ckpt).run()) == []
 
 
 def test_resume_rejects_wrong_configuration(tmp_path):
@@ -264,7 +264,7 @@ def test_resume_rejects_wrong_configuration(tmp_path):
     list(en.run(limit=1))
     other = cubic_polygon()
     with pytest.raises(CheckpointMismatchError):
-        list(resume(ckpt, config=other))
+        list(load_checkpoint(ckpt, config=other).run())
 
 
 def test_checkpoint_is_fsynced_before_rename(tmp_path, monkeypatch):
@@ -344,8 +344,9 @@ _PINNED_RUNS = {
 def test_complete_run_emissions_pinned(name):
     make_config, kind, count, digest = _PINNED_RUNS[name]
     cfg = make_config()
-    emitted = list(enumerate_triangulations(cfg, builtin_symmetry(kind, cfg)))
-    assert all(validate_triangulation(t) for t in emitted)
+    emitted = list(Enumerator(cfg, builtin_symmetry(kind, cfg)).run())
+    for t in emitted:
+        Triangulation.make(cfg, t.cells)
     texts = sorted(cells_to_text(cfg, t.cells) for t in emitted)
     assert len(texts) == count
     assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == digest
@@ -353,8 +354,8 @@ def test_complete_run_emissions_pinned(name):
 
 def test_quadric_emissions_are_triangulations():
     cfg = cayley_config(simplex_lattice_points(3, 2), simplex_lattice_points(3, 2))
-    emitted = islice(enumerate_triangulations(cfg, builtin_symmetry("s4xz2", cfg)), 300)
-    assert all(validate_triangulation(t) for t in emitted)
+    for t in islice(Enumerator(cfg, builtin_symmetry("s4xz2", cfg)).run(), 300):
+        Triangulation.make(cfg, t.cells)
 
 
 # -- carried witnesses ---------------------------------------------------------

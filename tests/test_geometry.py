@@ -166,13 +166,13 @@ def test_placing_cells_square_corner_order():
 
 def test_regular_subdivision_flat_lift_is_trivial():
     cfg = square_config()
-    sub = regular_subdivision(cfg, WeightVector.of([0, 0, 0, 0]))
+    sub = regular_subdivision(cfg, WeightVector((0, 0, 0, 0)))
     assert sub.cells == ((0, 1, 2, 3),)
 
 
 def test_regular_subdivision_lifted_corner_splits_square():
     cfg = square_config()
-    sub = regular_subdivision(cfg, WeightVector.of([1, 0, 0, 0]))
+    sub = regular_subdivision(cfg, WeightVector((1, 0, 0, 0)))
     assert sub.cells == ((0, 1, 2), (1, 2, 3))
 
 
@@ -180,8 +180,8 @@ def test_regular_subdivision_translation_invariance():
     cfg = simplex_lattice_points(2, 2)
     rng = random.Random(5)
     w = [Fraction(rng.randint(0, 6), rng.randint(1, 3)) for _ in range(len(cfg))]
-    base = regular_subdivision(cfg, WeightVector.of(w))
-    shifted = regular_subdivision(cfg, WeightVector.of([x + Fraction(7, 3) for x in w]))
+    base = regular_subdivision(cfg, WeightVector(tuple(w)))
+    shifted = regular_subdivision(cfg, WeightVector(tuple(x + Fraction(7, 3) for x in w)))
     assert base.cells == shifted.cells
 
 
@@ -194,7 +194,7 @@ def test_regular_subdivision_certificate_property():
     rng = random.Random(11)
     for _ in range(10):
         w = [Fraction(rng.randint(0, 9)) for _ in range(len(cfg))]
-        sub = regular_subdivision(cfg, WeightVector.of(w))
+        sub = regular_subdivision(cfg, WeightVector(tuple(w)))
         volumes = []
         for cell in sub.cells:
             if len(cell) == 3:
@@ -215,9 +215,9 @@ def test_regular_subdivision_certificate_property():
 
 def test_regular_subdivision_of_segment_with_kink():
     cfg = PointConfiguration(1, ((0,), (1,), (2,)), ("A", "B", "C"))
-    sub = regular_subdivision(cfg, WeightVector.of([0, 0, 1]))
+    sub = regular_subdivision(cfg, WeightVector((0, 0, 1)))
     assert sub.cells == ((0, 1), (1, 2))
-    sub2 = regular_subdivision(cfg, WeightVector.of([0, 1, 0]))
+    sub2 = regular_subdivision(cfg, WeightVector((0, 1, 0)))
     assert sub2.cells == ((0, 2),)
 
 
@@ -230,7 +230,7 @@ def test_regular_subdivision_raises_on_a_point_below_its_hull(monkeypatch):
     place = geometry._place
     monkeypatch.setattr(geometry, "_place", lambda points, order, ideal: place(points, order[1:], ideal))
     with pytest.raises(ArithmeticError):
-        regular_subdivision(cfg, WeightVector.of(heights))
+        regular_subdivision(cfg, WeightVector(tuple(heights)))
 
 
 # -- the lifted lower hull and the integer placing against the oracles ------
@@ -293,7 +293,7 @@ def embeddings(draw):
     ]
     embedded = PointConfiguration(d + 1, tuple(image), cfg.labels)
     heights = draw(st.lists(st.integers(-3, 3), min_size=len(pts), max_size=len(pts)))
-    return cfg, embedded, WeightVector.of(heights)
+    return cfg, embedded, WeightVector(tuple(heights))
 
 
 @settings(max_examples=100, deadline=None)
@@ -395,7 +395,7 @@ def test_a_vertical_facet_is_not_a_lower_cell():
     # coefficient is 0, so it is no cell; skipping only the facets through
     # the ideal point would return it as a third.
     cfg = simplex_lattice_points(2, 2)
-    w = WeightVector.of([3, 3, 0, 2, 3, 3])
+    w = WeightVector((3, 3, 0, 2, 3, 3))
     cells = ((0, 2, 3), (2, 3, 5))
     assert regular_subdivision(cfg, w).cells == cells
     assert oracles.regular_subdivision(cfg, w).cells == cells

@@ -12,7 +12,7 @@ from tropcay.graphs import (
 )
 from tropcay.triangulation import builtin_symmetry
 from tropcay.tropical import CurveGraph, dual_curve_planar
-from tropcay.enumeration import EnumerationFilters, enumerate_triangulations
+from tropcay.enumeration import EnumerationFilters, Enumerator
 
 
 def make_graph(n, edges, colors=None):
@@ -42,7 +42,7 @@ def planar_curve_graphs():
     cfg = simplex_lattice_points(2, 3)
     grp = builtin_symmetry("trivial", cfg)
     graphs = []
-    for t in enumerate_triangulations(cfg, grp, EnumerationFilters(require_unimodular=True)):
+    for t in Enumerator(cfg, grp, EnumerationFilters(require_unimodular=True)).run():
         graphs.append(dual_curve_planar(t))
     assert len(graphs) == 79
     return graphs

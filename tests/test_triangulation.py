@@ -33,7 +33,6 @@ from tropcay.triangulation import (
     is_unimodular,
     orbit_canonical_rep,
     placing_triangulation,
-    validate_triangulation,
 )
 
 
@@ -126,20 +125,20 @@ def test_placing_three_points():
 def test_placing_square_corner_order():
     t = placing_triangulation(square_config())
     assert len(t.cells) == 2
-    assert validate_triangulation(t)
+    Triangulation.make(t.configuration, t.cells)
 
 
 def test_placing_cubic_polygon_is_valid():
     t = placing_triangulation(cubic_polygon())
     assert sum(normalized_volume(t.configuration, c) for c in t.cells) == 9
-    assert validate_triangulation(t)
+    Triangulation.make(t.configuration, t.cells)
 
 
 def test_placing_cayley_volume_conservation():
     cfg = cayley_config(simplex_lattice_points(3, 2), simplex_lattice_points(3, 2))
     t = placing_triangulation(cfg)
     assert sum(normalized_volume(cfg, c) for c in t.cells) == 32
-    assert validate_triangulation(t)
+    Triangulation.make(cfg, t.cells)
 
 
 _PLACED = {
@@ -154,14 +153,15 @@ _PLACED = {
 def test_placing_any_order_is_a_triangulation(name, data):
     cfg = _PLACED[name]
     order = data.draw(st.permutations(range(len(cfg))))
-    assert validate_triangulation(placing_triangulation(cfg, order))
+    Triangulation.make(cfg, placing_triangulation(cfg, order).cells)
 
 
 def test_placing_respects_order_override():
     cfg = square_config()
     t1 = placing_triangulation(cfg, order=[0, 1, 2, 3])
     t2 = placing_triangulation(cfg, order=[3, 1, 2, 0])
-    assert validate_triangulation(t1) and validate_triangulation(t2)
+    Triangulation.make(cfg, t1.cells)
+    Triangulation.make(cfg, t2.cells)
 
 
 def test_flips_square_single_flip_other_diagonal():
@@ -189,7 +189,7 @@ def test_flip_insertion_and_removal_of_interior_point():
     insertions = [(f, t2) for f, t2 in result if len(f.plus) == 1]
     assert insertions, "expected an insertion flip for the unused interior point"
     for f, t2 in insertions:
-        assert validate_triangulation(t2)
+        Triangulation.make(cfg, t2.cells)
         reverse = [(g, t3) for g, t3 in flips(t2) if g == f.reversed()]
         assert len(reverse) == 1
         assert reverse[0][1].cells == coarse.cells
@@ -198,7 +198,7 @@ def test_flip_insertion_and_removal_of_interior_point():
 def test_flips_neighbors_are_valid_and_involutive():
     t = placing_triangulation(cubic_polygon())
     for flip, nb in flips(t):
-        assert validate_triangulation(nb)
+        Triangulation.make(nb.configuration, nb.cells)
         back = [t2 for g, t2 in flips(nb) if g == flip.reversed()]
         assert len(back) == 1 and back[0].cells == t.cells
 
@@ -230,7 +230,7 @@ def test_both_square_diagonals_are_regular():
 
 def test_nested_triangles_not_regular():
     cfg, t = nested_triangles()
-    assert validate_triangulation(t)
+    Triangulation.make(cfg, t.cells)
     assert is_regular(t) is None
     assert is_regular(t, mode="local") is None
     engine = flip_engine(cfg)
@@ -525,7 +525,8 @@ def test_canonical_is_least_relabeling(name, steps, data):
 def test_rotated_pair_same_orbit_and_unimodular():
     cfg, left, right = rotated_pair()
     assert is_unimodular(left) and is_unimodular(right)
-    assert validate_triangulation(left) and validate_triangulation(right)
+    Triangulation.make(cfg, left.cells)
+    Triangulation.make(cfg, right.cells)
     assert is_regular(left) is not None and is_regular(right) is not None
     grp = builtin_symmetry("simplex-3d2", cfg)
     assert orbit_canonical_rep(left, grp).cells == orbit_canonical_rep(right, grp).cells
@@ -633,15 +634,15 @@ def test_certify_affine_action_matches_the_oracle_on_random_permutations(name, n
 
 def test_validate_rejects_overlapping_cells():
     cfg = square_config()
-    bad = Triangulation(cfg, ((0, 1, 2), (0, 1, 3)))
-    assert not validate_triangulation(bad)
+    with pytest.raises(ValueError):
+        Triangulation.make(cfg, ((0, 1, 2), (0, 1, 3)))
 
 
 def test_validate_rejects_incomplete_cover():
     cfg = cubic_polygon()
     t = placing_triangulation(cfg)
-    partial = Triangulation(cfg, t.cells[:-1])
-    assert not validate_triangulation(partial)
+    with pytest.raises(ValueError):
+        Triangulation.make(cfg, t.cells[:-1])
 
 
 # Cell sets of full-dimensional simplices that are not triangulations.
@@ -677,7 +678,6 @@ def test_one_check_refuses_a_facet_in_three_cells(scan):
     }[scan]
     with pytest.raises(ValueError, match=r"^facet \(0, 1\) lies in more than two cells$"):
         run()
-    assert not validate_triangulation(Triangulation(cfg, tuple(cells)))
 
 
 _VALIDATED = {
@@ -735,7 +735,6 @@ def test_validate_matches_pairwise_oracle(name, kind, data):
         cells = [engine.bits((cell | 1 << p) & ~(1 << i)) for i, c in enumerate(row) if c]
     t = Triangulation(cfg, tuple(cells))
     valid = oracles.validate_triangulation(t)
-    assert validate_triangulation(t) == valid
     if valid:
         assert Triangulation.make(cfg, cells).cells == tuple(sorted(cells))
     else:

@@ -20,7 +20,7 @@ from tropcay.tropical import (
     mixed_subdivision,
     tropicalize_pair,
 )
-from tropcay.triangulation import placing_triangulation, validate_triangulation
+from tropcay.triangulation import Triangulation, placing_triangulation
 
 
 _PAIRS = resources.files("tropcay.data") / "pairs"
@@ -39,7 +39,8 @@ def load_pair(name):
 def test_bundled_pair_triangulations_are_triangulations():
     assert len(_PAIR_NAMES) == 16
     for name in _PAIR_NAMES:
-        assert validate_triangulation(tropicalize_pair(*load_pair(name)).triangulation), name
+        t = tropicalize_pair(*load_pair(name)).triangulation
+        Triangulation.make(t.configuration, t.cells)
 
 
 def test_valued_polynomial_requires_full_support():
@@ -53,7 +54,7 @@ def test_valued_polynomial_accepts_puiseux_exponents():
     f = ValuedPolynomial.make(
         1, {(0, 0, 0): "3/2", (1, 0, 0): 0, (0, 1, 0): "1/2", (0, 0, 1): 1}
     )
-    assert f.valuation((0, 0, 0)) == Fraction(3, 2)
+    assert dict(f.terms)[(0, 0, 0)] == Fraction(3, 2)
 
 
 def test_mixed_subdivision_requires_cayley():
