@@ -226,6 +226,8 @@ def cmd_enumerate(args) -> int:
     previous = signal.signal(signal.SIGINT, lambda *_: enumerator.request_stop())
     previous_term = signal.signal(signal.SIGTERM, lambda *_: enumerator.request_stop())
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
+    # line-buffered, so that each checkpoint's ``emitted`` counts only lines handed to the OS
+    out.reconfigure(line_buffering=True)
     last_report = time.time()
     try:
         for t in enumerator.run(limit=args.limit):

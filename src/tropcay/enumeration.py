@@ -10,9 +10,9 @@ seen.
 Each discovered triangulation is reduced to its canonical orbit
 representative; a class is regularity-checked exactly once.  Expansion
 always walks every regular class; the unimodular/full filters restrict
-emission only.  The visited set, frontier, and counters can be written to
-a self-describing JSON checkpoint and resumed later; fresh and resumed
-runs produce the same emission set.
+emission only.  The visited set and counters, from which the frontier is
+derived, can be written to a self-describing JSON checkpoint and resumed
+later; fresh and resumed runs produce the same emission set.
 
 A regular class keeps its integer witness heights while it waits in the
 frontier.  Adjacent secondary cones share the wall whose normal is the
@@ -50,14 +50,16 @@ no key is checked that the run cannot record; when keys are left over,
 the wave goes back to the front of the frontier, and a resumed run
 re-expands it and checks them.
 
-The expanded count is derived: the regular classes, counted as they are
-recorded, less the frontier.  A checkpoint carries a SHA-256 digest of
-its whole document; a file that is not JSON, lacks a field, fails the
-digest, stores a group other than the certified closure of its
-generators, holds a key that is not a whole number of packed cells, has
-a frontier outside its visited regular classes, stores another
-expanded count or claims more emissions than regular classes is refused
-with ``CheckpointMismatchError``.
+A checkpoint stores each fact once: the regular keys in recording order,
+the non-regular keys, and the ``expanded`` and ``emitted`` counts.  The
+frontier is always the tail of the regular keys, ``regular[expanded:]``;
+the group is the certified closure of the stored generators; a run is
+complete once it has a regular class and an empty frontier.  The whole
+document carries a SHA-256 digest; a file that is not JSON, is of
+another format, lacks a field, fails the digest, holds a key that is
+not a whole number of packed cells or is listed twice, has ``expanded``
+outside ``0..len(regular)`` or claims more emissions than regular
+classes is refused with ``CheckpointMismatchError``.
 """
 
 from __future__ import annotations
@@ -70,6 +72,7 @@ from collections import Counter, deque
 from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import partial
+from itertools import islice
 from typing import Iterator
 
 from .errors import CheckpointMismatchError, GroupBoundError, InputError
@@ -103,7 +106,6 @@ class EnumerationFilters:
 
     @classmethod
     def from_dict(cls, doc) -> "EnumerationFilters":
-        # Older checkpoints also store an always-true regularity filter; it is ignored.
         return cls(_boolean(doc["require_unimodular"]), _boolean(doc["require_full"]))
 
 
@@ -267,9 +269,13 @@ class Enumerator:
         self.frontier: deque[tuple[bytes, object]] = deque()
         self.emitted = 0
         self.regular = 0  # regular visited classes: the frontier and those expanded
-        self.complete = False
         self._stop = False
         self._last_checkpoint_emitted = 0
+
+    @property
+    def complete(self) -> bool:
+        """Whether the walk has expanded every regular class."""
+        return self.regular > 0 and not self.frontier
 
     def _passes_filters(self, masks) -> bool:
         engine = self.walk.engine
@@ -372,10 +378,7 @@ class Enumerator:
                     yield self.walk.engine.triangulation(masks)
                 if cut:
                     break
-                if not self.frontier:
-                    self.complete = True
-                    break
-                if self._stop or (limit is not None and self.emitted >= limit):
+                if not self.frontier or self._stop or (limit is not None and self.emitted >= limit):
                     break
                 self._maybe_checkpoint()  # every stop above ends in the final write
                 wave = [self.frontier.popleft() for _ in range(min(wave_size, len(self.frontier)))]
@@ -398,19 +401,12 @@ class Enumerator:
         doc = {
             "format": FORMAT_CHECKPOINT,
             "config": config_to_dict(self.config),
-            "group": [list(g) for g in self.group.elements],
             "generators": [list(g) for g in self.group.generators],
             "filters": self.filters.to_dict(),
-            "visited_regular": [
-                base64.b64encode(k).decode() for k, v in self.visited.items() if v
-            ],
-            "visited_nonregular": [
-                base64.b64encode(k).decode() for k, v in self.visited.items() if not v
-            ],
-            "frontier": [base64.b64encode(k).decode() for k, _witness in self.frontier],
-            "emitted": self.emitted,
+            "regular": [base64.b64encode(k).decode() for k, v in self.visited.items() if v],
+            "nonregular": [base64.b64encode(k).decode() for k, v in self.visited.items() if not v],
             "expanded": self.regular - len(self.frontier),
-            "complete": self.complete,
+            "emitted": self.emitted,
         }
         doc["digest"] = _digest(doc)
         tmp = f"{path}.tmp"
@@ -452,49 +448,43 @@ def load_checkpoint(
         with open(path, "rb") as fh:
             doc = json.loads(fh.read())
         if doc["format"] != FORMAT_CHECKPOINT:
-            raise CheckpointMismatchError(f"not a checkpoint file: {path}")
+            raise CheckpointMismatchError(f"{path} has format {doc['format']!r}, not {FORMAT_CHECKPOINT}")
         if doc["digest"] != _digest(doc):
             raise CheckpointMismatchError("checkpoint digest does not match its own contents")
         stored_config = config_from_dict(doc["config"])
         if config is not None and config.points != stored_config.points:
             raise CheckpointMismatchError("checkpoint was written for a different configuration")
-        # The stored elements are trusted only as the certified closure of the generators.
-        elements = tuple(sorted(tuple(g) for g in doc["group"]))
-        group = SymmetryGroup.from_generators(stored_config, doc["generators"], bound=len(elements))
-        if group.elements != elements:
-            raise CheckpointMismatchError("checkpoint group is not generated by its generators")
         enumerator = Enumerator(
             stored_config,
-            group,
+            SymmetryGroup.from_generators(stored_config, doc["generators"]),
             EnumerationFilters.from_dict(doc["filters"]),
             jobs=jobs,
             checkpoint_path=path,
             checkpoint_every=checkpoint_every,
         )
-        width = enumerator.walk.codec.width
-        for field, regular in (("visited_regular", True), ("visited_nonregular", False)):
+        width, visited = enumerator.walk.codec.width, enumerator.visited
+        # the regular keys first, so that they open ``visited`` in recording order
+        for field, regular in (("regular", True), ("nonregular", False)):
             for b64 in doc[field]:
                 key = base64.b64decode(b64, validate=True)
                 if not key or len(key) % width:
                     raise CheckpointMismatchError(
                         f"checkpoint key of {len(key)} bytes is not a whole number of {width}-byte cells"
                     )
-                enumerator.visited[key] = regular
-        enumerator.frontier = deque((base64.b64decode(b64, validate=True), None) for b64 in doc["frontier"])
-        if not all(enumerator.visited.get(key) for key, _witness in enumerator.frontier):
-            raise CheckpointMismatchError("checkpoint frontier is not among its visited regular classes")
-        enumerator.regular = sum(enumerator.visited.values())
-        enumerator.emitted, expanded = _integer(doc["emitted"]), _integer(doc["expanded"])
-        if min(enumerator.emitted, expanded) < 0:
-            raise ValueError("checkpoint counters must not be negative")
-        if expanded != enumerator.regular - len(enumerator.frontier):
-            raise ValueError("checkpoint's expanded count disagrees with its visited set and frontier")
-        if enumerator.emitted > enumerator.regular:  # each emission is a distinct regular class
-            raise ValueError("checkpoint claims more emissions than it has regular classes")
-        enumerator.complete = _boolean(doc["complete"])
+                if key in visited:
+                    raise CheckpointMismatchError(f"checkpoint lists the key {b64} twice")
+                visited[key] = regular
+        enumerator.regular = len(doc["regular"])
+        expanded, enumerator.emitted = _integer(doc["expanded"]), _integer(doc["emitted"])
+        # both count regular classes: those expanded, and those emitted (each emits once)
+        for name, count in (("expanded", expanded), ("emitted", enumerator.emitted)):
+            if not 0 <= count <= enumerator.regular:
+                raise ValueError(f"checkpoint's {name} count {count} is outside 0..{enumerator.regular}")
+        # the frontier is the tail of the regular keys, sharing their bytes objects
+        enumerator.frontier = deque((key, None) for key in islice(visited, expanded, enumerator.regular))
     # ValueError covers json.JSONDecodeError, UnicodeDecodeError, binascii.Error and a
     # generator that is not an affine lattice map; GroupBoundError, a closure larger
-    # than the stored group
+    # than the default bound
     except (KeyError, ValueError, TypeError, GroupBoundError) as err:
         raise CheckpointMismatchError(f"damaged checkpoint {path}: {err!r}") from err
     enumerator._last_checkpoint_emitted = enumerator.emitted

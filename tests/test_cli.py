@@ -20,8 +20,7 @@ from tropcay.cli import (
 )
 from tropcay.enumeration import Enumerator, _digest
 from tropcay.formats import config_from_dict, load_json, parse_triangulation_line
-from tropcay.geometry import simplex_lattice_points
-from tropcay.triangulation import FlipEngine, Triangulation, builtin_symmetry, is_unimodular
+from tropcay.triangulation import FlipEngine, Triangulation, is_unimodular
 
 
 def data_pair(name):
@@ -598,7 +597,19 @@ def test_enumerate_negative_limit_leaves_out_untouched(tmp_path, capsys, resume)
 
 
 @pytest.mark.parametrize("first_jobs, resume_jobs", [(2, 1), (1, 2)])
-def test_enumerate_halt_and_resume_across_job_counts(tmp_path, capsys, first_jobs, resume_jobs):
+def test_enumerate_halt_and_resume_across_job_counts(tmp_path, capsys, monkeypatch, first_jobs, resume_jobs):
+    writes = []
+    write = Enumerator._write_checkpoint
+
+    def spy(self):
+        # each written checkpoint lists every key once, and its frontier is the run's
+        write(self)
+        doc = load_json(self.checkpoint_path)
+        keys = doc["regular"] + doc["nonregular"]
+        assert len(set(keys)) == len(keys)
+        assert len(doc["regular"]) - doc["expanded"] == self.stats()["frontier"]
+        writes.append(self.emitted)
+
     cfg_path = tmp_path / "3d2.json"
     run(capsys, "config", "simplex", "--dim", "2", "--dilation", "3", "--out", str(cfg_path))
     code, fresh, _ = run(
@@ -607,7 +618,9 @@ def test_enumerate_halt_and_resume_across_job_counts(tmp_path, capsys, first_job
     assert code == EXIT_OK
     fresh = {json.loads(line)["text"] for line in fresh.splitlines()}
     assert len(fresh) == 79
-    for limit in (0, 2, 10):
+    monkeypatch.setattr(Enumerator, "_write_checkpoint", spy)
+    limits = (0, 2, 10, 37)  # 37 of the 79 cuts a --jobs 2 wave
+    for limit in limits:
         ckpt = tmp_path / f"run{limit}.ckpt"
         out1, out2 = tmp_path / f"first{limit}.jsonl", tmp_path / f"rest{limit}.jsonl"
         code, _, _ = run(
@@ -626,6 +639,29 @@ def test_enumerate_halt_and_resume_across_job_counts(tmp_path, capsys, first_job
         rest = [json.loads(line)["text"] for line in out2.read_text().splitlines()]
         assert len(first) + len(rest) == 79  # no duplicates across the halt
         assert set(first + rest) == fresh
+    assert writes == [emitted for limit in limits for emitted in (limit, 79)]
+
+
+def test_enumerate_checkpoint_counts_only_lines_in_out(tmp_path, capsys, monkeypatch):
+    # A checkpoint that counts lines still buffered in the process would,
+    # after a kill, make the resumed run skip those classes for good.
+    cfg_path, out = tmp_path / "3d2.json", tmp_path / "all.jsonl"
+    run(capsys, "config", "simplex", "--dim", "2", "--dilation", "3", "--out", str(cfg_path))
+    writes = []
+    write = Enumerator._write_checkpoint
+
+    def spy(self):
+        writes.append((self.emitted, out.read_bytes().count(b"\n")))
+        write(self)
+
+    monkeypatch.setattr(Enumerator, "_write_checkpoint", spy)
+    code, _, _ = run(
+        capsys, "enumerate", "--config", str(cfg_path), "--group", "trivial",
+        "--checkpoint", str(tmp_path / "run.ckpt"), "--checkpoint-every", "7", "--out", str(out),
+    )
+    assert code == EXIT_OK
+    assert len(writes) > 100 and writes[-1] == (1166, 1166)
+    assert all(lines >= emitted for emitted, lines in writes)
 
 
 def _edit(change, sign=False):
@@ -648,53 +684,52 @@ def _flip_middle_byte(text):
 
 
 def _cut_frontier(doc):
-    doc["frontier"] = doc["frontier"][:1]
+    doc["regular"] = doc["regular"][: doc["expanded"] + 1]
     doc["emitted"] = 3
 
 
 def _prefix_frontier_with_at(doc):
-    # lenient base64 would drop the "@" and find a visited key
-    doc["frontier"][0] = "@" + doc["frontier"][0]
+    # lenient base64 would drop the "@" and find the key
+    doc["regular"][doc["expanded"]] = "@" + doc["regular"][doc["expanded"]]
 
 
-def _s3_of_3d2():
-    return [list(g) for g in builtin_symmetry("simplex-3d2", simplex_lattice_points(2, 3)).elements]
-
-
-def _generate_s3(doc):
-    # the stored group stays the identity alone: not the closure of S3's generators
-    doc["generators"] = _s3_of_3d2()
-
-
-def _add_group_element(doc):
-    doc["group"].append(_s3_of_3d2()[-1])
+def _as_format_2(doc):
+    """The same state in the layout that stored the frontier, group and
+    completion flag beside the keys."""
+    doc.update(
+        format="tropcay/checkpoint/2",
+        group=[list(range(10))],
+        visited_regular=doc.pop("regular"),
+        visited_nonregular=doc.pop("nonregular"),
+        complete=False,
+    )
+    doc["frontier"] = doc["visited_regular"][doc["expanded"] :]
 
 
 _DAMAGE = {
     "truncated": lambda text: text[:300],
     "flipped-byte": _flip_middle_byte,
-    "no-frontier": _edit(lambda doc: doc.pop("frontier")),
-    "bad-base64": _edit(lambda doc: doc.update(frontier=["@@@"])),
+    "bad-base64": _edit(lambda doc: doc.update(regular=["@@@"])),
     "cut-frontier": _edit(_cut_frontier),
     "bad-base64-signed": _edit(_prefix_frontier_with_at, sign=True),
-    "group-below-closure-signed": _edit(_generate_s3, sign=True),
-    "group-above-closure-signed": _edit(_add_group_element, sign=True),
-    "foreign-frontier-signed": _edit(
-        lambda doc: doc["frontier"].append(base64.b64encode(b"\xff\xff").decode()), sign=True
+    "format-2-signed": _edit(_as_format_2, sign=True),
+    "key-twice-signed": _edit(lambda doc: doc["regular"].append(doc["regular"][0]), sign=True),
+    "key-regular-and-nonregular-signed": _edit(
+        lambda doc: doc["nonregular"].append(doc["regular"][0]), sign=True
     ),
-    # int() and bool() would read these as counts and flags
-    "complete-string-signed": _edit(lambda doc: doc.update(complete="false"), sign=True),
+    # int() would read these as counts
     "emitted-float-signed": _edit(lambda doc: doc.update(emitted=9.9), sign=True),
     "emitted-bool-signed": _edit(lambda doc: doc.update(emitted=True), sign=True),
     "emitted-negative-signed": _edit(lambda doc: doc.update(emitted=-1), sign=True),
     "expanded-string-signed": _edit(lambda doc: doc.update(expanded="3"), sign=True),
-    # the count is derived from the visited set and frontier, which must agree with it
-    "expanded-off-by-one-signed": _edit(
-        lambda doc: doc.update(expanded=len(doc["visited_regular"]) - len(doc["frontier"]) + 1), sign=True
+    # the frontier is regular[expanded:], so expanded must index the regular keys
+    "expanded-negative-signed": _edit(lambda doc: doc.update(expanded=-1), sign=True),
+    "expanded-above-regular-signed": _edit(
+        lambda doc: doc.update(expanded=len(doc["regular"]) + 1), sign=True
     ),
     # every emission is a distinct regular class
     "emitted-above-regular-signed": _edit(
-        lambda doc: doc.update(emitted=len(doc["visited_regular"]) + 1), sign=True
+        lambda doc: doc.update(emitted=len(doc["regular"]) + 1), sign=True
     ),
     # the ten points of 3D2 do not have the Cayley layout
     "cayley-sizes-signed": _edit(lambda doc: doc["config"].update(cayley_sizes=[4, 6]), sign=True),
@@ -738,10 +773,8 @@ def test_enumerate_resume_non_regular_frontier_class_exit_5(tmp_path, capsys, jo
     )
     assert code == EXIT_OK and len(out.splitlines()) == 16
     doc = json.loads(ckpt.read_text())
-    assert (len(doc["visited_regular"]), len(doc["visited_nonregular"]), doc["frontier"]) == (16, 2, [])
-    twisted = doc["visited_nonregular"].pop()
-    doc["visited_regular"].append(twisted)
-    doc["frontier"] = [twisted]
+    assert (len(doc["regular"]), len(doc["nonregular"]), doc["expanded"]) == (16, 2, 16)
+    doc["regular"].append(doc["nonregular"].pop())  # the whole frontier
     doc["digest"] = _digest(doc)
     ckpt.write_text(json.dumps(doc))
     code, out, err = run(capsys, "enumerate", "--resume", "--checkpoint", str(ckpt), "--jobs", jobs)
@@ -749,8 +782,9 @@ def test_enumerate_resume_non_regular_frontier_class_exit_5(tmp_path, capsys, jo
     assert "not regular" in err and out == ""
 
 
-# Frontier keys that are not triangulations, each listed as a visited
-# regular class in a signed checkpoint: (craft from key and width, message).
+# Frontier keys that are not triangulations, each listed as the first
+# unexpanded regular class in a signed checkpoint: (craft from key and
+# width, message).
 _CRAFTED_KEYS = {
     "cut-one-byte": (lambda key, w: key[:-1], "whole number"),
     "repeated-mask": (lambda key, w: key[:w] * 2 + key[2 * w :], "not a triangulation"),
@@ -770,9 +804,9 @@ def test_enumerate_resume_frontier_key_not_a_triangulation_exit_5(tmp_path, caps
     assert code == EXIT_OK
     doc = json.loads(ckpt.read_text())
     change, message = _CRAFTED_KEYS[craft]
-    bad = base64.b64encode(change(base64.b64decode(doc["frontier"][0]), 2)).decode()  # 10 points: 2 bytes
-    doc["visited_regular"].append(bad)
-    doc["frontier"].insert(0, bad)
+    head = doc["expanded"]
+    bad = base64.b64encode(change(base64.b64decode(doc["regular"][head]), 2)).decode()  # 10 points: 2 bytes
+    doc["regular"].insert(head, bad)  # it heads the frontier
     doc["digest"] = _digest(doc)
     ckpt.write_text(json.dumps(doc))
     code, out, err = run(capsys, "enumerate", "--resume", "--checkpoint", str(ckpt), "--jobs", jobs)

@@ -227,8 +227,8 @@ def test_walk_counts_hold_across_a_halt_and_resume(tmp_path, jobs, limit):
 
 
 def test_resume_checkpoint_with_require_regular_field(tmp_path):
-    # Checkpoints once stored the always-true ``require_regular`` filter;
-    # such files still resume to the fresh run's union.
+    # A filters object may carry the always-true ``require_regular`` flag;
+    # it is ignored, and the run resumes to the fresh run's union.
     cfg = cubic_polygon()
     grp = builtin_symmetry("trivial", cfg)
     filters = EnumerationFilters(require_unimodular=True)
@@ -244,6 +244,28 @@ def test_resume_checkpoint_with_require_regular_field(tmp_path):
     resumed = list(load_checkpoint(str(ckpt)).run())
     assert cell_sets(first + resumed) == fresh
     assert len(first) + len(resumed) == len(fresh)
+
+
+def test_checkpoint_stores_each_fact_once(tmp_path):
+    cfg = cubic_polygon()
+    ckpt = str(tmp_path / "run.ckpt.json")
+    en = Enumerator(cfg, builtin_symmetry("s3", cfg), checkpoint_path=ckpt)
+    assert not en.complete
+    list(en.run(limit=50))
+    with open(ckpt, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    assert list(doc) == [
+        "format", "config", "generators", "filters", "regular", "nonregular", "expanded", "emitted", "digest"
+    ]
+    resumed = load_checkpoint(ckpt)
+    assert resumed.group.elements == en.group.elements
+    assert [key for key, _w in resumed.frontier] == [key for key, _w in en.frontier]
+    # the frontier holds the visited keys themselves, not second copies
+    keys = {key: key for key in resumed.visited}
+    assert all(keys[key] is key for key, _witness in resumed.frontier)
+    assert not resumed.complete
+    list(resumed.run())
+    assert resumed.complete
 
 
 def test_resume_completed_checkpoint_is_empty(tmp_path):
@@ -295,7 +317,7 @@ def test_checkpoint_is_fsynced_before_rename(tmp_path, monkeypatch):
 def test_resume_rejects_corrupt_file(tmp_path):
     path = tmp_path / "corrupt.json"
     path.write_text('{"format": "something-else"}')
-    with pytest.raises(CheckpointMismatchError):
+    with pytest.raises(CheckpointMismatchError, match="something-else"):  # the message names the format
         load_checkpoint(str(path))
 
 
