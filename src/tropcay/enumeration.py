@@ -10,9 +10,9 @@ seen.
 Each discovered triangulation is reduced to its canonical orbit
 representative; a class is regularity-checked exactly once.  Expansion
 always walks every regular class; the unimodular/full filters restrict
-emission only.  The visited set and counters, from which the frontier is
-derived, can be written to a self-describing JSON checkpoint and resumed
-later; fresh and resumed runs produce the same emission set.
+emission only.  The walk's state can be written to a self-describing
+JSON checkpoint and resumed later; a halted run and its resumption emit
+an uninterrupted run's classes in the same order.
 
 A regular class keeps its integer witness heights while it waits in the
 frontier.  Adjacent secondary cones share the wall whose normal is the
@@ -35,26 +35,28 @@ with ``CheckpointMismatchError``.
 ``Enumerator.stats`` counts this run's verdicts as ``carried`` (from a
 candidate) and ``solved`` (from the simplex, re-solves included).
 
-The search is one loop over waves: pop a wave of frontier nodes with
-their witnesses, expand it to the canonical keys of all neighbors, each
-with what its candidate is built from, drop the keys already visited,
-regularity-check the rest and record the verdicts.  With one job a wave
-is a single node and both steps run in this process, which gives plain
-breadth-first order.  With ``jobs > 1`` a wave holds ``max(64, 32*jobs)``
-nodes and the same two steps are mapped over chunks by worker processes,
-each holding its own flip engine; this process deduplicates and emits.
-Output is deterministic as a set (emission order may vary between job
-counts).  A ``limit`` stops the loop at exactly that many emissions.  The
-fresh keys are checked in slices no longer than the emissions left, so
-no key is checked that the run cannot record; when keys are left over,
-the wave goes back to the front of the frontier, and a resumed run
-re-expands it and checks them.
+The walk's state is its checkpoint's: ``visited`` maps each key to its
+verdict, ``regular`` lists the regular keys in recording order (the same
+``bytes`` objects), and the frontier is ``regular[expanded:]``; only the
+frontier's witnesses are kept beside, in a dict by key.  The search is
+one loop over waves: expand the wave ``regular[expanded:][:size]`` to the
+canonical keys of all neighbors, each with what its candidate is built
+from, drop the keys already visited, regularity-check the rest in
+first-seen order and record the verdicts.  With one job a wave is a
+single node and both steps run in this process (plain breadth-first
+order).  With ``jobs > 1`` a wave holds ``max(64, 32*jobs)`` nodes and
+the same two steps are mapped over chunks by worker processes, each
+holding its own flip engine; this process deduplicates and emits in the
+same order.  ``expanded`` moves past a wave once every fresh key of it is
+recorded.  A ``limit`` stops the loop at exactly that many emissions: the
+fresh keys are checked in slices no longer than the emissions left, and
+a wave with keys left over stays at the head of the frontier, where a
+resumed run re-expands it and checks them.
 
-A checkpoint stores each fact once: the regular keys in recording order,
-the non-regular keys, and the ``expanded`` and ``emitted`` counts.  The
-frontier is always the tail of the regular keys, ``regular[expanded:]``;
-the group is the certified closure of the stored generators; a run is
-complete once it has a regular class and an empty frontier.  The whole
+A checkpoint stores the regular keys, the non-regular keys, ``expanded``
+and ``emitted``, each fact once.  The group is the certified closure of
+the stored generators; a run is complete once it has a regular class
+and an empty frontier.  The whole
 document carries a SHA-256 digest; a file that is not JSON, is of
 another format, lacks a field, fails the digest, holds a key that is
 not a whole number of packed cells or is listed twice, has ``expanded``
@@ -68,11 +70,10 @@ import base64
 import hashlib
 import json
 import os
-from collections import Counter, deque
+from collections import Counter
 from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import partial
-from itertools import islice
 from typing import Iterator
 
 from .errors import CheckpointMismatchError, GroupBoundError, InputError
@@ -265,17 +266,17 @@ class Enumerator:
         self.walk = _Walk(config, group.elements)
 
         self.visited: dict[bytes, bool] = {}
-        # (key, witness) pairs, the witness _compact; a key read from a checkpoint has None
-        self.frontier: deque[tuple[bytes, object]] = deque()
+        self.regular: list[bytes] = []  # the regular keys in recording order
+        self.expanded = 0  # the frontier is regular[expanded:]
+        self.witnesses: dict[bytes, object] = {}  # _compact, by frontier key; a resumed key has none
         self.emitted = 0
-        self.regular = 0  # regular visited classes: the frontier and those expanded
         self._stop = False
         self._last_checkpoint_emitted = 0
 
     @property
     def complete(self) -> bool:
         """Whether the walk has expanded every regular class."""
-        return self.regular > 0 and not self.frontier
+        return 0 < len(self.regular) == self.expanded
 
     def _passes_filters(self, masks) -> bool:
         engine = self.walk.engine
@@ -292,10 +293,10 @@ class Enumerator:
     def stats(self) -> dict:
         return {
             "visited": len(self.visited),
-            "regular": self.regular,
+            "regular": len(self.regular),
             "emitted": self.emitted,
-            "expanded": self.regular - len(self.frontier),
-            "frontier": len(self.frontier),
+            "expanded": self.expanded,
+            "frontier": len(self.regular) - self.expanded,
             "complete": self.complete,
             # verdicts of this run, not saved in checkpoints
             "carried": self.walk.counts["carried"],
@@ -337,8 +338,9 @@ class Enumerator:
     def run(self, limit: int | None = None) -> Iterator[Triangulation]:
         """Generate canonical representatives; stops after ``limit`` emissions.
 
-        The stream may be halted and resumed from a checkpoint; the union
-        of emissions equals an uninterrupted run's emissions as a set.
+        The stream may be halted and resumed from a checkpoint; the
+        emissions before and after the halt, joined, are an uninterrupted
+        run's emissions in order.
         """
         if limit is not None and limit < 0:
             raise InputError(f"limit must be at least 0, not {limit}")
@@ -347,18 +349,13 @@ class Enumerator:
         unpack = self.walk.codec.unpack
         with ExitStack() as stack:
             expand, check = self._steps(stack)
-            wave, fresh = [], []
+            wave, fresh = [], []  # the wave's keys and its neighbors' fresh keys
             if not self.visited:  # a fresh run: the seed is the first batch
                 seed = placing_triangulation(self.config, self.placing_order)
                 fresh = [(self.walk.key(self.walk.engine.to_masks(seed.cells)), None)]
             while True:
                 emitted_now = []
-                cut = False
-                while fresh:
-                    if limit is not None and self.emitted >= limit:
-                        self.frontier.extendleft(reversed(wave))
-                        cut = True
-                        break
+                while fresh and (limit is None or self.emitted < limit):
                     # a key emits at most once: check no more keys than the limit can record
                     size = len(fresh) if limit is None else limit - self.emitted
                     for key, witness in check(fresh[:size]):
@@ -367,23 +364,26 @@ class Enumerator:
                             raise RuntimeError("placing triangulation must be regular")
                         self.visited[key] = regular
                         if regular:
-                            self.regular += 1
-                            self.frontier.append((key, _compact(witness)))
+                            self.regular.append(key)
+                            self.witnesses[key] = _compact(witness)
                             masks = unpack(key)
                             if self._passes_filters(masks):
                                 self.emitted += 1
                                 emitted_now.append(masks)
                     fresh = fresh[size:]
+                if not fresh:  # a wave the limit cut stays at the head of the frontier
+                    self.expanded += len(wave)
+                    for key in wave:
+                        self.witnesses.pop(key, None)
                 for masks in emitted_now:
                     yield self.walk.engine.triangulation(masks)
-                if cut:
-                    break
-                if not self.frontier or self._stop or (limit is not None and self.emitted >= limit):
+                if self.expanded == len(self.regular) or self._stop or (limit is not None and self.emitted >= limit):
                     break
                 self._maybe_checkpoint()  # every stop above ends in the final write
-                wave = [self.frontier.popleft() for _ in range(min(wave_size, len(self.frontier)))]
+                wave = self.regular[self.expanded : self.expanded + wave_size]
+                children = expand([(key, self.witnesses.get(key)) for key in wave])
                 # one carry per new key, in first-seen order
-                fresh = list({key: carry for key, carry in expand(wave) if key not in self.visited}.items())
+                fresh = list({key: carry for key, carry in children if key not in self.visited}.items())
         self._write_checkpoint()
 
     # -- checkpointing -----------------------------------------------------
@@ -403,9 +403,9 @@ class Enumerator:
             "config": config_to_dict(self.config),
             "generators": [list(g) for g in self.group.generators],
             "filters": self.filters.to_dict(),
-            "regular": [base64.b64encode(k).decode() for k, v in self.visited.items() if v],
+            "regular": [base64.b64encode(k).decode() for k in self.regular],
             "nonregular": [base64.b64encode(k).decode() for k, v in self.visited.items() if not v],
-            "expanded": self.regular - len(self.frontier),
+            "expanded": self.expanded,
             "emitted": self.emitted,
         }
         doc["digest"] = _digest(doc)
@@ -463,7 +463,6 @@ def load_checkpoint(
             checkpoint_every=checkpoint_every,
         )
         width, visited = enumerator.walk.codec.width, enumerator.visited
-        # the regular keys first, so that they open ``visited`` in recording order
         for field, regular in (("regular", True), ("nonregular", False)):
             for b64 in doc[field]:
                 key = base64.b64decode(b64, validate=True)
@@ -474,17 +473,16 @@ def load_checkpoint(
                 if key in visited:
                     raise CheckpointMismatchError(f"checkpoint lists the key {b64} twice")
                 visited[key] = regular
-        enumerator.regular = len(doc["regular"])
-        expanded, enumerator.emitted = _integer(doc["expanded"]), _integer(doc["emitted"])
+        enumerator.regular = [key for key, regular in visited.items() if regular]
+        expanded, emitted = _integer(doc["expanded"]), _integer(doc["emitted"])
         # both count regular classes: those expanded, and those emitted (each emits once)
-        for name, count in (("expanded", expanded), ("emitted", enumerator.emitted)):
-            if not 0 <= count <= enumerator.regular:
-                raise ValueError(f"checkpoint's {name} count {count} is outside 0..{enumerator.regular}")
-        # the frontier is the tail of the regular keys, sharing their bytes objects
-        enumerator.frontier = deque((key, None) for key in islice(visited, expanded, enumerator.regular))
+        for name, count in (("expanded", expanded), ("emitted", emitted)):
+            if not 0 <= count <= len(enumerator.regular):
+                raise ValueError(f"checkpoint's {name} count {count} is outside 0..{len(enumerator.regular)}")
+        enumerator.expanded, enumerator.emitted = expanded, emitted
     # ValueError covers json.JSONDecodeError, UnicodeDecodeError, binascii.Error and a
     # generator that is not an affine lattice map; GroupBoundError, a closure larger
-    # than the default bound
+    # than GROUP_BOUND
     except (KeyError, ValueError, TypeError, GroupBoundError) as err:
         raise CheckpointMismatchError(f"damaged checkpoint {path}: {err!r}") from err
     enumerator._last_checkpoint_emitted = enumerator.emitted

@@ -43,4 +43,4 @@ class GraphDataError(TropcayError):
 
 
 class GroupBoundError(TropcayError):
-    """Symmetry group expansion exceeded the configured size bound."""
+    """Symmetry group expansion exceeded ``triangulation.GROUP_BOUND`` elements."""

@@ -593,6 +593,9 @@ def flips(t: Triangulation):
     return out
 
 
+GROUP_BOUND = 10000  # the most elements from_generators closes a group to
+
+
 @dataclass(frozen=True)
 class SymmetryGroup:
     """Point permutations extending to affine lattice automorphisms.
@@ -605,7 +608,7 @@ class SymmetryGroup:
     elements: tuple[tuple[int, ...], ...]
 
     @classmethod
-    def from_generators(cls, config: PointConfiguration, generators, bound: int = 10000):
+    def from_generators(cls, config: PointConfiguration, generators):
         gens = tuple(tuple(g) for g in generators)
         n = len(config.points)
         for g in gens:
@@ -620,10 +623,8 @@ class SymmetryGroup:
             for g in gens:
                 nxt = tuple(g[current[i]] for i in range(n))
                 if nxt not in elements:
-                    if len(elements) >= bound:
-                        raise GroupBoundError(
-                            f"group expansion exceeded the configured bound {bound}"
-                        )
+                    if len(elements) >= GROUP_BOUND:
+                        raise GroupBoundError(f"group expansion exceeded {GROUP_BOUND} elements")
                     elements.add(nxt)
                     frontier.append(nxt)
         return cls(config, gens, tuple(sorted(elements)))

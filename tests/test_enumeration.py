@@ -1,3 +1,4 @@
+import base64
 import hashlib
 import json
 import os
@@ -104,12 +105,14 @@ def test_full_filter():
     assert all(t.cells in full_sets for t in unimod)
 
 
-def test_output_set_independent_of_jobs():
+def test_emission_order_independent_of_jobs():
+    # a wave records its neighbors' fresh keys in first-seen order, as one node at a time would
     cfg = cubic_polygon()
     grp = builtin_symmetry("simplex-3d2", cfg)
     filters = EnumerationFilters(require_unimodular=True)
-    serial = cell_sets(Enumerator(cfg, grp, filters, jobs=1).run())
-    parallel = cell_sets(Enumerator(cfg, grp, filters, jobs=8).run())
+    serial = [t.cells for t in Enumerator(cfg, grp, filters, jobs=1).run()]
+    parallel = [t.cells for t in Enumerator(cfg, grp, filters, jobs=8).run()]
+    assert len(serial) == 18
     assert serial == parallel
 
 
@@ -197,8 +200,9 @@ def test_limit_checks_only_keys_it_records(jobs, limit):
 
 def _assert_walk_counts(en):
     s = en.stats()
-    assert s["regular"] == sum(en.visited.values())
-    assert s["expanded"] == s["regular"] - s["frontier"]
+    assert en.regular == [key for key, regular in en.visited.items() if regular]
+    assert (s["regular"], s["expanded"]) == (len(en.regular), en.expanded)
+    assert s["frontier"] == len(en.regular[en.expanded :])
 
 
 @pytest.mark.parametrize("jobs, limit", [(1, 10), (2, 50)])
@@ -216,8 +220,9 @@ def test_walk_counts_hold_across_a_halt_and_resume(tmp_path, jobs, limit):
     en._steps = recording_steps
     assert len(list(en.run(limit=limit))) == limit
     _assert_walk_counts(en)
-    if jobs == 2:  # the limit cut the last wave, which went back to the frontier
-        assert list(en.frontier)[: len(waves[-1])] == waves[-1]
+    if jobs == 2:  # the limit cut the last wave, which still heads the frontier
+        cut = [key for key, _witness in waves[-1]]
+        assert en.regular[en.expanded :][: len(cut)] == cut
     resumed = load_checkpoint(ckpt, jobs=jobs)
     counts = ("regular", "expanded", "frontier")
     assert [resumed.stats()[k] for k in counts] == [en.stats()[k] for k in counts]
@@ -257,12 +262,16 @@ def test_checkpoint_stores_each_fact_once(tmp_path):
     assert list(doc) == [
         "format", "config", "generators", "filters", "regular", "nonregular", "expanded", "emitted", "digest"
     ]
+    # the walk's own state is the file's: regular keys in recording order and the expanded count
+    assert [base64.b64decode(b64) for b64 in doc["regular"]] == en.regular
+    assert doc["expanded"] == en.expanded < len(en.regular)
     resumed = load_checkpoint(ckpt)
     assert resumed.group.elements == en.group.elements
-    assert [key for key, _w in resumed.frontier] == [key for key, _w in en.frontier]
-    # the frontier holds the visited keys themselves, not second copies
-    keys = {key: key for key in resumed.visited}
-    assert all(keys[key] is key for key, _witness in resumed.frontier)
+    assert (resumed.regular, resumed.expanded) == (en.regular, en.expanded)
+    # the regular keys are the visited keys themselves, not second copies
+    for walk in (en, resumed):
+        keys = {key: key for key in walk.visited}
+        assert all(keys[key] is key for key in walk.regular)
     assert not resumed.complete
     list(resumed.run())
     assert resumed.complete
@@ -452,7 +461,7 @@ def test_resumed_frontier_solves_each_expanded_class_once(tmp_path):
     ckpt = str(tmp_path / "run.ckpt.json")
     list(Enumerator(cfg, grp, checkpoint_path=ckpt).run(limit=300))
     en = load_checkpoint(ckpt)
-    resumed_frontier = {key for key, _witness in en.frontier}
+    resumed_frontier = en.regular[en.expanded :]
     visited_before = len(en.visited)
     list(en.run())
     s = en.stats()

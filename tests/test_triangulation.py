@@ -436,10 +436,11 @@ def test_certify_affine_action_rejects_non_affine_permutation():
 
 
 def test_group_bound_guard():
-    cfg = cubic_polygon()
-    gens = builtin_symmetry("simplex-3d2", cfg).generators
+    # S8 on the vertices of the unit 7-simplex: 40,320 elements, above GROUP_BOUND
+    cfg = simplex_lattice_points(7, 1)
+    transposition, cycle = (1, 0, 2, 3, 4, 5, 6, 7), (1, 2, 3, 4, 5, 6, 7, 0)
     with pytest.raises(GroupBoundError):
-        SymmetryGroup.from_generators(cfg, gens, bound=3)
+        SymmetryGroup.from_generators(cfg, [transposition, cycle])
 
 
 def test_apply_symmetry_identity_and_diagonal_swap():
