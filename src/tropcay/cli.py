@@ -26,7 +26,7 @@ import sys
 import time
 from functools import cache, partial, reduce
 
-from .enumeration import EnumerationFilters, Enumerator, load_checkpoint
+from .enumeration import DEFAULT_CHECKPOINT_EVERY, EnumerationFilters, Enumerator, load_checkpoint
 from .errors import (
     CheckpointMismatchError,
     DegenerateSubdivisionError,
@@ -101,7 +101,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--resume", action="store_true", help="resume from --checkpoint")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--limit", type=int, default=None, help="stop after this many emissions")
-    p.add_argument("--checkpoint-every", type=int, default=None)
+    p.add_argument("--checkpoint-every", type=int, default=DEFAULT_CHECKPOINT_EVERY)
     p.add_argument("--placing-order", default=None,
                    help="comma-separated point order for the seed triangulation")
     p.add_argument("--out", default=None, help="output JSONL file (default: stdout)")

@@ -27,41 +27,43 @@ scan that the flip carries (``FlipEngine.regularity_rows`` with
 accepted witness is relabeled into the key's labeling once, when it is
 stored.  A verdict is accepted only from heights that satisfy every
 local row strictly, checked in integers, so a bad candidate costs a
-simplex call, never a wrong answer.  Witnesses are not saved in
-checkpoints: a resumed frontier class must pass
-``FlipEngine.check_triangulation`` and solves its own system when it is
-expanded; a key that is not a triangulation or not regular is refused
-with ``CheckpointMismatchError``.
+simplex call, never a wrong answer.  A regular key recorded without a
+witness, the seed or a key read from a checkpoint (witnesses are not
+saved in checkpoints), is certified by ``_Walk.certify`` before it is
+shown or expanded: it must pass ``FlipEngine.check_triangulation`` and
+solves its own system; a key that is not a triangulation or not regular
+is refused with ``CheckpointMismatchError``.
 ``Enumerator.stats`` counts this run's verdicts as ``carried`` (from a
-candidate) and ``solved`` (from the simplex, re-solves included).
+candidate) and ``solved`` (from the simplex, certifications included).
 
 The walk's state is its checkpoint's: ``visited`` maps each key to its
 verdict, ``regular`` lists the regular keys in recording order (the same
-``bytes`` objects), and the frontier is ``regular[expanded:]``; only the
-frontier's witnesses are kept beside, in a dict by key.  The search is
-one loop over waves: expand the wave ``regular[expanded:][:size]`` to the
-canonical keys of all neighbors, each with what its candidate is built
-from, drop the keys already visited, regularity-check the rest in
-first-seen order and record the verdicts.  With one job a wave is a
-single node and both steps run in this process (plain breadth-first
-order).  With ``jobs > 1`` a wave holds ``max(64, 32*jobs)`` nodes and
-the same two steps are mapped over chunks by worker processes, each
-holding its own flip engine; this process deduplicates and emits in the
-same order.  ``expanded`` moves past a wave once every fresh key of it is
-recorded.  A ``limit`` stops the loop at exactly that many emissions: the
-fresh keys are checked in slices no longer than the emissions left, and
-a wave with keys left over stays at the head of the frontier, where a
-resumed run re-expands it and checks them.
+``bytes`` objects), the frontier is ``regular[expanded:]`` and the keys
+not yet passed through the filters are ``regular[shown:]``, with
+``expanded <= shown``; only the frontier's witnesses are kept beside, in
+a dict by key.  A fresh run records its seed at once.  The search is one
+loop: show ``regular[shown:]``, emitting the keys that pass the filters,
+then expand the wave ``regular[expanded:][:size]`` to the canonical keys
+of all neighbors, each with what its candidate is built from, drop the
+keys already visited, regularity-check the rest in first-seen order,
+record every verdict and move ``expanded`` past the wave.  With one job
+a wave is a single node and both steps run in this process (plain
+breadth-first order).  With ``jobs > 1`` a wave holds ``max(64,
+32*jobs)`` nodes and the same two steps are mapped over chunks by worker
+processes, each holding its own flip engine; this process deduplicates
+and records in the same order.  A ``limit`` bounds the output, not the
+walk: showing stops at exactly that many emissions, and the keys the
+last wave recorded past it are shown first on resume.
 
-A checkpoint stores the regular keys, the non-regular keys, ``expanded``
-and ``emitted``, each fact once.  The group is the certified closure of
-the stored generators; a run is complete once it has a regular class
-and an empty frontier.  The whole
-document carries a SHA-256 digest; a file that is not JSON, is of
-another format, lacks a field, fails the digest, holds a key that is
-not a whole number of packed cells or is listed twice, has ``expanded``
-outside ``0..len(regular)`` or claims more emissions than regular
-classes is refused with ``CheckpointMismatchError``.
+A checkpoint stores the regular keys, the non-regular keys,
+``expanded``, ``shown`` and ``emitted``, each fact once.  The group is
+the certified closure of the stored generators; a run is complete once
+it has a regular class and an empty frontier.  The whole document
+carries a SHA-256 digest; a file that is not JSON, is of another format,
+lacks a field, fails the digest, holds a key that is not a whole number
+of packed cells or is listed twice, has no regular key, or has counts
+outside ``0 <= expanded <= shown <= len(regular)`` and ``emitted <=
+shown`` is refused with ``CheckpointMismatchError``.
 """
 
 from __future__ import annotations
@@ -174,31 +176,31 @@ class _Walk:
         the node's witness, the flip with its scan of the node, the
         neighbor's masks in the node's labeling and the element taking them
         to the key.  ``check`` works in that labeling.  A node without a
-        witness (read from a checkpoint) must be a triangulation, and
-        solves its own system first."""
+        witness (read from a checkpoint) is certified first."""
         engine, unpack, canonical = self.engine, self.codec.unpack, self.context.canonical
         out = []
         for key, witness in nodes:
             masks = unpack(key)
             if witness is None:
-                witness = self._resumed_witness(masks)
+                witness = self.certify(masks)
             for flip, child in engine.neighbors(masks):
                 form, element = canonical(child)
                 out.append((self.codec.pack(form), (witness, flip, child, element)))
         return out
 
-    def _resumed_witness(self, masks) -> tuple[int, ...]:
+    def certify(self, masks) -> tuple[int, ...]:
+        """The witness of a regular key recorded without one: the seed, or
+        a key read from a checkpoint.  The key must be a triangulation, and
+        the simplex solves its own system."""
         engine = self.engine
         try:
             engine.check_triangulation(masks)
         except ValueError as err:
-            raise CheckpointMismatchError(
-                f"checkpoint frontier holds a key that is not a triangulation: {err}"
-            ) from err
+            raise CheckpointMismatchError(f"checkpoint holds a key that is not a triangulation: {err}") from err
         self.counts["solved"] += 1
         witness = engine.solve(engine.regularity_rows(masks))
         if witness is None:
-            raise CheckpointMismatchError("checkpoint frontier holds a class that is not regular")
+            raise CheckpointMismatchError("checkpoint holds a class that is not regular")
         return witness
 
     def check(self, pairs) -> list[tuple[bytes, tuple[int, ...] | None]]:
@@ -208,33 +210,27 @@ class _Walk:
         parent's witness pushed past the flipped wall, or a few relaxation
         steps from it, is accepted if it satisfies them, else the simplex
         decides.  A witness is relabeled into the key's labeling once,
-        when it is returned.  A ``None`` carry (the seed) goes straight to
-        the simplex on the key's own rows."""
-        engine, unpack = self.engine, self.codec.unpack
+        when it is returned."""
+        engine = self.engine
         out = []
-        for key, carry in pairs:
-            if carry is None:
-                witness, element = None, None
-                rows = engine.regularity_rows(unpack(key))
-            else:
-                parent, flip, child, element = carry
-                rows = engine.regularity_rows(child, flip)
-                witness = relaxed_witness(rows, _candidate(parent, flip.circuit))
+        for key, (parent, flip, child, element) in pairs:
+            rows = engine.regularity_rows(child, flip)
+            witness = relaxed_witness(rows, _candidate(parent, flip.circuit))
             if witness is None:
                 self.counts["solved"] += 1
                 witness = engine.solve(rows)
             else:
                 self.counts["carried"] += 1
-            if witness is not None and element is not None:
+            if witness is not None:
                 witness = _relabeled(witness, element)
             out.append((key, witness))
         return out
 
 
-def _check_run_options(jobs: int, checkpoint_every: int | None) -> None:
+def _check_run_options(jobs: int, checkpoint_every: int) -> None:
     if jobs < 1:
         raise InputError(f"jobs must be at least 1, not {jobs}")
-    if checkpoint_every is not None and checkpoint_every < 1:
+    if checkpoint_every < 1:
         raise InputError(f"checkpoint interval must be at least 1, not {checkpoint_every}")
 
 
@@ -248,7 +244,7 @@ class Enumerator:
         filters: EnumerationFilters = EnumerationFilters(),
         jobs: int = 1,
         checkpoint_path=None,
-        checkpoint_every: int | None = None,
+        checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
         placing_order=None,
     ):
         if group.configuration.points != config.points:
@@ -259,8 +255,6 @@ class Enumerator:
         self.filters = filters
         self.jobs = jobs
         self.checkpoint_path = checkpoint_path
-        if checkpoint_every is None:
-            checkpoint_every = DEFAULT_CHECKPOINT_EVERY
         self.checkpoint_every = checkpoint_every
         self.placing_order = list(placing_order) if placing_order is not None else None
         self.walk = _Walk(config, group.elements)
@@ -268,7 +262,8 @@ class Enumerator:
         self.visited: dict[bytes, bool] = {}
         self.regular: list[bytes] = []  # the regular keys in recording order
         self.expanded = 0  # the frontier is regular[expanded:]
-        self.witnesses: dict[bytes, object] = {}  # _compact, by frontier key; a resumed key has none
+        self.shown = 0  # regular[shown:] has not yet passed the filters
+        self.witnesses: dict[bytes, object] = {}  # _compact, by frontier key; the seed and a resumed key have none
         self.emitted = 0
         self._stop = False
         self._last_checkpoint_emitted = 0
@@ -346,44 +341,37 @@ class Enumerator:
             raise InputError(f"limit must be at least 0, not {limit}")
         self._stop = False
         wave_size = 1 if self.jobs == 1 else max(64, 32 * self.jobs)
-        unpack = self.walk.codec.unpack
+        walk, unpack = self.walk, self.walk.codec.unpack
+        if not self.visited:  # a fresh run records its seed, certified when it is shown
+            seed = placing_triangulation(self.config, self.placing_order)
+            key = walk.key(walk.engine.to_masks(seed.cells))
+            self.visited[key] = True
+            self.regular.append(key)
         with ExitStack() as stack:
             expand, check = self._steps(stack)
-            wave, fresh = [], []  # the wave's keys and its neighbors' fresh keys
-            if not self.visited:  # a fresh run: the seed is the first batch
-                seed = placing_triangulation(self.config, self.placing_order)
-                fresh = [(self.walk.key(self.walk.engine.to_masks(seed.cells)), None)]
             while True:
-                emitted_now = []
-                while fresh and (limit is None or self.emitted < limit):
-                    # a key emits at most once: check no more keys than the limit can record
-                    size = len(fresh) if limit is None else limit - self.emitted
-                    for key, witness in check(fresh[:size]):
-                        regular = witness is not None
-                        if not (regular or self.visited):  # the seed's verdict
-                            raise RuntimeError("placing triangulation must be regular")
-                        self.visited[key] = regular
-                        if regular:
-                            self.regular.append(key)
-                            self.witnesses[key] = _compact(witness)
-                            masks = unpack(key)
-                            if self._passes_filters(masks):
-                                self.emitted += 1
-                                emitted_now.append(masks)
-                    fresh = fresh[size:]
-                if not fresh:  # a wave the limit cut stays at the head of the frontier
-                    self.expanded += len(wave)
-                    for key in wave:
-                        self.witnesses.pop(key, None)
-                for masks in emitted_now:
-                    yield self.walk.engine.triangulation(masks)
+                while self.shown < len(self.regular) and (limit is None or self.emitted < limit):
+                    key = self.regular[self.shown]
+                    masks = unpack(key)
+                    if key not in self.witnesses:
+                        self.witnesses[key] = _compact(walk.certify(masks))
+                    self.shown += 1
+                    if self._passes_filters(masks):
+                        self.emitted += 1
+                        yield walk.engine.triangulation(masks)
                 if self.expanded == len(self.regular) or self._stop or (limit is not None and self.emitted >= limit):
                     break
                 self._maybe_checkpoint()  # every stop above ends in the final write
                 wave = self.regular[self.expanded : self.expanded + wave_size]
-                children = expand([(key, self.witnesses.get(key)) for key in wave])
-                # one carry per new key, in first-seen order
-                fresh = list({key: carry for key, carry in children if key not in self.visited}.items())
+                children = expand([(key, self.witnesses.pop(key, None)) for key in wave])
+                # one carry per new key, in first-seen order; every one is recorded
+                fresh = {key: carry for key, carry in children if key not in self.visited}
+                for key, witness in check(list(fresh.items())):
+                    self.visited[key] = witness is not None
+                    if witness is not None:
+                        self.regular.append(key)
+                        self.witnesses[key] = _compact(witness)
+                self.expanded += len(wave)
         self._write_checkpoint()
 
     # -- checkpointing -----------------------------------------------------
@@ -406,6 +394,7 @@ class Enumerator:
             "regular": [base64.b64encode(k).decode() for k in self.regular],
             "nonregular": [base64.b64encode(k).decode() for k, v in self.visited.items() if not v],
             "expanded": self.expanded,
+            "shown": self.shown,
             "emitted": self.emitted,
         }
         doc["digest"] = _digest(doc)
@@ -436,7 +425,7 @@ def load_checkpoint(
     path,
     config: PointConfiguration | None = None,
     jobs: int = 1,
-    checkpoint_every: int | None = None,
+    checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
 ) -> Enumerator:
     """Rebuild an Enumerator from a checkpoint file.
 
@@ -473,13 +462,15 @@ def load_checkpoint(
                 if key in visited:
                     raise CheckpointMismatchError(f"checkpoint lists the key {b64} twice")
                 visited[key] = regular
-        enumerator.regular = [key for key, regular in visited.items() if regular]
-        expanded, emitted = _integer(doc["expanded"]), _integer(doc["emitted"])
-        # both count regular classes: those expanded, and those emitted (each emits once)
-        for name, count in (("expanded", expanded), ("emitted", emitted)):
-            if not 0 <= count <= len(enumerator.regular):
-                raise ValueError(f"checkpoint's {name} count {count} is outside 0..{len(enumerator.regular)}")
-        enumerator.expanded, enumerator.emitted = expanded, emitted
+        keys = enumerator.regular = [key for key, regular in visited.items() if regular]
+        expanded, shown, emitted = (_integer(doc[name]) for name in ("expanded", "shown", "emitted"))
+        # the frontier is regular[expanded:], and each emission is a distinct class of regular[:shown]
+        if not (keys and 0 <= expanded <= shown <= len(keys) and 0 <= emitted <= shown):
+            raise ValueError(
+                f"checkpoint's counts expanded={expanded}, shown={shown}, emitted={emitted} do not fit "
+                f"0 <= expanded <= shown <= {len(keys)} regular keys and emitted <= shown"
+            )
+        enumerator.expanded, enumerator.shown, enumerator.emitted = expanded, shown, emitted
     # ValueError covers json.JSONDecodeError, UnicodeDecodeError, binascii.Error and a
     # generator that is not an affine lattice map; GroupBoundError, a closure larger
     # than GROUP_BOUND

@@ -24,7 +24,7 @@ from .geometry import PointConfiguration
 FORMAT_POINTS = "tropcay/point-configuration/1"
 FORMAT_TRIANGULATION = "tropcay/triangulation/1"
 FORMAT_POLYNOMIAL = "tropcay/valued-polynomial/1"
-FORMAT_CHECKPOINT = "tropcay/checkpoint/3"
+FORMAT_CHECKPOINT = "tropcay/checkpoint/4"
 FORMAT_CLASSES = "tropcay/class-table/1"
 FORMAT_REPORT = "tropcay/curve-report/1"
 

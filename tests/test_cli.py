@@ -602,31 +602,35 @@ def test_enumerate_halt_and_resume_across_job_counts(tmp_path, capsys, monkeypat
     write = Enumerator._write_checkpoint
 
     def spy(self):
-        # each written checkpoint lists every key once, and its frontier is the run's
+        # each written checkpoint lists every key once, and its frontier and cursor are the run's
         write(self)
         doc = load_json(self.checkpoint_path)
         keys = doc["regular"] + doc["nonregular"]
         assert len(set(keys)) == len(keys)
         assert len(doc["regular"]) - doc["expanded"] == self.stats()["frontier"]
+        assert doc["expanded"] <= doc["shown"] == self.shown <= len(doc["regular"])
         writes.append(self.emitted)
 
     cfg_path = tmp_path / "3d2.json"
     run(capsys, "config", "simplex", "--dim", "2", "--dilation", "3", "--out", str(cfg_path))
-    code, fresh, _ = run(
-        capsys, "enumerate", "--config", str(cfg_path), "--group", "trivial", "--unimodular",
-    )
-    assert code == EXIT_OK
-    fresh = [json.loads(line)["text"] for line in fresh.splitlines()]
-    assert len(fresh) == 79
+    # a run halted before its first class resumes from its own seed, not the default one
+    orders = {"default": [], "permuted": ["--placing-order", "4,0,9,6,1,8,2,7,3,5"]}
+    fresh = {}
+    for name, order in orders.items():
+        code, out, _ = run(capsys, "enumerate", "--config", str(cfg_path), "--group", "trivial", "--unimodular", *order)
+        assert code == EXIT_OK
+        fresh[name] = [json.loads(line)["text"] for line in out.splitlines()]
+        assert len(fresh[name]) == 79
+    assert fresh["default"] != fresh["permuted"]
     monkeypatch.setattr(Enumerator, "_write_checkpoint", spy)
-    limits = (0, 2, 10, 37)  # 37 of the 79 cuts a --jobs 2 wave
-    for limit in limits:
-        ckpt = tmp_path / f"run{limit}.ckpt"
-        out1, out2 = tmp_path / f"first{limit}.jsonl", tmp_path / f"rest{limit}.jsonl"
+    # the 37th of the 79 lies inside a --jobs 2 wave, whose later classes are emitted on resume
+    cases = [("default", limit) for limit in (0, 2, 10, 37)] + [("permuted", limit) for limit in (0, 5)]
+    for name, limit in cases:
+        ckpt = tmp_path / f"run-{name}{limit}.ckpt"
+        out1, out2 = tmp_path / f"first-{name}{limit}.jsonl", tmp_path / f"rest-{name}{limit}.jsonl"
         code, _, _ = run(
-            capsys, "enumerate", "--config", str(cfg_path), "--group", "trivial", "--unimodular",
-            "--checkpoint", str(ckpt), "--limit", str(limit), "--jobs", str(first_jobs),
-            "--out", str(out1),
+            capsys, "enumerate", "--config", str(cfg_path), "--group", "trivial", "--unimodular", *orders[name],
+            "--checkpoint", str(ckpt), "--limit", str(limit), "--jobs", str(first_jobs), "--out", str(out1),
         )
         assert code == EXIT_OK
         first = [json.loads(line)["text"] for line in out1.read_text().splitlines()]
@@ -637,8 +641,8 @@ def test_enumerate_halt_and_resume_across_job_counts(tmp_path, capsys, monkeypat
         )
         assert code == EXIT_OK
         rest = [json.loads(line)["text"] for line in out2.read_text().splitlines()]
-        assert first + rest == fresh  # the one-shot run's lines, in its order
-    assert writes == [emitted for limit in limits for emitted in (limit, 79)]
+        assert first + rest == fresh[name]  # the one-shot run's lines, in its order
+    assert writes == [emitted for _name, limit in cases for emitted in (limit, 79)]
 
 
 def test_enumerate_checkpoint_counts_only_lines_in_out(tmp_path, capsys, monkeypatch):
@@ -705,6 +709,12 @@ def _as_format_2(doc):
     doc["frontier"] = doc["visited_regular"][doc["expanded"] :]
 
 
+def _as_format_3(doc):
+    """The same state in the layout without the ``shown`` cursor."""
+    doc.update(format="tropcay/checkpoint/3")
+    del doc["shown"]
+
+
 _DAMAGE = {
     "truncated": lambda text: text[:300],
     "flipped-byte": _flip_middle_byte,
@@ -712,6 +722,7 @@ _DAMAGE = {
     "cut-frontier": _edit(_cut_frontier),
     "bad-base64-signed": _edit(_prefix_frontier_with_at, sign=True),
     "format-2-signed": _edit(_as_format_2, sign=True),
+    "format-3-signed": _edit(_as_format_3, sign=True),
     "key-twice-signed": _edit(lambda doc: doc["regular"].append(doc["regular"][0]), sign=True),
     "key-regular-and-nonregular-signed": _edit(
         lambda doc: doc["nonregular"].append(doc["regular"][0]), sign=True
@@ -730,6 +741,13 @@ _DAMAGE = {
     "emitted-above-regular-signed": _edit(
         lambda doc: doc.update(emitted=len(doc["regular"]) + 1), sign=True
     ),
+    # the classes not yet shown, regular[shown:], lie inside the frontier, and each emission was shown
+    "shown-missing-signed": _edit(lambda doc: doc.pop("shown"), sign=True),
+    "shown-below-expanded-signed": _edit(lambda doc: doc.update(shown=doc["expanded"] - 1), sign=True),
+    "shown-above-regular-signed": _edit(lambda doc: doc.update(shown=len(doc["regular"]) + 1), sign=True),
+    "emitted-above-shown-signed": _edit(lambda doc: doc.update(emitted=doc["shown"] + 1), sign=True),
+    # every checkpoint holds its seed
+    "no-regular-key-signed": _edit(lambda doc: doc.update(regular=[], expanded=0, shown=0, emitted=0), sign=True),
     # the ten points of 3D2 do not have the Cayley layout
     "cayley-sizes-signed": _edit(lambda doc: doc["config"].update(cayley_sizes=[4, 6]), sign=True),
     "filter-string-signed": _edit(lambda doc: doc["filters"].update(require_unimodular="no"), sign=True),
@@ -746,19 +764,25 @@ def test_enumerate_resume_damaged_checkpoint_exit_5(tmp_path, capsys, damage):
         capsys, "enumerate", "--config", str(cfg_path), "--group", "trivial", "--unimodular",
         "--checkpoint", str(ckpt), "--limit", "10", "--out", str(tmp_path / "first.jsonl"),
     )
-    ckpt.write_text(_DAMAGE[damage](ckpt.read_text()))
+    doc = json.loads(ckpt.read_text())
+    assert doc["expanded"] < doc["shown"] < len(doc["regular"])  # each count damage is a real one
+    damaged = _DAMAGE[damage](ckpt.read_text())
+    ckpt.write_text(damaged)
     code, _, err = run(
         capsys, "enumerate", "--resume", "--checkpoint", str(ckpt), "--out", str(tmp_path / "rest.jsonl"),
     )
     assert code == EXIT_CHECKPOINT
     assert "checkpoint" in err
+    if damage.startswith("format-"):  # the message names the file's format
+        assert json.loads(damaged)["format"] in err
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_enumerate_resume_non_regular_frontier_class_exit_5(tmp_path, capsys, jobs):
     # A signed checkpoint that lists a non-regular class of the nested
-    # triangles (18 classes, 16 regular) as regular and waiting in the
-    # frontier: expanding it re-solves its system, which refuses it.
+    # triangles (18 classes, 16 regular) as regular: still to be shown
+    # (regular[shown:]), where showing it solves its system, or shown and
+    # waiting in the frontier, where expanding it does; either refuses it.
     cfg_path = tmp_path / "nested.json"
     cfg_path.write_text(json.dumps({
         "format": "tropcay/point-configuration/1",
@@ -771,14 +795,17 @@ def test_enumerate_resume_non_regular_frontier_class_exit_5(tmp_path, capsys, jo
         capsys, "enumerate", "--config", str(cfg_path), "--group", "trivial", "--checkpoint", str(ckpt),
     )
     assert code == EXIT_OK and len(out.splitlines()) == 16
-    doc = json.loads(ckpt.read_text())
-    assert (len(doc["regular"]), len(doc["nonregular"]), doc["expanded"]) == (16, 2, 16)
-    doc["regular"].append(doc["nonregular"].pop())  # the whole frontier
-    doc["digest"] = _digest(doc)
-    ckpt.write_text(json.dumps(doc))
-    code, out, err = run(capsys, "enumerate", "--resume", "--checkpoint", str(ckpt), "--jobs", jobs)
-    assert code == EXIT_CHECKPOINT
-    assert "not regular" in err and out == ""
+    done = json.loads(ckpt.read_text())
+    assert (len(done["regular"]), len(done["nonregular"]), done["expanded"], done["shown"]) == (16, 2, 16, 16)
+    for shown in (16, 17):  # pending, then in the frontier
+        doc = json.loads(json.dumps(done))
+        doc["regular"].append(doc["nonregular"].pop())  # the whole frontier
+        doc["shown"] = shown
+        doc["digest"] = _digest(doc)
+        ckpt.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "enumerate", "--resume", "--checkpoint", str(ckpt), "--jobs", jobs)
+        assert code == EXIT_CHECKPOINT
+        assert "not regular" in err and out == ""
 
 
 # Frontier keys that are not triangulations, each listed as the first
@@ -805,7 +832,8 @@ def test_enumerate_resume_frontier_key_not_a_triangulation_exit_5(tmp_path, caps
     change, message = _CRAFTED_KEYS[craft]
     head = doc["expanded"]
     bad = base64.b64encode(change(base64.b64decode(doc["regular"][head]), 2)).decode()  # 10 points: 2 bytes
-    doc["regular"].insert(head, bad)  # it heads the frontier
+    doc["regular"].insert(head, bad)  # it heads the frontier, among the classes already shown
+    doc["shown"] += 1
     doc["digest"] = _digest(doc)
     ckpt.write_text(json.dumps(doc))
     code, out, err = run(capsys, "enumerate", "--resume", "--checkpoint", str(ckpt), "--jobs", jobs)

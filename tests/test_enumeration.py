@@ -177,7 +177,7 @@ def test_halt_and_resume_matches_fresh_run(tmp_path):
 @pytest.mark.parametrize("jobs, limit", [(1, 2), (2, 50)])
 def test_limit_checks_only_keys_it_records(jobs, limit):
     # Every class of 3D2 is regular, so each checked key is a visited one
-    # unless the run checked keys past its limit and dropped their verdicts.
+    # unless the run dropped verdicts; the seed is recorded without a check.
     cfg = cubic_polygon()
     en = Enumerator(cfg, builtin_symmetry("trivial", cfg), jobs=jobs)
     checked = []
@@ -186,16 +186,17 @@ def test_limit_checks_only_keys_it_records(jobs, limit):
     def counting_steps(stack):
         expand, check = steps(stack)
 
-        def counted(keys):
-            checked.extend(keys)
-            return check(keys)
+        def counted(pairs):
+            checked.extend(key for key, _carry in pairs)
+            return check(pairs)
 
         return expand, counted
 
     en._steps = counting_steps
     assert len(list(en.run(limit=limit))) == limit
     assert all(en.visited.values())
-    assert len(checked) == len(en.visited)
+    assert en.regular[0] not in checked
+    assert sorted(checked) == sorted(en.regular[1:])
 
 
 def _assert_walk_counts(en):
@@ -220,13 +221,16 @@ def test_walk_counts_hold_across_a_halt_and_resume(tmp_path, jobs, limit):
     en._steps = recording_steps
     assert len(list(en.run(limit=limit))) == limit
     _assert_walk_counts(en)
-    if jobs == 2:  # the limit cut the last wave, which still heads the frontier
-        cut = [key for key, _witness in waves[-1]]
-        assert en.regular[en.expanded :][: len(cut)] == cut
+    # the last wave is expanded in full, and the keys recorded past the
+    # limit wait at regular[shown:] to be shown first on resume
+    last = [key for key, _witness in waves[-1]]
+    assert en.regular[en.expanded - len(last) : en.expanded] == last
+    assert en.emitted == en.shown == limit < len(en.regular)
+    pending = [en.walk.engine.triangulation(en.walk.codec.unpack(key)).cells for key in en.regular[en.shown :]]
     resumed = load_checkpoint(ckpt, jobs=jobs)
     counts = ("regular", "expanded", "frontier")
     assert [resumed.stats()[k] for k in counts] == [en.stats()[k] for k in counts]
-    list(resumed.run())
+    assert [t.cells for t in resumed.run()][: len(pending)] == pending
     _assert_walk_counts(resumed)
     assert (resumed.stats()["regular"], resumed.stats()["expanded"]) == (1166, 1166)
 
@@ -260,14 +264,15 @@ def test_checkpoint_stores_each_fact_once(tmp_path):
     with open(ckpt, encoding="utf-8") as fh:
         doc = json.load(fh)
     assert list(doc) == [
-        "format", "config", "generators", "filters", "regular", "nonregular", "expanded", "emitted", "digest"
+        "format", "config", "generators", "filters", "regular", "nonregular", "expanded", "shown", "emitted",
+        "digest",
     ]
-    # the walk's own state is the file's: regular keys in recording order and the expanded count
+    # the walk's own state is the file's: regular keys in recording order and the two cursors
     assert [base64.b64decode(b64) for b64 in doc["regular"]] == en.regular
-    assert doc["expanded"] == en.expanded < len(en.regular)
+    assert doc["expanded"] == en.expanded <= doc["shown"] == en.shown < len(en.regular)
     resumed = load_checkpoint(ckpt)
     assert resumed.group.elements == en.group.elements
-    assert (resumed.regular, resumed.expanded) == (en.regular, en.expanded)
+    assert (resumed.regular, resumed.expanded, resumed.shown) == (en.regular, en.expanded, en.shown)
     # the regular keys are the visited keys themselves, not second copies
     for walk in (en, resumed):
         keys = {key: key for key in walk.visited}
@@ -411,7 +416,8 @@ def test_carried_witnesses_match_cold_verdicts(name, steps, data):
     cfg = make_config()
     walk = _Walk(cfg, builtin_symmetry(kind, cfg).elements)
     engine, unpack = walk.engine, walk.codec.unpack
-    [(key, witness)] = walk.check([(walk.key(engine.to_masks(placing_triangulation(cfg).cells)), None)])
+    key = walk.key(engine.to_masks(placing_triangulation(cfg).cells))
+    witness = walk.certify(unpack(key))  # the seed is recorded without a witness
     for _ in range(steps):
         children = walk.expand([(key, witness)])
         child, carry = children[data.draw(st.integers(0, len(children) - 1))]
