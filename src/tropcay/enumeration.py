@@ -30,9 +30,10 @@ local row strictly, checked in integers, so a bad candidate costs a
 simplex call, never a wrong answer.  A regular key recorded without a
 witness, the seed or a key read from a checkpoint (witnesses are not
 saved in checkpoints), is certified by ``_Walk.certify`` before it is
-shown or expanded: it must pass ``FlipEngine.check_triangulation`` and
-solves its own system; a key that is not a triangulation or not regular
-is refused with ``CheckpointMismatchError``.
+shown or expanded, those waiting to be shown a wave's worth at a time:
+it must pass ``FlipEngine.check_triangulation`` and solves its own
+system; a key that is not a triangulation or not regular is refused with
+``CheckpointMismatchError``.
 ``Enumerator.stats`` counts this run's verdicts as ``carried`` (from a
 candidate) and ``solved`` (from the simplex, certifications included).
 
@@ -47,11 +48,11 @@ then expand the wave ``regular[expanded:][:size]`` to the canonical keys
 of all neighbors, each with what its candidate is built from, drop the
 keys already visited, regularity-check the rest in first-seen order,
 record every verdict and move ``expanded`` past the wave.  With one job
-a wave is a single node and both steps run in this process (plain
-breadth-first order).  With ``jobs > 1`` a wave holds ``max(64,
-32*jobs)`` nodes and the same two steps are mapped over chunks by worker
-processes, each holding its own flip engine; this process deduplicates
-and records in the same order.  A ``limit`` bounds the output, not the
+a wave is a single node and the steps, certification included, run in
+this process (plain breadth-first order).  With ``jobs > 1`` a wave
+holds ``max(64, 32*jobs)`` nodes and the same steps are mapped over
+chunks by worker processes, each holding its own flip engine; this
+process deduplicates and records in the same order.  A ``limit`` bounds the output, not the
 walk: showing stops at exactly that many emissions, and the keys the
 last wave recorded past it are shown first on resume.
 
@@ -182,13 +183,17 @@ class _Walk:
         for key, witness in nodes:
             masks = unpack(key)
             if witness is None:
-                witness = self.certify(masks)
+                witness = self._certified(masks)
             for flip, child in engine.neighbors(masks):
                 form, element = canonical(child)
                 out.append((self.codec.pack(form), (witness, flip, child, element)))
         return out
 
-    def certify(self, masks) -> tuple[int, ...]:
+    def certify(self, keys) -> list[tuple[int, ...]]:
+        """The witness of each regular key recorded without one, in order."""
+        return [self._certified(self.codec.unpack(key)) for key in keys]
+
+    def _certified(self, masks) -> tuple[int, ...]:
         """The witness of a regular key recorded without one: the seed, or
         a key read from a checkpoint.  The key must be a triangulation, and
         the simplex solves its own system."""
@@ -301,10 +306,11 @@ class Enumerator:
     # -- search ----------------------------------------------------------
 
     def _steps(self, stack: ExitStack):
-        """The expand and check steps: this process's walk for one job,
-        else the same two methods mapped over chunks by a worker pool."""
+        """The expand, check and certify steps: this process's walk for one
+        job, else the same three methods mapped over chunks by a worker
+        pool."""
         if self.jobs == 1:
-            return self.walk.expand, self.walk.check
+            return self.walk.expand, self.walk.check, self.walk.certify
         # imported on demand: multiprocessing adds ~2 MiB to every process loading this module
         from concurrent.futures import ProcessPoolExecutor
 
@@ -328,7 +334,7 @@ class Enumerator:
 
             return run
 
-        return mapped("expand"), mapped("check")
+        return mapped("expand"), mapped("check"), mapped("certify")
 
     def run(self, limit: int | None = None) -> Iterator[Triangulation]:
         """Generate canonical representatives; stops after ``limit`` emissions.
@@ -348,13 +354,15 @@ class Enumerator:
             self.visited[key] = True
             self.regular.append(key)
         with ExitStack() as stack:
-            expand, check = self._steps(stack)
+            expand, check, certify = self._steps(stack)
             while True:
                 while self.shown < len(self.regular) and (limit is None or self.emitted < limit):
                     key = self.regular[self.shown]
+                    if key not in self.witnesses:  # certified a wave's worth at a time
+                        batch = self.regular[self.shown : self.shown + wave_size]
+                        batch = [k for k in batch if k not in self.witnesses]
+                        self.witnesses.update(zip(batch, map(_compact, certify(batch))))
                     masks = unpack(key)
-                    if key not in self.witnesses:
-                        self.witnesses[key] = _compact(walk.certify(masks))
                     self.shown += 1
                     if self._passes_filters(masks):
                         self.emitted += 1

@@ -8,27 +8,31 @@ relaxation steps from it, against every row, and only its ``None`` needs
 the simplex.
 
 ``A w > 0`` describes a cone, so it has a solution iff ``A w >= 1`` has
-one.  That system is solved by a simplex in dictionary form with
-fraction-free integer pivoting (Edmonds 1967; Bareiss 1968): the basic
-variables are ``x_B = (T [1, x_N]) / d`` for an integer matrix T and the
-last pivot d.  Every entry of T is a minor of the input, so each division
-in a pivot is exact, and no floating point or ``Fraction`` is used.
+one.  That system is solved by a simplex in dictionary form over the
+integers: basic variable ``i`` is ``(T_i [1, x_N]) / s_i`` for an integer
+row ``T_i`` and its own positive scale ``s_i``.  A pivot rewrites only
+the rows with a nonzero entry in the entering column and divides each by
+the gcd of its entries and its scale, so every row stays primitive and
+the others are left as they are; no floating point or ``Fraction`` is
+used.  The scales are positive, so each entry has the sign of the
+rational value it stands for, and the pivoting rules below read signs
+only.
 
 The heights w are free.  Each is first pivoted into the basis; one that
 cannot enter is an affine direction that no row depends on, and is set to
 0.  A dual simplex with zero costs then drives the slacks ``A w - 1``
 non-negative under Bland's least-index rule, which cannot cycle.  It ends
-with every slack non-negative, and the basic values are an integer
-witness, or with a negative slack row without a positive entry, which
-gives a Gordan certificate ``y >= 0``, ``y != 0``, ``y^T A = 0``.  Either
-answer is checked in integers before it is returned; a failed check
-raises.
+with every slack non-negative, and the basic heights, brought to one
+scale and divided by their gcd, are a primitive integer witness, or with
+a negative slack row without a positive entry, which gives a Gordan
+certificate ``y >= 0``, ``y != 0``, ``y^T A = 0``.  Either answer is
+checked in integers before it is returned; a failed check raises.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 
 from .exactarith import DimensionError, clear_denominators
@@ -39,53 +43,59 @@ from .exactarith import DimensionError, clear_denominators
 _RELAXATION_STEPS = 4
 
 
-def _pivot(table, d, p, q):
-    """Fraction-free dictionary pivot: the basic variable of row ``p``
-    leaves, the nonbasic variable of column ``q`` enters; returns the new
-    denominator ``table[p][q]``."""
+def _pivot(table, scales, p, q):
+    """Dictionary pivot: the basic variable of row ``p`` leaves, the
+    nonbasic variable of column ``q`` enters.  Only the rows with a nonzero
+    entry in column ``q``, row ``p`` among them, are rewritten, each in
+    lowest terms with a positive scale."""
     top = table[p]
-    a = top[q]
+    a, s = top[q], scales[p]
     for i, row in enumerate(table):
-        if i == p:
-            continue
         f = row[q]
-        if f:
-            row = [(a * x - f * y) // d for x, y in zip(row, top)]
-            row[q] = f
+        if not f:
+            continue
+        if i == p:
+            # a x_q = s x_p - (the rest of row p)
+            row, scale = [-y for y in top], a
+            row[q] = s
         else:
-            row = [a * x // d for x in row]
+            # that x_q substituted into row i
+            row, scale = [a * x - f * y for x, y in zip(row, top)], a * scales[i]
+            row[q] = f * s
+        g = gcd(scale, *row)
+        if scale < 0:
+            g = -g
+        if g != 1:
+            row = [x // g for x in row]
+            scale //= g
         table[i] = row
-    row = [-y for y in top]
-    row[q] = d
-    table[p] = row
-    return a
+        scales[i] = scale
 
 
 def _simplex(rows):
     """Solve ``A w >= 1`` for integer rows of equal length ``n``.
 
-    Returns ``(witness, None)`` with an integer ``w`` such that ``A w > 0``,
-    or ``(None, y)`` with an integer Gordan certificate ``y``, one entry
-    per row.  Variable ``i < m`` is the slack of row ``i``; variable
-    ``m + j`` is height ``j``.  Bland's rule orders them by that index.
+    Returns ``(witness, None)`` with a primitive integer ``w`` such that
+    ``A w > 0``, or ``(None, y)`` with an integer Gordan certificate ``y``,
+    one entry per row.  Variable ``i < m`` is the slack of row ``i``;
+    variable ``m + j`` is height ``j``.  Bland's rule orders them by that
+    index.
     """
     m, n = len(rows), len(rows[0])
     table = [[-1, *row] for row in rows]
+    scales = [1] * m
     basic = list(range(m))
     nonbasic = list(range(m, m + n))
-    d = 1
     for q in range(1, n + 1):
         p = next((i for i in range(m) if basic[i] < m and table[i][q]), None)
         if p is not None:
-            d = _pivot(table, d, p, q)
+            _pivot(table, scales, p, q)
             basic[p], nonbasic[q - 1] = nonbasic[q - 1], basic[p]
     # Heights that never entered are 0; their columns are 0 in every slack row.
     keep = [0] + [q for q in range(1, n + 1) if nonbasic[q - 1] < m]
-    sign = 1 if d > 0 else -1
-    table = [[sign * row[q] for q in keep] for row in table]
+    table = [[row[q] for q in keep] for row in table]
     nonbasic = [nonbasic[q - 1] for q in keep[1:]]
-    d *= sign
-    # Every later pivot is positive, so d stays positive.
+    # Every scale is positive, so each entry has the sign of its value.
     while True:
         p = min(
             (i for i in range(m) if basic[i] < m and table[i][0] < 0),
@@ -93,11 +103,13 @@ def _simplex(rows):
             default=None,
         )
         if p is None:
+            heights = [i for i, var in enumerate(basic) if var >= m]
+            common = lcm(*[scales[i] for i in heights])
             witness = [0] * n
-            for i, var in enumerate(basic):
-                if var >= m:
-                    witness[var - m] = table[i][0]
-            return tuple(witness), None
+            for i in heights:
+                witness[basic[i] - m] = table[i][0] * (common // scales[i])
+            g = gcd(*witness)
+            return tuple(x // g for x in witness), None
         top = table[p]
         q = min(
             (q for q in range(1, len(top)) if top[q] > 0),
@@ -105,14 +117,14 @@ def _simplex(rows):
             default=None,
         )
         if q is None:
-            # d s_p - sum_q T[p][q] s_q = T[p][0] holds for all w, so the
-            # linear parts cancel: y = d e_p - sum_q T[p][q] e_q.
+            # s_p x_p - sum_q T[p][q] x_q = T[p][0] holds for all w, so the
+            # linear parts cancel: y = s_p e_p - sum_q T[p][q] e_q.
             certificate = [0] * m
-            certificate[basic[p]] = d
+            certificate[basic[p]] = scales[p]
             for var, v in zip(nonbasic, top[1:]):
                 certificate[var] = -v
             return None, certificate
-        d = _pivot(table, d, p, q)
+        _pivot(table, scales, p, q)
         basic[p], nonbasic[q - 1] = nonbasic[q - 1], basic[p]
 
 

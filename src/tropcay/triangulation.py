@@ -14,6 +14,9 @@ is the regularity inequality "the point lifts strictly above the cell".
 One fraction-free elimination of all points against a cell's vertices
 gives the cell's volume (the last pivot), every circuit of the cell and
 the points inside it (those with no negative barycentric coordinate).
+That elimination only seeds the table: a cell one vertex exchange away
+from a cached cell derives its entry from that cell's circuits
+(``FlipEngine.cell``), so a walk eliminates once.
 One map of each facet to its cells (``FlipEngine._facet_cells``), the
 only place that refuses a facet in more than two, lies beneath ``walls``,
 ``check_triangulation`` and ``FlipEngine.wall_circuits``, which pairs
@@ -144,10 +147,11 @@ class FlipEngine:
 
     Wall flips, flips through unused points, the local regularity rows,
     cell volumes and the validity check all come from one table
-    with one entry per cell mask (``cell``), built by one elimination the
-    first time a cell is asked for.  Circuit rows are interned engine-wide:
-    the cells formed by all but one point of a circuit's support all hold
-    it, up to sign.  ``walls`` and ``to_cells`` use bit operations only
+    with one entry per cell mask (``cell``), built the first time a cell
+    is asked for: by vertex exchange from a cached cell, or by one
+    elimination for a cell with none.  Circuit rows are interned
+    engine-wide: the cells formed by all but one point of a circuit's
+    support all hold it, up to sign.  ``walls`` and ``to_cells`` use bit operations only
     and never build an entry.
     Triangulations are handled as sorted tuples of cell bitmasks (bit i is
     point i).  The induced total order on triangulations (lexicographic on
@@ -216,19 +220,78 @@ class FlipEngine:
         in the closed cell, its vertices included.  A degenerate cell has
         volume 0, no rows and an empty mask.
 
-        One fraction-free elimination of the homogenized points, the
-        cell's vertices first, gives the whole entry: the last pivot
-        ``d`` is the volume up to sign, and each other column holds ``d``
-        times the point's barycentric coordinates in the cell."""
+        A cell one vertex exchange away from a cached non-degenerate cell
+        gets its entry from that cell's (``_exchanged``); only a cell with
+        no such neighbour runs an elimination (``_eliminated``), which in a
+        walk seeds the table once."""
         entry = self._cells.get(cellmask)
         if entry is None:
             entry = self._cells[cellmask] = self._cell_entry(cellmask)
         return entry
 
     def _cell_entry(self, cellmask: int) -> tuple[int, tuple | None, int]:
+        cached = self._cells.get
+        outside = self.bits(self.all_mask & ~cellmask)
+        for b in self.indices(cellmask):
+            rest = cellmask ^ (1 << b)
+            for a in outside:
+                sigma = cached(rest | 1 << a)
+                if sigma is not None and sigma[1] is not None:
+                    return self._exchanged(cellmask, sigma, a, b, outside)
+        return self._eliminated(cellmask, outside)
+
+    def _exchanged(self, cellmask, sigma, a, b, outside) -> tuple[int, tuple | None, int]:
+        """The entry of the cell ``tau = sigma - a + b`` from the entry of
+        the non-degenerate cell ``sigma``; ``outside`` lists the points
+        outside ``tau``.
+
+        ``cb = circuit(sigma, b)`` is the dependence of ``tau`` and ``a``:
+        ``tau`` is degenerate iff it is 0 at ``a``, else it is
+        ``circuit(tau, a)`` up to sign, and ``|cb[a]| / cb[b]``, the size
+        of ``b``'s barycentric coordinate at ``a`` in ``sigma``, is the
+        ratio of the two volumes.  For any other point ``p`` outside
+        ``tau``, the combination of ``circuit(sigma, p)`` and ``cb`` that
+        is 0 at ``a`` is ``circuit(tau, p)`` up to a positive factor."""
+        d, rows, _inside = sigma
+        cb = rows[b]
+        ca = cb[a]
+        if not ca:
+            return 0, None, 0
+        volume = d * abs(ca) // cb[b]
+        intern = self._rows.setdefault
+        if ca < 0:
+            ca, cb = -ca, tuple([-x for x in cb])
+            cb = intern(cb, cb)
+        vertices = self.indices(cellmask)
+        out = [None] * self.n
+        inside = cellmask
+        for p in outside:
+            row = rows[p]
+            if row is None:  # p is a, a vertex of sigma
+                row = cb
+            elif f := row[a]:
+                # the combination lives on tau's vertices and p
+                head = ca * row[p]
+                coords = [ca * row[v] - f * cb[v] for v in vertices]
+                g = gcd(head, *coords)
+                row = [0] * self.n
+                row[p] = head // g
+                for v, c in zip(vertices, coords):
+                    row[v] = c // g
+                row = tuple(row)
+                row = intern(row, row)
+            out[p] = row
+            if max([row[v] for v in vertices]) <= 0:
+                inside |= 1 << p
+        return volume, tuple(out), inside
+
+    def _eliminated(self, cellmask: int, outside) -> tuple[int, tuple | None, int]:
+        """The entry of a cell by one fraction-free elimination of the
+        homogenized points, the cell's vertices first: the last pivot
+        ``d`` is the volume up to sign, and each other column holds ``d``
+        times the point's barycentric coordinates in the cell."""
         vertices = self.bits(cellmask)
-        others = [p for p in range(self.n) if not (cellmask >> p) & 1]
-        solved = basis_coordinates_int([self._columns[i] for i in (*vertices, *others)])
+        solved = basis_coordinates_int([self._columns[i] for i in (*vertices, *outside)])
         if solved is None:
             return 0, None, 0
         d, a = solved
@@ -237,7 +300,7 @@ class FlipEngine:
         intern = self._rows.setdefault
         rows = [None] * self.n
         inside = cellmask
-        for p, coords in zip(others, list(zip(*a))[len(vertices):]):
+        for p, coords in zip(outside, list(zip(*a))[len(vertices):]):
             # d * p == sum of coords[i] * vertex i: the circuit is d at p
             # and -coords on the vertices, positive at p.
             if min(coords) >= 0:

@@ -22,7 +22,10 @@ positive at the point, so ``FlipEngine.circuit`` must agree exactly.
 system ``is_regular(t, mode="global")`` solves.  ``points_inside`` is
 the mask of points whose ``Fraction`` barycentric coordinates in a cell
 are all non-negative, which the ``inside`` mask of ``FlipEngine.cell``
-must equal.  ``local_circuits`` is the scan
+must equal.  ``cell_entry`` is the whole entry from one fraction-free
+elimination of all points against the cell's vertices, as the engine
+built every entry before it derived them by vertex exchange; the
+engine's entries must equal it exactly.  ``local_circuits`` is the scan
 ``FlipEngine.local_circuits`` ran before that mask: every unused point is
 tried against every cell by the signs of its row, here ``constraint_row``;
 the two must agree as ordered lists.
@@ -31,6 +34,11 @@ the two must agree as ordered lists.
 two-phase simplex (Bland's rule) that ``tropcay.lp`` used before its
 integer simplex.  Strict feasibility is a yes/no question, so the
 library's verdicts must agree with these exactly; witnesses may differ.
+``dense_simplex`` is the integer simplex ``tropcay.lp`` ran before its
+rows kept their own scales: one fraction-free denominator for the whole
+dictionary, every row rewritten at every pivot.  Its pivot rules read the
+same signs, so the library's witness and certificate must be positive
+multiples of this oracle's.
 
 ``validate_triangulation`` is the check ``tropcay.triangulation`` used
 before ``FlipEngine.check_triangulation`` read circuit signs: besides the
@@ -63,7 +71,13 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
-from tropcay.exactarith import DimensionError, clear_denominators, det_int, solve_rational
+from tropcay.exactarith import (
+    DimensionError,
+    basis_coordinates_int,
+    clear_denominators,
+    det_int,
+    solve_rational,
+)
 from tropcay.geometry import (
     PointConfiguration,
     Subdivision,
@@ -347,6 +361,33 @@ def points_inside(engine, cellmask: int) -> int:
     return inside
 
 
+def cell_entry(engine, cellmask: int) -> tuple[int, tuple | None, int]:
+    """The entry ``(volume, rows, inside)`` of ``FlipEngine.cell`` from one
+    fraction-free elimination of all homogenized points against the cell's
+    vertices, as the engine built every entry before it derived them by
+    vertex exchange."""
+    vertices = engine.bits(cellmask)
+    others = [p for p in range(engine.n) if not (cellmask >> p) & 1]
+    solved = basis_coordinates_int([engine.points[i] + (1,) for i in (*vertices, *others)])
+    if solved is None:
+        return 0, None, 0
+    d, a = solved
+    if d < 0:
+        d, a = -d, [[-x for x in row] for row in a]
+    rows = [None] * engine.n
+    inside = cellmask
+    for p, coords in zip(others, list(zip(*a))[len(vertices):]):
+        if min(coords) >= 0:
+            inside |= 1 << p
+        g = gcd(d, *coords)
+        row = [0] * engine.n
+        row[p] = d // g
+        for i, c in zip(vertices, coords):
+            row[i] = -(c // g)
+        rows[p] = tuple(row)
+    return d, tuple(rows), inside
+
+
 def cell_images(elements, points) -> tuple[int, ...]:
     """The mask of a cell's image under each group element, summed point
     by point per element."""
@@ -521,6 +562,86 @@ def strict_lp_feasible(a, b) -> list[Fraction] | None:
     if res.status != "optimal" or res.value <= 0:
         return None
     return [res.x[j] - res.x[n + j] for j in range(n)]
+
+
+def _dense_pivot(table, d, p, q):
+    """Fraction-free dictionary pivot: the basic variable of row ``p``
+    leaves, the nonbasic variable of column ``q`` enters; returns the new
+    denominator ``table[p][q]``."""
+    top = table[p]
+    a = top[q]
+    for i, row in enumerate(table):
+        if i == p:
+            continue
+        f = row[q]
+        if f:
+            row = [(a * x - f * y) // d for x, y in zip(row, top)]
+            row[q] = f
+        else:
+            row = [a * x // d for x in row]
+        table[i] = row
+    row = [-y for y in top]
+    row[q] = d
+    table[p] = row
+    return a
+
+
+def dense_simplex(rows):
+    """Solve ``A w >= 1`` for integer rows of equal length ``n``.
+
+    Returns ``(witness, None)`` with an integer ``w`` such that ``A w > 0``,
+    or ``(None, y)`` with an integer Gordan certificate ``y``, one entry
+    per row.  Variable ``i < m`` is the slack of row ``i``; variable
+    ``m + j`` is height ``j``.  Bland's rule orders them by that index.
+    The basic variables are ``x_B = (T [1, x_N]) / d`` for the last pivot
+    ``d`` (Edmonds 1967; Bareiss 1968): every entry of T is a minor of the
+    input, so each division in a pivot is exact.
+    """
+    m, n = len(rows), len(rows[0])
+    table = [[-1, *row] for row in rows]
+    basic = list(range(m))
+    nonbasic = list(range(m, m + n))
+    d = 1
+    for q in range(1, n + 1):
+        p = next((i for i in range(m) if basic[i] < m and table[i][q]), None)
+        if p is not None:
+            d = _dense_pivot(table, d, p, q)
+            basic[p], nonbasic[q - 1] = nonbasic[q - 1], basic[p]
+    # Heights that never entered are 0; their columns are 0 in every slack row.
+    keep = [0] + [q for q in range(1, n + 1) if nonbasic[q - 1] < m]
+    sign = 1 if d > 0 else -1
+    table = [[sign * row[q] for q in keep] for row in table]
+    nonbasic = [nonbasic[q - 1] for q in keep[1:]]
+    d *= sign
+    # Every later pivot is positive, so d stays positive.
+    while True:
+        p = min(
+            (i for i in range(m) if basic[i] < m and table[i][0] < 0),
+            key=basic.__getitem__,
+            default=None,
+        )
+        if p is None:
+            witness = [0] * n
+            for i, var in enumerate(basic):
+                if var >= m:
+                    witness[var - m] = table[i][0]
+            return tuple(witness), None
+        top = table[p]
+        q = min(
+            (q for q in range(1, len(top)) if top[q] > 0),
+            key=lambda q: nonbasic[q - 1],
+            default=None,
+        )
+        if q is None:
+            # d s_p - sum_q T[p][q] s_q = T[p][0] holds for all w, so the
+            # linear parts cancel: y = d e_p - sum_q T[p][q] e_q.
+            certificate = [0] * m
+            certificate[basic[p]] = d
+            for var, v in zip(nonbasic, top[1:]):
+                certificate[var] = -v
+            return None, certificate
+        d = _dense_pivot(table, d, p, q)
+        basic[p], nonbasic[q - 1] = nonbasic[q - 1], basic[p]
 
 
 def validate_triangulation(t: Triangulation) -> bool:

@@ -184,13 +184,13 @@ def test_limit_checks_only_keys_it_records(jobs, limit):
     steps = en._steps
 
     def counting_steps(stack):
-        expand, check = steps(stack)
+        expand, check, certify = steps(stack)
 
         def counted(pairs):
             checked.extend(key for key, _carry in pairs)
             return check(pairs)
 
-        return expand, counted
+        return expand, counted, certify
 
     en._steps = counting_steps
     assert len(list(en.run(limit=limit))) == limit
@@ -215,8 +215,8 @@ def test_walk_counts_hold_across_a_halt_and_resume(tmp_path, jobs, limit):
     steps = en._steps
 
     def recording_steps(stack):
-        expand, check = steps(stack)
-        return (lambda wave: waves.append(wave) or expand(wave)), check
+        expand, check, certify = steps(stack)
+        return (lambda wave: waves.append(wave) or expand(wave)), check, certify
 
     en._steps = recording_steps
     assert len(list(en.run(limit=limit))) == limit
@@ -417,7 +417,7 @@ def test_carried_witnesses_match_cold_verdicts(name, steps, data):
     walk = _Walk(cfg, builtin_symmetry(kind, cfg).elements)
     engine, unpack = walk.engine, walk.codec.unpack
     key = walk.key(engine.to_masks(placing_triangulation(cfg).cells))
-    witness = walk.certify(unpack(key))  # the seed is recorded without a witness
+    [witness] = walk.certify([key])  # the seed is recorded without a witness
     for _ in range(steps):
         children = walk.expand([(key, witness)])
         child, carry = children[data.draw(st.integers(0, len(children) - 1))]

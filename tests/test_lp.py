@@ -13,7 +13,8 @@ from oracles import simplex_maximize
 from test_triangulation import nested_triangles
 from tropcay import lp
 from tropcay.lp import _simplex, strict_homogeneous_feasible, strict_lp_feasible
-from tropcay.triangulation import flip_engine
+from tropcay.geometry import cayley_config, simplex_lattice_points
+from tropcay.triangulation import flip_engine, placing_triangulation
 
 
 def test_simplex_basic_maximum():
@@ -147,6 +148,35 @@ def _nested_triangle_rows():
 _NESTED_GLOBAL, _NESTED_LOCAL = _nested_triangle_rows()
 
 
+def _quadric_rows():
+    """The local and global regularity rows of the quadric triangulation
+    that a seeded walk over regular neighbors has reached when it first
+    meets a neighbor that is not regular, then those of that neighbor."""
+    cfg = cayley_config(simplex_lattice_points(3, 2), simplex_lattice_points(3, 2))
+    engine = flip_engine(cfg)
+    masks = engine.to_masks(placing_triangulation(cfg).cells)
+    rng, non_regular = random.Random(5), None
+    while non_regular is None:
+        regular = []
+        for _flip, child in engine.neighbors(masks):
+            if engine.solve(engine.regularity_rows(child)) is not None:
+                regular.append(child)
+            elif non_regular is None:
+                non_regular = child
+        masks = rng.choice(regular)
+    return [
+        rows
+        for m in (masks, non_regular)
+        for rows in (
+            engine.regularity_rows(m),
+            sorted({row for cm in m for row in engine.cell(cm)[1] if row is not None}),
+        )
+    ]
+
+
+_QUADRIC = _quadric_rows()
+
+
 @st.composite
 def random_systems(draw):
     """Integer rows with entries in [-5, 5], some zero, repeated or
@@ -180,6 +210,10 @@ _RHS = st.lists(st.integers(-5, 5), min_size=len(_NESTED_GLOBAL), max_size=len(_
 @given(_SYSTEMS, _RHS)
 @example(_NESTED_LOCAL, [0] * len(_NESTED_GLOBAL))
 @example(_NESTED_GLOBAL, [0] * len(_NESTED_GLOBAL))
+@example(_QUADRIC[0], [0] * len(_QUADRIC[0]))
+@example(_QUADRIC[1], [0] * len(_QUADRIC[1]))
+@example(_QUADRIC[2], [0] * len(_QUADRIC[2]))
+@example(_QUADRIC[3], [0] * len(_QUADRIC[3]))
 def test_integer_simplex_matches_fraction_oracle(rows, rhs):
     uniq = sorted({tuple(r) for r in rows})
     b = rhs[: len(rows)]
@@ -188,16 +222,30 @@ def test_integer_simplex_matches_fraction_oracle(rows, rhs):
         feasible, _ = strict_homogeneous_feasible(rows)
         x = strict_lp_feasible(rows, b)
     if witness is not None:
-        assert all(isinstance(v, int) for v in witness)
+        assert all(isinstance(v, int) for v in witness) and math.gcd(*witness) == 1
         assert all(sum(c * v for c, v in zip(row, witness)) > 0 for row in uniq)
     else:
         assert all(isinstance(y, int) and y >= 0 for y in certificate) and any(certificate)
         assert all(sum(y * row[j] for y, row in zip(certificate, uniq)) == 0 for j in range(len(uniq[0])))
     assert feasible == (witness is not None)
+    # the dense simplex pivots alike, with one denominator for every row
+    dense_witness, dense_certificate = oracles.dense_simplex(uniq)
+    if witness is not None:
+        assert _positive_multiple(witness, dense_witness)
+    else:
+        assert _positive_multiple(certificate, dense_certificate)
+    if len(uniq) > 100:
+        return  # the Fraction simplex takes minutes on a global quadric system
     assert feasible == (oracles.strict_lp_feasible(rows, [0] * len(rows)) is not None)
     assert (x is None) == (oracles.strict_lp_feasible(rows, b) is None)
     if x is not None:
         assert all(sum(c * v for c, v in zip(row, x)) > bi for row, bi in zip(rows, b))
+
+
+def _positive_multiple(u, v) -> bool:
+    """Whether ``u == c v`` for some ``c > 0``; ``v`` is nonzero."""
+    k = next(i for i, y in enumerate(v) if y)
+    return u[k] * v[k] > 0 and all(x * v[k] == y * u[k] for x, y in zip(u, v))
 
 
 # With zero costs every dual pivot is degenerate, so a simplex without

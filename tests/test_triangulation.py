@@ -18,6 +18,7 @@ from tropcay.geometry import (
     regular_subdivision,
     simplex_lattice_points,
 )
+from tropcay import triangulation as triangulation_module
 from tropcay.lp import strict_lp_feasible
 from tropcay.triangulation import (
     FlipEngine,
@@ -411,6 +412,61 @@ def test_walls_build_no_cell_entry():
     masks = engine.to_masks(placing_triangulation(cfg).cells)
     assert engine.walls(masks) and engine.to_cells(masks)
     assert engine._cells == {}
+
+
+_ENTRIES = {
+    "3D2": _WALKED["3D2"],
+    "C(1D3,2D3)": _WALKED["C(1D3,2D3)"],
+    "C(2D3,2D3)": _DERIVED["C(2D3,2D3)/S4xZ2"][0],
+    "nested": nested_triangles()[0],
+}
+
+
+def _entry_walk(engine, cfg, steps, choose):
+    """A flip walk from the placing triangulation on ``engine`` that builds
+    every entry the enumerator would: the walls, local rows and flips."""
+    masks = engine.to_masks(placing_triangulation(cfg).cells)
+    for _ in range(steps):
+        engine.regularity_rows(masks)
+        nbrs = engine.neighbors(masks)
+        if not nbrs:
+            break
+        masks = nbrs[choose(len(nbrs))][1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(_ENTRIES)), st.integers(0, 12), st.data())
+def test_exchanged_entries_match_the_elimination(name, steps, data):
+    # A fresh engine walks at random, then looks up a few random cells,
+    # degenerate ones among them; every entry it built, nearly all by
+    # vertex exchange, equals the all-points elimination's.
+    cfg = _ENTRIES[name]
+    engine = FlipEngine(cfg)
+    _entry_walk(engine, cfg, steps, lambda k: data.draw(st.integers(0, k - 1)))
+    size = engine.cell_size
+    cells = st.sets(st.integers(0, engine.n - 1), min_size=size, max_size=size)
+    for points in data.draw(st.lists(cells, max_size=4)):
+        engine.cell(engine.mask_of(points))
+    for cm, entry in engine._cells.items():
+        assert entry == oracles.cell_entry(engine, cm)
+
+
+def test_a_quadric_walk_runs_few_eliminations(monkeypatch):
+    # Only a cell with no cached neighbour is eliminated: a 200-step
+    # quadric walk on a fresh engine eliminates its first placing cell,
+    # and at most a few more.
+    eliminations = []
+    eliminate = triangulation_module.basis_coordinates_int
+
+    def counted(cols):
+        eliminations.append(cols)
+        return eliminate(cols)
+
+    monkeypatch.setattr(triangulation_module, "basis_coordinates_int", counted)
+    cfg = _ENTRIES["C(2D3,2D3)"]
+    engine = FlipEngine(cfg)
+    _entry_walk(engine, cfg, 200, random.Random(3).randrange)
+    assert len(engine._cells) > 200 and len(eliminations) <= 3
 
 
 def test_builtin_symmetry_orders():
