@@ -228,12 +228,12 @@ def cmd_enumerate(args) -> int:
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     # line-buffered, so that each checkpoint's ``emitted`` counts only lines handed to the OS
     out.reconfigure(line_buffering=True)
-    last_report = time.time()
+    last_report = time.monotonic()
     try:
         for t in enumerator.run(limit=args.limit):
             out.write(triangulation_line(t.configuration, t.cells))
             out.write("\n")
-            now = time.time()
+            now = time.monotonic()
             if now - last_report > 2.0:
                 s = enumerator.stats()
                 sys.stderr.write(

@@ -49,12 +49,14 @@ of all neighbors, each with what its candidate is built from, drop the
 keys already visited, regularity-check the rest in first-seen order,
 record every verdict and move ``expanded`` past the wave.  With one job
 a wave is a single node and the steps, certification included, run in
-this process (plain breadth-first order).  With ``jobs > 1`` a wave
-holds ``max(64, 32*jobs)`` nodes and the same steps are mapped over
-chunks by worker processes, each holding its own flip engine; this
-process deduplicates and records in the same order.  A ``limit`` bounds the output, not the
-walk: showing stops at exactly that many emissions, and the keys the
-last wave recorded past it are shown first on resume.
+this process (plain breadth-first order), where a neighbor whose
+sorted masks pack to a visited key is dropped uncanonicalized.  With
+``jobs > 1`` a wave holds ``max(64, 32*jobs)`` nodes and the same steps
+are mapped over chunks by worker processes, each holding its own flip
+engine; this process deduplicates and records in the same order.  A
+``limit`` bounds the output, not the walk: showing stops at exactly that
+many emissions, and the keys the last wave recorded past it are shown
+first on resume.
 
 A checkpoint stores the regular keys, the non-regular keys,
 ``expanded``, ``shown`` and ``emitted``, each fact once.  The group is
@@ -160,13 +162,16 @@ class _Walk:
     """Flip engine, key codec and group action of one process: the expand
     and check steps of the search, which worker processes can take over.
     ``counts`` tallies the verdicts this process reached by a carried
-    candidate (``carried``) and by the simplex (``solved``)."""
+    candidate (``carried``) and by the simplex (``solved``).  ``known``
+    holds the keys ``expand`` drops unseen: ``visited`` in this process,
+    empty in a worker (a copy per worker would double the walk's memory)."""
 
     def __init__(self, config: PointConfiguration, group_elements):
         self.engine = flip_engine(config)
         self.codec = _Codec(self.engine.n)
         self.context = RelabelContext(self.engine, group_elements)
         self.counts = Counter(carried=0, solved=0)
+        self.known: dict[bytes, bool] = {}
 
     def key(self, masks) -> bytes:
         return self.codec.pack(self.context.canonical(masks)[0])
@@ -177,16 +182,20 @@ class _Walk:
         the node's witness, the flip with its scan of the node, the
         neighbor's masks in the node's labeling and the element taking them
         to the key.  ``check`` works in that labeling.  A node without a
-        witness (read from a checkpoint) is certified first."""
-        engine, unpack, canonical = self.engine, self.codec.unpack, self.context.canonical
+        witness (read from a checkpoint) is certified first.  A neighbor
+        whose sorted masks pack to a key in ``known`` is that class (a key
+        is its own canonical form) and is left out."""
+        engine, pack, unpack, known = self.engine, self.codec.pack, self.codec.unpack, self.known
+        canonical = self.context.canonical
         out = []
         for key, witness in nodes:
             masks = unpack(key)
             if witness is None:
                 witness = self._certified(masks)
             for flip, child in engine.neighbors(masks):
-                form, element = canonical(child)
-                out.append((self.codec.pack(form), (witness, flip, child, element)))
+                if pack(child) not in known:
+                    form, element = canonical(child)
+                    out.append((pack(form), (witness, flip, child, element)))
         return out
 
     def certify(self, keys) -> list[tuple[int, ...]]:
@@ -264,7 +273,7 @@ class Enumerator:
         self.placing_order = list(placing_order) if placing_order is not None else None
         self.walk = _Walk(config, group.elements)
 
-        self.visited: dict[bytes, bool] = {}
+        self.visited: dict[bytes, bool] = self.walk.known  # filled in place, never rebound
         self.regular: list[bytes] = []  # the regular keys in recording order
         self.expanded = 0  # the frontier is regular[expanded:]
         self.shown = 0  # regular[shown:] has not yet passed the filters

@@ -62,6 +62,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from math import gcd
+from operator import itemgetter
 
 from .errors import GroupBoundError, InputError
 from .exactarith import basis_coordinates_int
@@ -574,7 +575,7 @@ class RelabelContext:
     elements reaching that.  An entry is the column sum of its points'
     image columns: point ``i``'s column holds ``1 << g[i]`` for every
     element ``g``.  The canonical form starts with the least image over
-    all cells, so only the elements reaching it are sorted in full.
+    all cells, so only the elements reaching it are read and sorted.
     Element ``g`` sends point ``i`` to point ``g[i]``.
     """
 
@@ -600,9 +601,9 @@ class RelabelContext:
         entries = [cached(m) or cell(m) for m in masks]
         first = min([least for _images, least, _reach in entries])
         reach = {gi for _images, least, gis in entries if least == first for gi in gis}
-        by_element = list(zip(*[images for images, _least, _reach in entries]))
-        form, gi = min((tuple(sorted(by_element[gi])), gi) for gi in reach)
-        return form, self.elements[gi]
+        images = [images for images, _least, _reach in entries]
+        form, gi = min((sorted(map(itemgetter(gi), images)), gi) for gi in reach)
+        return tuple(form), self.elements[gi]
 
 
 @lru_cache(maxsize=64)

@@ -1,9 +1,11 @@
 import base64
 import hashlib
+import itertools
 import json
 import os
 import subprocess
 import sys
+import types
 from importlib import resources
 
 import pytest
@@ -839,6 +841,22 @@ def test_enumerate_resume_frontier_key_not_a_triangulation_exit_5(tmp_path, caps
     code, out, err = run(capsys, "enumerate", "--resume", "--checkpoint", str(ckpt), "--jobs", jobs)
     assert code == EXIT_CHECKPOINT
     assert message in err and out == ""
+
+
+def test_enumerate_progress_survives_a_backward_wall_clock_step(tmp_path, capsys, monkeypatch):
+    # The wall clock steps back an hour after its first reading, and the
+    # monotonic clock moves a second per reading: the progress interval
+    # runs on the monotonic clock, so progress lines still appear.
+    wall, ticks = itertools.count(), itertools.count()
+    clock = types.SimpleNamespace(
+        time=lambda: 1e9 - 3600.0 * min(next(wall), 1), monotonic=lambda: float(next(ticks))
+    )
+    monkeypatch.setattr("tropcay.cli.time", clock)
+    cfg_path = tmp_path / "3d2.json"
+    run(capsys, "config", "simplex", "--dim", "2", "--dilation", "3", "--out", str(cfg_path))
+    code, out, err = run(capsys, "enumerate", "--config", str(cfg_path), "--limit", "10")
+    assert code == EXIT_OK and len(out.splitlines()) == 10
+    assert any(line.startswith("visited=") for line in err.splitlines())
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

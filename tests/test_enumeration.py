@@ -3,7 +3,7 @@ import hashlib
 import json
 import os
 import random
-from functools import cache
+from functools import cache, partial
 from itertools import islice
 
 import pytest
@@ -23,6 +23,8 @@ from tropcay.geometry import (
     simplex_lattice_points,
 )
 from tropcay.triangulation import (
+    RelabelContext,
+    SymmetryGroup,
     Triangulation,
     apply_symmetry,
     builtin_symmetry,
@@ -441,6 +443,69 @@ def test_carried_witnesses_match_cold_verdicts(name, steps, data):
             key, witness = child, child_witness
     # the last witness, as heights, lifts exactly the canonical class it certifies
     assert regular_subdivision(cfg, WeightVector(witness)).cells == engine.triangulation(unpack(key)).cells
+
+
+def _tetrahedral_s4(cfg):
+    """S4 on C(1D3,2D3), permuting the four barycentric coordinates of
+    both factors at once; a point's factor sets its dilation."""
+    maps = [
+        lambda p: (p[0], p[1], p[3], p[2], p[4]),
+        lambda p: (p[0], p[1], p[0] + 2 * p[1] - p[2] - p[3] - p[4], p[2], p[3]),
+    ]
+    index = {p: i for i, p in enumerate(cfg.points)}
+    return SymmetryGroup.from_generators(cfg, [tuple(index[f(p)] for p in cfg.points) for f in maps])
+
+
+# (configuration, its group) for walk states where the skip is tested
+_SKIP_WALKS = {
+    **{name: (make_config, partial(builtin_symmetry, kind)) for name, (make_config, kind) in _WALKS.items()},
+    "C(1D3,2D3)/S4": (
+        lambda: cayley_config(simplex_lattice_points(3, 1), simplex_lattice_points(3, 2)),
+        _tetrahedral_s4,
+    ),
+}
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(sorted(_SKIP_WALKS)), st.integers(1, 60), st.data())
+def test_expand_drops_exactly_the_children_that_are_recorded_keys(name, limit, data):
+    # A walk state from a limited run: expanding a recorded regular class
+    # against the run's visited keys gives, in order, what expanding it
+    # against no keys gives, less the children whose own masks pack to a
+    # visited key; such a child is its own canonical form.
+    make_config, make_group = _SKIP_WALKS[name]
+    cfg = make_config()
+    en = Enumerator(cfg, make_group(cfg))
+    list(en.run(limit=limit))
+    walk, pack = en.walk, en.walk.codec.pack
+    assert walk.known is en.visited
+    key = data.draw(st.sampled_from(en.regular))
+    nodes = [(key, walk.certify([key])[0])]
+    kept = walk.expand(nodes)
+    walk.known = {}
+    every = walk.expand(nodes)
+    assert kept == [(k, carry) for k, carry in every if pack(carry[2]) not in en.visited]
+    for k, (_witness, _flip, child, _element) in every:
+        if pack(child) in en.visited:
+            assert walk.key(child) == pack(child) == k
+
+
+def test_a_quadric_walk_canonicalizes_few_children(monkeypatch):
+    # A child that packs to a recorded key is dropped before it is
+    # canonicalized: the first 1,000 quadric classes take 1,464 canonical
+    # forms, against 2,385 when every child is canonicalized.
+    calls = []
+    canonical = RelabelContext.canonical
+
+    def counted(self, masks):
+        calls.append(masks)
+        return canonical(self, masks)
+
+    monkeypatch.setattr(RelabelContext, "canonical", counted)
+    make_config, kind = _WALKS["C(2D3,2D3)/S4xZ2"]
+    cfg = make_config()
+    assert len(list(Enumerator(cfg, builtin_symmetry(kind, cfg)).run(limit=1000))) == 1000
+    assert len(calls) <= 1500
 
 
 @pytest.mark.parametrize("make_config, kind, visited, regular", [
