@@ -250,7 +250,7 @@ def cmd_enumerate(args) -> int:
     sys.stderr.write(
         f"done: visited={s['visited']} emitted={s['emitted']} "
         f"frontier={s['frontier']} complete={s['complete']} "
-        f"carried={s['carried']} solved={s['solved']}\n"
+        f"carried={s['carried']} lifted={s['lifted']} solved={s['solved']}\n"
     )
     return EXIT_OK
 

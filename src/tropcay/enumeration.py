@@ -18,24 +18,28 @@ A regular class keeps its integer witness heights while it waits in the
 frontier.  Adjacent secondary cones share the wall whose normal is the
 flip's circuit, so the parent's witness pushed just past that wall
 (``lp.relaxation_step``) nearly always satisfies the child's local
-system.  The check tries that candidate and at most a few relaxation
-steps from it (``lp.relaxed_witness``), and runs the simplex only when
-they all miss.  It works in the flip's own labeling, on the child as the
-flip left it: the child's local rows are derived from the parent's wall
-scan that the flip carries (``FlipEngine.regularity_rows`` with
-``flip``), so neither the key nor the candidate is relabeled; the
-accepted witness is relabeled into the key's labeling once, when it is
-stored.  A verdict is accepted only from heights that satisfy every
-local row strictly, checked in integers, so a bad candidate costs a
-simplex call, never a wrong answer.  A regular key recorded without a
-witness, the seed or a key read from a checkpoint (witnesses are not
-saved in checkpoints), is certified by ``_Walk.certify`` before it is
-shown or expanded, those waiting to be shown a wave's worth at a time:
-it must pass ``FlipEngine.check_triangulation`` and solves its own
-system; a key that is not a triangulation or not regular is refused with
-``CheckpointMismatchError``.
+system.  One verdict routine (``_Walk._verdict``) tries that candidate,
+then the heights integrated across a spanning tree of the child's walls
+(``FlipEngine.lift``), each with at most a few relaxation steps
+(``lp.relaxed_witness``), and runs the simplex only when both miss.  It
+works in the flip's own labeling, on the child as the flip left it: the
+child's walls are derived from the parent's wall scan that the flip
+carries (``FlipEngine.wall_circuits`` with ``flip``), so neither the key
+nor the candidate is relabeled; the accepted witness is relabeled into
+the key's labeling once, when it is stored.  A verdict is accepted only
+from heights that satisfy every local row strictly, checked in integers,
+and "not regular" only from the simplex's Gordan certificate, so a bad
+guess costs a simplex call, never a wrong answer.  A regular key
+recorded without a witness, the seed or a key read from a checkpoint
+(witnesses are not saved in checkpoints), is certified by
+``_Walk.certify`` before it is shown or expanded, those waiting to be
+shown a wave's worth at a time: ``FlipEngine.check_triangulation`` makes
+its wall scan, which gives its rows, its lift and, when ``expand``
+certifies it, its flips; a key that is not a triangulation or not
+regular is refused with ``CheckpointMismatchError``.
 ``Enumerator.stats`` counts this run's verdicts as ``carried`` (from a
-candidate) and ``solved`` (from the simplex, certifications included).
+candidate), ``lifted`` and ``solved`` (from the simplex), certifications
+included.
 
 The walk's state is its checkpoint's: ``visited`` maps each key to its
 verdict, ``regular`` lists the regular keys in recording order (the same
@@ -162,7 +166,8 @@ class _Walk:
     """Flip engine, key codec and group action of one process: the expand
     and check steps of the search, which worker processes can take over.
     ``counts`` tallies the verdicts this process reached by a carried
-    candidate (``carried``) and by the simplex (``solved``).  ``known``
+    candidate (``carried``), by lifted heights (``lifted``) and by the
+    simplex (``solved``).  ``known``
     holds the keys ``expand`` drops unseen: ``visited`` in this process,
     empty in a worker (a copy per worker would double the walk's memory)."""
 
@@ -170,7 +175,7 @@ class _Walk:
         self.engine = flip_engine(config)
         self.codec = _Codec(self.engine.n)
         self.context = RelabelContext(self.engine, group_elements)
-        self.counts = Counter(carried=0, solved=0)
+        self.counts = Counter(carried=0, lifted=0, solved=0)
         self.known: dict[bytes, bool] = {}
 
     def key(self, masks) -> bytes:
@@ -189,10 +194,10 @@ class _Walk:
         canonical = self.context.canonical
         out = []
         for key, witness in nodes:
-            masks = unpack(key)
+            masks, walls = unpack(key), None
             if witness is None:
-                witness = self._certified(masks)
-            for flip, child in engine.neighbors(masks):
+                witness, walls = self._certified(masks)
+            for flip, child in engine.neighbors(masks, walls):
                 if pack(child) not in known:
                     form, element = canonical(child)
                     out.append((pack(form), (witness, flip, child, element)))
@@ -200,45 +205,58 @@ class _Walk:
 
     def certify(self, keys) -> list[tuple[int, ...]]:
         """The witness of each regular key recorded without one, in order."""
-        return [self._certified(self.codec.unpack(key)) for key in keys]
+        return [self._certified(self.codec.unpack(key))[0] for key in keys]
 
-    def _certified(self, masks) -> tuple[int, ...]:
-        """The witness of a regular key recorded without one: the seed, or
-        a key read from a checkpoint.  The key must be a triangulation, and
-        the simplex solves its own system."""
-        engine = self.engine
+    def _certified(self, masks):
+        """The witness and wall scan of a regular key recorded without a
+        witness: the seed, or a key read from a checkpoint.  The key must
+        be a triangulation, whose check makes the scan."""
         try:
-            engine.check_triangulation(masks)
+            walls = self.engine.check_triangulation(masks)
         except ValueError as err:
             raise CheckpointMismatchError(f"checkpoint holds a key that is not a triangulation: {err}") from err
-        self.counts["solved"] += 1
-        witness = engine.solve(engine.regularity_rows(masks))
+        witness = self._verdict(masks, walls)
         if witness is None:
             raise CheckpointMismatchError("checkpoint holds a class that is not regular")
-        return witness
+        return witness, walls
 
     def check(self, pairs) -> list[tuple[bytes, tuple[int, ...] | None]]:
         """``(key, witness)`` for each ``(key, carry)`` pair, the witness
-        ``None`` for a key that is not regular.  The child's local rows are
-        derived from its flip's scan, in the flip's labeling; the
-        parent's witness pushed past the flipped wall, or a few relaxation
-        steps from it, is accepted if it satisfies them, else the simplex
-        decides.  A witness is relabeled into the key's labeling once,
-        when it is returned."""
+        ``None`` for a key that is not regular.  The child's walls are
+        derived from its flip's scan, in the flip's labeling, and its
+        candidate is the parent's witness pushed past the flipped wall.
+        A witness is relabeled into the key's labeling once, when it is
+        returned."""
         engine = self.engine
         out = []
         for key, (parent, flip, child, element) in pairs:
-            rows = engine.regularity_rows(child, flip)
-            witness = relaxed_witness(rows, _candidate(parent, flip.circuit))
-            if witness is None:
-                self.counts["solved"] += 1
-                witness = engine.solve(rows)
-            else:
-                self.counts["carried"] += 1
+            walls = engine.wall_circuits(child, flip)
+            witness = self._verdict(child, walls, _candidate(parent, flip.circuit))
             if witness is not None:
                 witness = _relabeled(witness, element)
             out.append((key, witness))
         return out
+
+    def _verdict(self, masks, walls, candidate=None) -> tuple[int, ...] | None:
+        """Witness heights of the local rows of ``masks`` (``walls`` is its
+        scan), or ``None`` if it is not regular.  ``candidate``, if given,
+        and then ``FlipEngine.lift`` are each tried with a few relaxation
+        steps (``lp.relaxed_witness``, which checks every row in
+        integers); only when both miss does the simplex decide, so
+        ``None`` always comes from its Gordan certificate."""
+        engine = self.engine
+        rows = engine.regularity_rows(masks, walls=walls)
+        if candidate is not None:
+            witness = relaxed_witness(rows, candidate)
+            if witness is not None:
+                self.counts["carried"] += 1
+                return witness
+        witness = relaxed_witness(rows, engine.lift(masks, walls))
+        if witness is not None:
+            self.counts["lifted"] += 1
+            return witness
+        self.counts["solved"] += 1
+        return engine.solve(rows)
 
 
 def _check_run_options(jobs: int, checkpoint_every: int) -> None:
@@ -309,6 +327,7 @@ class Enumerator:
             "complete": self.complete,
             # verdicts of this run, not saved in checkpoints
             "carried": self.walk.counts["carried"],
+            "lifted": self.walk.counts["lifted"],
             "solved": self.walk.counts["solved"],
         }
 

@@ -44,7 +44,9 @@ Regularity is decided exactly.  The engine holds only the local system
 above (``FlipEngine.regularity_rows``); ``is_regular(t, mode="global")``
 builds the equivalent reference system, one inequality per (cell,
 outside point) pair, from the cell table, and tests cross-check the two.
-Both go to the integer simplex of ``lp`` (``FlipEngine.solve``), which
+Heights integrated across a spanning tree of the walls
+(``FlipEngine.lift``) are tried first, checked in integers; the integer
+simplex of ``lp`` (``FlipEngine.solve``) decides when they miss, and
 certifies each answer with integer witness heights or a Gordan
 certificate.  A flip's circuit is the normal of the wall between the
 secondary cones of the two triangulations (Gelfand, Kapranov and
@@ -62,7 +64,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from math import gcd
-from operator import itemgetter
+from operator import itemgetter, mul
 
 from .errors import GroupBoundError, InputError
 from .exactarith import basis_coordinates_int
@@ -73,7 +75,7 @@ from .geometry import (
     placing_cells,
     simplex_lattice_points,
 )
-from .lp import strict_homogeneous_feasible
+from .lp import relaxed_witness, strict_homogeneous_feasible
 
 
 @dataclass(frozen=True)
@@ -102,9 +104,10 @@ class Triangulation:
                 0 <= i < engine.n for i in cell
             ):
                 raise ValueError(f"cell {cell} is not {engine.cell_size} distinct point indices")
-        walls = engine.check_triangulation(engine.to_masks(cells))
+        scan = engine.check_triangulation(engine.to_masks(cells))
         t = cls(configuration, cells)
-        t.__dict__["walls"] = walls  # seeds the cached property; frozen refuses setattr
+        # seeds the cached property; frozen refuses setattr
+        t.__dict__["walls"] = {fm: (sigma, tau) for fm, (sigma, tau, _row) in scan.items()}
         return t
 
     @cached_property
@@ -380,9 +383,9 @@ class FlipEngine:
         """Normalized volume of the configuration's convex hull."""
         return sum(map(self.volume, self.placing))
 
-    def check_triangulation(self, masks) -> dict[int, tuple[int, int]]:
+    def check_triangulation(self, masks) -> dict[int, tuple[int, int, tuple[int, ...]]]:
         """Raise ``ValueError`` unless the cells triangulate the configuration;
-        return their ``walls``.
+        return their wall scan, as ``wall_circuits(masks)`` gives it.
 
         Distinct full-dimensional simplices form a triangulation iff their
         volumes sum to the total volume, every facet lies in at most two
@@ -409,10 +412,10 @@ class FlipEngine:
             sigma = cs[0]
             a = (sigma & ~fm).bit_length() - 1
             if len(cs) == 2:
-                b = (cs[1] & ~fm).bit_length() - 1
-                if self.circuit(sigma, b)[a] <= 0:
+                row = self.circuit(sigma, (cs[1] & ~fm).bit_length() - 1)
+                if row[a] <= 0:
                     raise ValueError(f"two cells lie on one side of facet {self.bits(fm)}")
-                walls[fm] = (sigma, cs[1])
+                walls[fm] = (sigma, cs[1], row)
             elif not self._on_boundary(fm, sigma, a):
                 raise ValueError(f"unshared facet {self.bits(fm)} is not on the boundary")
         return walls
@@ -490,15 +493,64 @@ class FlipEngine:
             if inside >> p & 1
         ]
 
-    def regularity_rows(self, masks, flip: Flip | None = None) -> list[tuple[int, ...]]:
+    def regularity_rows(self, masks, flip: Flip | None = None, walls=None) -> list[tuple[int, ...]]:
         """The sorted rows of the local regularity system, the circuits of
         ``local_circuits``; ``is_regular(mode="global")`` builds the
         equivalent reference system (De Loera, Rambau and Santos, ch. 5).
 
-        With ``flip``, a flip from ``neighbors`` whose result is ``masks``,
-        the walls come from ``wall_circuits(masks, flip)`` instead of a
-        scan of ``masks``; the rows are the same."""
-        return sorted(self.local_circuits(masks, self.wall_circuits(masks, flip)))
+        The walls are ``walls``, a scan of ``masks`` already made, else
+        ``wall_circuits(masks, flip)``: with ``flip``, a flip from
+        ``neighbors`` whose result is ``masks``, they are derived from its
+        scan.  The rows are the same."""
+        if walls is None:
+            walls = self.wall_circuits(masks, flip)
+        return sorted(self.local_circuits(masks, walls))
+
+    def lift(self, masks, walls) -> tuple[int, ...]:
+        """Integer heights lifting ``masks`` along a spanning tree of its
+        walls (``walls`` is its scan): a guess for the regularity rows.
+
+        The points of the first cell get height 0.  The cells are walked
+        breadth-first from it, each one's walls in its ``facets`` order; a
+        vertex first reached across a wall gets the height at which that
+        wall's circuit equals one common margin, and then each unused
+        point the height at which its circuit with the first cell holding
+        it does.  A division that is not exact scales every height and
+        the margin up; the heights are returned primitive.  The other
+        walls' rows may fail, so the heights are only ever a candidate."""
+        heights, margin = [0] * self.n, 1
+
+        def level(row, i):
+            nonlocal heights, margin
+            rest = margin - sum(map(mul, row, heights))  # heights[i] is still 0
+            g = row[i] // gcd(rest, row[i])
+            if g != 1:
+                heights, margin, rest = [x * g for x in heights], margin * g, rest * g
+            heights[i] = rest // row[i]
+
+        queue = [masks[0]]
+        reached, known = set(queue), masks[0]
+        for cm in queue:
+            for fm in self.facets(cm):
+                wall = walls.get(fm)
+                if wall is None:
+                    continue
+                sigma, tau, row = wall
+                other = tau if sigma == cm else sigma
+                if other in reached:
+                    continue
+                reached.add(other)
+                queue.append(other)
+                apex = other & ~fm
+                if not known & apex:
+                    known |= apex
+                    level(row, apex.bit_length() - 1)
+        if known != self.all_mask:
+            entries = [self.cell(cm) for cm in masks]
+            for p in self.bits(self.all_mask & ~known):
+                level(next(rows[p] for _volume, rows, inside in entries if inside >> p & 1), p)
+        g = gcd(*heights)
+        return tuple([x // g for x in heights]) if g > 1 else tuple(heights)
 
     def solve(self, rows) -> tuple[int, ...] | None:
         """The integer simplex's witness of ``rows . w > 0``, or ``None``
@@ -510,9 +562,11 @@ class FlipEngine:
 
     # -- flips -----------------------------------------------------------
 
-    def neighbors(self, masks):
-        """All bistellar flips from this triangulation: (Flip, masks) pairs."""
-        walls = self.wall_circuits(masks)
+    def neighbors(self, masks, walls=None):
+        """All bistellar flips from this triangulation: (Flip, masks) pairs.
+        ``walls`` is ``wall_circuits(masks)``, if already made."""
+        if walls is None:
+            walls = self.wall_circuits(masks)
         signs = self._signs
         results = []
         for row in self.local_circuits(masks, walls):
@@ -623,19 +677,23 @@ def is_unimodular(t: Triangulation) -> bool:
 def is_regular(t: Triangulation, mode: str = "global"):
     """A witness WeightVector with regular_subdivision(config, w) == t, or None.
 
-    ``mode="local"`` solves ``FlipEngine.regularity_rows``; ``mode="global"``
-    solves the equivalent reference system, built here from the cell
-    table: one strict inequality per (cell, outside point).
+    ``mode="local"`` takes the rows of ``FlipEngine.regularity_rows``;
+    ``mode="global"`` the equivalent reference system, built here from the
+    cell table: one strict inequality per (cell, outside point).  The
+    heights ``FlipEngine.lift`` gives are tried against those rows
+    (``lp.relaxed_witness``, checked in integers) before the simplex
+    solves them.
     """
     engine = flip_engine(t.configuration)
     masks = engine.to_masks(t.cells)
+    walls = engine.wall_circuits(masks)
     if mode == "local":
-        rows = engine.regularity_rows(masks)
+        rows = engine.regularity_rows(masks, walls=walls)
     elif mode == "global":
         rows = sorted({row for cm in masks for row in engine.cell(cm)[1] if row is not None})
     else:
         raise ValueError(f"unknown regularity mode {mode!r}")
-    witness = engine.solve(rows)
+    witness = relaxed_witness(rows, engine.lift(masks, walls)) or engine.solve(rows)
     return None if witness is None else WeightVector(witness)
 
 

@@ -874,7 +874,7 @@ def test_enumerate_done_line_counts_carried_verdicts(tmp_path, capsys, jobs):
     assert done.startswith("done: ")
     fields = dict(item.split("=") for item in done[len("done: "):].split())
     assert int(fields["carried"]) > 0
-    assert int(fields["carried"]) + int(fields["solved"]) == int(fields["visited"])
+    assert int(fields["carried"]) + int(fields["lifted"]) + int(fields["solved"]) == int(fields["visited"])
 
 
 # SHA-256 of the first 1,000 quadric lines in emission order: the complete

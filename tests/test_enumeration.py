@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import random
+from collections import Counter
 from functools import cache, partial
 from itertools import islice
 
@@ -40,6 +41,7 @@ from tropcay.enumeration import (
     _digest,
     load_checkpoint,
 )
+from tropcay.lp import _simplex, relaxed_witness
 
 
 def square_config():
@@ -523,7 +525,7 @@ def test_carried_run_visits_the_cold_walks_classes(make_config, kind, visited, r
     assert verdicts == oracles.cold_walk(cfg, grp.elements)
     assert (len(verdicts), sum(verdicts.values())) == (visited, regular)
     s = en.stats()
-    assert s["carried"] > 0 and s["carried"] + s["solved"] == visited
+    assert s["carried"] > 0 and s["carried"] + s["lifted"] + s["solved"] == visited
 
 
 def test_resumed_frontier_solves_each_expanded_class_once(tmp_path):
@@ -536,4 +538,40 @@ def test_resumed_frontier_solves_each_expanded_class_once(tmp_path):
     visited_before = len(en.visited)
     list(en.run())
     s = en.stats()
-    assert s["carried"] + s["solved"] == len(en.visited) - visited_before + len(resumed_frontier)
+    assert s["carried"] + s["lifted"] + s["solved"] == len(en.visited) - visited_before + len(resumed_frontier)
+
+
+def test_resumed_quadric_frontier_is_certified_by_lifted_heights(tmp_path):
+    # Halted at 500 and resumed to 1,000, the quadric run made 7 + 81
+    # simplex calls when a resumed frontier class could only be solved;
+    # lifted heights certify nearly all of them.
+    make_config, kind = _WALKS["C(2D3,2D3)/S4xZ2"]
+    cfg = make_config()
+    ckpt = str(tmp_path / "q.ckpt")
+    first = Enumerator(cfg, builtin_symmetry(kind, cfg), checkpoint_path=ckpt)
+    assert len(list(first.run(limit=500))) == 500
+    resumed = load_checkpoint(ckpt)
+    assert len(list(resumed.run(limit=1000))) == 500
+    assert resumed.stats()["lifted"] >= 80
+    assert first.stats()["solved"] + resumed.stats()["solved"] <= 10
+
+
+def test_nested_triangles_refused_classes_come_from_gordan_certificates():
+    # The two non-regular classes get no lifted witness; the simplex
+    # decides each with a Gordan vector y >= 0, y != 0, y A = 0.
+    cfg = nested_triangles()[0]
+    en = Enumerator(cfg, builtin_symmetry("trivial", cfg))
+    list(en.run())
+    walk, unpack = en.walk, en.walk.codec.unpack
+    refused = [unpack(key) for key, ok in en.visited.items() if not ok]
+    assert len(refused) == 2
+    for masks in refused:
+        walls = walk.engine.wall_circuits(masks)
+        rows = sorted(set(walk.engine.regularity_rows(masks, walls=walls)))
+        assert relaxed_witness(rows, walk.engine.lift(masks, walls)) is None
+        witness, y = _simplex(rows)
+        assert witness is None and min(y) >= 0 and any(y)
+        assert not any(sum(yi * row[j] for yi, row in zip(y, rows)) for j in range(len(rows[0])))
+        before = walk.counts.copy()
+        assert walk._verdict(masks, walls) is None
+        assert walk.counts - before == Counter(solved=1)

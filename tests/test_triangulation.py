@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from functools import reduce
+from math import gcd
 from itertools import combinations, permutations
 from operator import or_
 
@@ -12,6 +13,7 @@ import oracles
 from tropcay.errors import GroupBoundError
 from tropcay.geometry import (
     PointConfiguration,
+    WeightVector,
     block_labels,
     cayley_config,
     normalized_volume,
@@ -19,7 +21,7 @@ from tropcay.geometry import (
     simplex_lattice_points,
 )
 from tropcay import triangulation as triangulation_module
-from tropcay.lp import strict_lp_feasible
+from tropcay.lp import relaxed_witness, strict_lp_feasible
 from tropcay.triangulation import (
     FlipEngine,
     RelabelContext,
@@ -412,6 +414,78 @@ def test_walls_build_no_cell_entry():
     masks = engine.to_masks(placing_triangulation(cfg).cells)
     assert engine.walls(masks) and engine.to_cells(masks)
     assert engine._cells == {}
+
+
+def _tree_rows(engine, masks, walls):
+    """The rows of the spanning tree ``FlipEngine.lift`` documents: the
+    cells breadth-first from the first one, each one's walls in facet
+    order; a wall is in the tree when it first reaches a vertex."""
+    queue, reached, known, tree = [masks[0]], {masks[0]}, masks[0], []
+    for cm in queue:
+        for fm in engine.facets(cm):
+            if fm in walls:
+                sigma, tau, row = walls[fm]
+                other = tau if sigma == cm else sigma
+                apex = other & ~fm
+                if other not in reached:
+                    reached.add(other)
+                    queue.append(other)
+                    if not known & apex:
+                        known |= apex
+                        tree.append(row)
+    return tree
+
+
+@pytest.mark.parametrize("name", ["3D2", "C(1D3,2D3)", "nested"])
+def test_lift_puts_the_tree_walls_and_unused_points_at_one_margin(name):
+    # Seeded walks that leave points unused and reach non-regular
+    # triangulations.  The check's scan is the wall scan the lift reads;
+    # the first cell is at height 0, every tree wall's
+    # circuit and every unused point's circuit with a cell holding it
+    # take one positive value, and the heights are primitive.
+    cfg = {**_WALKED, "nested": nested_triangles()[0]}[name]
+    engine = flip_engine(cfg)
+    rng = random.Random(5)
+    with_unused = 0
+    for _ in range(4):
+        masks = engine.to_masks(placing_triangulation(cfg).cells)
+        for _ in range(12):
+            walls = engine.wall_circuits(masks)
+            assert engine.check_triangulation(masks) == walls
+            heights = engine.lift(masks, walls)
+            assert all(heights[i] == 0 for i in engine.bits(masks[0]))
+            tree = _tree_rows(engine, masks, walls)
+            used = reduce(or_, masks)
+            assert len(tree) == used.bit_count() - engine.cell_size
+            values = {sum(c * h for c, h in zip(row, heights)) for row in tree}
+            for p in engine.bits(engine.all_mask & ~used):
+                with_unused += 1
+                for cm in masks:
+                    if engine.cell(cm)[2] >> p & 1:
+                        values.add(sum(c * h for c, h in zip(engine.circuit(cm, p), heights)))
+            assert len(values) <= 1 and min(values, default=1) > 0
+            assert gcd(*heights) in (0, 1)
+            masks = rng.choice(engine.neighbors(masks))[1]
+    assert with_unused >= 5
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["3D2", "C(1D3,1D3)"]), st.integers(0, 15), st.data())
+def test_accepted_lifted_heights_lift_the_triangulation(name, steps, data):
+    # A random flip walk with the trivial group, regular or not: whenever
+    # the lifted heights, relaxed, pass the local rows, the lower hull of
+    # those heights (geometry, which shares no code with the flip engine)
+    # is the triangulation itself.
+    cfg = _WALKED[name]
+    engine = flip_engine(cfg)
+    masks = engine.to_masks(placing_triangulation(cfg).cells)
+    for _ in range(steps):
+        masks = data.draw(st.sampled_from(engine.neighbors(masks)))[1]
+    walls = engine.wall_circuits(masks)
+    rows = engine.regularity_rows(masks, walls=walls)
+    heights = relaxed_witness(rows, engine.lift(masks, walls))
+    if heights is not None:
+        assert regular_subdivision(cfg, WeightVector(heights)).cells == engine.to_cells(masks)
 
 
 _ENTRIES = {
