@@ -18,28 +18,26 @@ A regular class keeps its integer witness heights while it waits in the
 frontier.  Adjacent secondary cones share the wall whose normal is the
 flip's circuit, so the parent's witness pushed just past that wall
 (``lp.relaxation_step``) nearly always satisfies the child's local
-system.  One verdict routine (``_Walk._verdict``) tries that candidate,
-then the heights integrated across a spanning tree of the child's walls
-(``FlipEngine.lift``), each with at most a few relaxation steps
-(``lp.relaxed_witness``), and runs the simplex only when both miss.  It
-works in the flip's own labeling, on the child as the flip left it: the
-child's walls are derived from the parent's wall scan that the flip
-carries (``FlipEngine.wall_circuits`` with ``flip``), so neither the key
-nor the candidate is relabeled; the accepted witness is relabeled into
-the key's labeling once, when it is stored.  A verdict is accepted only
-from heights that satisfy every local row strictly, checked in integers,
-and "not regular" only from the simplex's Gordan certificate, so a bad
-guess costs a simplex call, never a wrong answer.  A regular key
-recorded without a witness, the seed or a key read from a checkpoint
-(witnesses are not saved in checkpoints), is certified by
-``_Walk.certify`` before it is shown or expanded, those waiting to be
-shown a wave's worth at a time: ``FlipEngine.check_triangulation`` makes
-its wall scan, which gives its rows, its lift and, when ``expand``
-certifies it, its flips; a key that is not a triangulation or not
-regular is refused with ``CheckpointMismatchError``.
-``Enumerator.stats`` counts this run's verdicts as ``carried`` (from a
-candidate), ``lifted`` and ``solved`` (from the simplex), certifications
-included.
+system.  ``FlipEngine.verdict`` tries that candidate, then the heights
+integrated across a spanning tree of the child's walls, and runs the
+simplex only when both miss; it accepts only heights that satisfy every
+local row strictly, checked in integers, and "not regular" only from a
+Gordan certificate, so a bad guess costs a simplex call, never a wrong
+answer.  ``_Walk.check`` works in the flip's own labeling, on the child
+as the flip left it: its walls are derived from the parent's wall scan
+that the flip carries (``FlipEngine.wall_circuits`` with ``flip``), so
+neither the key nor the candidate is relabeled; the accepted witness is
+relabeled into the key's labeling once, when it is stored.  A regular
+key recorded without a witness, the seed or a key read from a checkpoint
+(witnesses are not saved in checkpoints), is certified before it is
+shown or expanded: ``run`` starts by passing the unshown ones to
+``check`` without a carry, in one call, and ``expand`` certifies a
+resumed frontier node itself.  The key's wall scan, made by
+``FlipEngine.check_triangulation``, gives its rows, its lift and, in
+``expand``, its flips; a key that is not a triangulation or not regular
+is refused with ``CheckpointMismatchError``.  ``Enumerator.stats``
+counts this run's verdicts by the ``how`` of ``FlipEngine.verdict``:
+``carried``, ``lifted`` and ``solved``, certifications included.
 
 The walk's state is its checkpoint's: ``visited`` maps each key to its
 verdict, ``regular`` lists the regular keys in recording order (the same
@@ -76,7 +74,6 @@ shown`` is refused with ``CheckpointMismatchError``.
 from __future__ import annotations
 
 import base64
-import hashlib
 import json
 import os
 from collections import Counter
@@ -88,7 +85,7 @@ from typing import Iterator
 from .errors import CheckpointMismatchError, GroupBoundError, InputError
 from .formats import FORMAT_CHECKPOINT, _boolean, _integer, config_from_dict, config_to_dict
 from .geometry import PointConfiguration
-from .lp import relaxation_step, relaxed_witness
+from .lp import relaxation_step
 from .triangulation import (
     RelabelContext,
     SymmetryGroup,
@@ -165,9 +162,9 @@ def _relabeled(heights, element) -> list[int]:
 class _Walk:
     """Flip engine, key codec and group action of one process: the expand
     and check steps of the search, which worker processes can take over.
-    ``counts`` tallies the verdicts this process reached by a carried
-    candidate (``carried``), by lifted heights (``lifted``) and by the
-    simplex (``solved``).  ``known``
+    ``counts`` tallies the verdicts this process reached, by the ``how``
+    of ``FlipEngine.verdict``: a carried candidate (``carried``), lifted
+    heights (``lifted``) or the simplex (``solved``).  ``known``
     holds the keys ``expand`` drops unseen: ``visited`` in this process,
     empty in a worker (a copy per worker would double the walk's memory)."""
 
@@ -203,10 +200,6 @@ class _Walk:
                     out.append((pack(form), (witness, flip, child, element)))
         return out
 
-    def certify(self, keys) -> list[tuple[int, ...]]:
-        """The witness of each regular key recorded without one, in order."""
-        return [self._certified(self.codec.unpack(key))[0] for key in keys]
-
     def _certified(self, masks):
         """The witness and wall scan of a regular key recorded without a
         witness: the seed, or a key read from a checkpoint.  The key must
@@ -222,41 +215,33 @@ class _Walk:
 
     def check(self, pairs) -> list[tuple[bytes, tuple[int, ...] | None]]:
         """``(key, witness)`` for each ``(key, carry)`` pair, the witness
-        ``None`` for a key that is not regular.  The child's walls are
+        ``None`` for a key that is not regular.  A child's walls are
         derived from its flip's scan, in the flip's labeling, and its
-        candidate is the parent's witness pushed past the flipped wall.
-        A witness is relabeled into the key's labeling once, when it is
-        returned."""
-        engine = self.engine
+        candidate is the parent's witness pushed past the flipped wall;
+        its witness is relabeled into the key's labeling once, when it is
+        returned.  A ``None`` carry marks a key recorded without a
+        witness, which is certified (``_certified``)."""
+        engine, unpack = self.engine, self.codec.unpack
         out = []
-        for key, (parent, flip, child, element) in pairs:
-            walls = engine.wall_circuits(child, flip)
-            witness = self._verdict(child, walls, _candidate(parent, flip.circuit))
-            if witness is not None:
-                witness = _relabeled(witness, element)
+        for key, carry in pairs:
+            if carry is None:
+                witness = self._certified(unpack(key))[0]
+            else:
+                parent, flip, child, element = carry
+                walls = engine.wall_circuits(child, flip)
+                witness = self._verdict(child, walls, _candidate(parent, flip.circuit))
+                if witness is not None:
+                    witness = _relabeled(witness, element)
             out.append((key, witness))
         return out
 
     def _verdict(self, masks, walls, candidate=None) -> tuple[int, ...] | None:
-        """Witness heights of the local rows of ``masks`` (``walls`` is its
-        scan), or ``None`` if it is not regular.  ``candidate``, if given,
-        and then ``FlipEngine.lift`` are each tried with a few relaxation
-        steps (``lp.relaxed_witness``, which checks every row in
-        integers); only when both miss does the simplex decide, so
-        ``None`` always comes from its Gordan certificate."""
+        """``FlipEngine.verdict`` on the local rows of ``masks`` (``walls``
+        is its scan), counted by how it was reached."""
         engine = self.engine
-        rows = engine.regularity_rows(masks, walls=walls)
-        if candidate is not None:
-            witness = relaxed_witness(rows, candidate)
-            if witness is not None:
-                self.counts["carried"] += 1
-                return witness
-        witness = relaxed_witness(rows, engine.lift(masks, walls))
-        if witness is not None:
-            self.counts["lifted"] += 1
-            return witness
-        self.counts["solved"] += 1
-        return engine.solve(rows)
+        witness, how = engine.verdict(engine.regularity_rows(masks, walls), masks, walls, candidate)
+        self.counts[how] += 1
+        return witness
 
 
 def _check_run_options(jobs: int, checkpoint_every: int) -> None:
@@ -295,7 +280,7 @@ class Enumerator:
         self.regular: list[bytes] = []  # the regular keys in recording order
         self.expanded = 0  # the frontier is regular[expanded:]
         self.shown = 0  # regular[shown:] has not yet passed the filters
-        self.witnesses: dict[bytes, object] = {}  # _compact, by frontier key; the seed and a resumed key have none
+        self.witnesses: dict[bytes, object] = {}  # _compact, by frontier key; certified by run or expand if recorded without
         self.emitted = 0
         self._stop = False
         self._last_checkpoint_emitted = 0
@@ -334,11 +319,10 @@ class Enumerator:
     # -- search ----------------------------------------------------------
 
     def _steps(self, stack: ExitStack):
-        """The expand, check and certify steps: this process's walk for one
-        job, else the same three methods mapped over chunks by a worker
-        pool."""
+        """The expand and check steps: this process's walk for one job,
+        else the same two methods mapped over chunks by a worker pool."""
         if self.jobs == 1:
-            return self.walk.expand, self.walk.check, self.walk.certify
+            return self.walk.expand, self.walk.check
         # imported on demand: multiprocessing adds ~2 MiB to every process loading this module
         from concurrent.futures import ProcessPoolExecutor
 
@@ -362,7 +346,7 @@ class Enumerator:
 
             return run
 
-        return mapped("expand"), mapped("check"), mapped("certify")
+        return mapped("expand"), mapped("check")
 
     def run(self, limit: int | None = None) -> Iterator[Triangulation]:
         """Generate canonical representatives; stops after ``limit`` emissions.
@@ -376,21 +360,20 @@ class Enumerator:
         self._stop = False
         wave_size = 1 if self.jobs == 1 else max(64, 32 * self.jobs)
         walk, unpack = self.walk, self.walk.codec.unpack
-        if not self.visited:  # a fresh run records its seed, certified when it is shown
+        if not self.visited:  # a fresh run records its seed, certified below
             seed = placing_triangulation(self.config, self.placing_order)
             key = walk.key(walk.engine.to_masks(seed.cells))
             self.visited[key] = True
             self.regular.append(key)
         with ExitStack() as stack:
-            expand, check, certify = self._steps(stack)
+            expand, check = self._steps(stack)
+            # the seed, or the keys a checkpoint recorded past shown
+            unproven = [(key, None) for key in self.regular[self.shown :] if key not in self.witnesses]
+            for key, witness in check(unproven):
+                self.witnesses[key] = _compact(witness)
             while True:
                 while self.shown < len(self.regular) and (limit is None or self.emitted < limit):
-                    key = self.regular[self.shown]
-                    if key not in self.witnesses:  # certified a wave's worth at a time
-                        batch = self.regular[self.shown : self.shown + wave_size]
-                        batch = [k for k in batch if k not in self.witnesses]
-                        self.witnesses.update(zip(batch, map(_compact, certify(batch))))
-                    masks = unpack(key)
+                    masks = unpack(self.regular[self.shown])
                     self.shown += 1
                     if self._passes_filters(masks):
                         self.emitted += 1
@@ -451,6 +434,9 @@ def _digest(doc: dict) -> str:
 
     Hashed chunk by chunk, so that no second copy of a large document is
     held in memory."""
+    # imported on demand: loading it adds ~3.5 MiB to every process loading this module
+    import hashlib
+
     sha = hashlib.sha256()
     for chunk in _CANONICAL_JSON.iterencode({k: v for k, v in doc.items() if k != "digest"}):
         sha.update(chunk.encode())

@@ -28,7 +28,7 @@ so each ``Flip`` from ``neighbors`` keeps the cells it removes and adds
 and its parent's wall scan, and ``wall_circuits(child, flip)`` derives
 the child's walls from them, in the flip's own labeling, instead of
 scanning the child; the checked child's local rows
-(``regularity_rows(child, flip)``) come from them.  Cell facets, cell
+(``regularity_rows``) come from them.  Cell facets, cell
 point indices and circuit sign masks are cached per cell and per
 circuit, beside the cell table.  Circuit signs also decide whether a set
 of cells is a triangulation at all (``FlipEngine.check_triangulation``):
@@ -44,8 +44,9 @@ Regularity is decided exactly.  The engine holds only the local system
 above (``FlipEngine.regularity_rows``); ``is_regular(t, mode="global")``
 builds the equivalent reference system, one inequality per (cell,
 outside point) pair, from the cell table, and tests cross-check the two.
-Heights integrated across a spanning tree of the walls
-(``FlipEngine.lift``) are tried first, checked in integers; the integer
+One routine, ``FlipEngine.verdict``, decides either system: a given
+candidate, then heights integrated across a spanning tree of the walls
+(``FlipEngine.lift``), are tried first, checked in integers; the integer
 simplex of ``lp`` (``FlipEngine.solve``) decides when they miss, and
 certifies each answer with integer witness heights or a Gordan
 certificate.  A flip's circuit is the normal of the wall between the
@@ -493,17 +494,11 @@ class FlipEngine:
             if inside >> p & 1
         ]
 
-    def regularity_rows(self, masks, flip: Flip | None = None, walls=None) -> list[tuple[int, ...]]:
+    def regularity_rows(self, masks, walls) -> list[tuple[int, ...]]:
         """The sorted rows of the local regularity system, the circuits of
-        ``local_circuits``; ``is_regular(mode="global")`` builds the
-        equivalent reference system (De Loera, Rambau and Santos, ch. 5).
-
-        The walls are ``walls``, a scan of ``masks`` already made, else
-        ``wall_circuits(masks, flip)``: with ``flip``, a flip from
-        ``neighbors`` whose result is ``masks``, they are derived from its
-        scan.  The rows are the same."""
-        if walls is None:
-            walls = self.wall_circuits(masks, flip)
+        ``local_circuits`` (``walls`` is a ``wall_circuits`` scan of
+        ``masks``); ``is_regular(mode="global")`` builds the equivalent
+        reference system (De Loera, Rambau and Santos, ch. 5)."""
         return sorted(self.local_circuits(masks, walls))
 
     def lift(self, masks, walls) -> tuple[int, ...]:
@@ -559,6 +554,23 @@ class FlipEngine:
         if not feasible:
             return None
         return witness or (0,) * self.n
+
+    def verdict(self, rows, masks, walls, candidate=None) -> tuple[tuple[int, ...] | None, str]:
+        """``(witness, how)``: heights with ``rows . w > 0``, regularity
+        rows of ``masks`` (``walls`` is its scan), or ``None``.  ``how``
+        is ``"carried"`` or ``"lifted"`` when ``candidate``, if given, or
+        else ``lift`` passes within a few relaxation steps
+        (``lp.relaxed_witness``, which checks every row in integers), and
+        ``"solved"`` when the simplex decides, so ``None`` always comes
+        from its Gordan certificate."""
+        if candidate is not None:
+            witness = relaxed_witness(rows, candidate)
+            if witness is not None:
+                return witness, "carried"
+        witness = relaxed_witness(rows, self.lift(masks, walls))
+        if witness is not None:
+            return witness, "lifted"
+        return self.solve(rows), "solved"
 
     # -- flips -----------------------------------------------------------
 
@@ -679,21 +691,19 @@ def is_regular(t: Triangulation, mode: str = "global"):
 
     ``mode="local"`` takes the rows of ``FlipEngine.regularity_rows``;
     ``mode="global"`` the equivalent reference system, built here from the
-    cell table: one strict inequality per (cell, outside point).  The
-    heights ``FlipEngine.lift`` gives are tried against those rows
-    (``lp.relaxed_witness``, checked in integers) before the simplex
-    solves them.
+    cell table: one strict inequality per (cell, outside point).  Either
+    system is decided by ``FlipEngine.verdict``.
     """
     engine = flip_engine(t.configuration)
     masks = engine.to_masks(t.cells)
     walls = engine.wall_circuits(masks)
     if mode == "local":
-        rows = engine.regularity_rows(masks, walls=walls)
+        rows = engine.regularity_rows(masks, walls)
     elif mode == "global":
         rows = sorted({row for cm in masks for row in engine.cell(cm)[1] if row is not None})
     else:
         raise ValueError(f"unknown regularity mode {mode!r}")
-    witness = relaxed_witness(rows, engine.lift(masks, walls)) or engine.solve(rows)
+    witness = engine.verdict(rows, masks, walls)[0]
     return None if witness is None else WeightVector(witness)
 
 

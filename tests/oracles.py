@@ -757,7 +757,7 @@ def cold_walk(config, elements) -> dict[tuple[int, ...], bool]:
         for _flip, nb in engine.neighbors(queue.popleft()):
             key = context.canonical(nb)[0]
             if key not in visited:
-                visited[key] = engine.solve(engine.regularity_rows(key)) is not None
+                visited[key] = engine.solve(engine.regularity_rows(key, engine.wall_circuits(key))) is not None
                 if visited[key]:
                     queue.append(key)
     return visited

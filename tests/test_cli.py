@@ -458,6 +458,18 @@ def test_enumerate_loads_no_numpy_or_scipy(tmp_path, capsys):
     assert len(out.read_text().splitlines()) == 20
 
 
+def test_importing_the_cli_leaves_hashlib_unloaded():
+    # Only checkpoint writes and loads hash; hashlib adds ~3.5 MiB to a process.
+    src = os.path.dirname(os.path.dirname(tropcay.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, tropcay.cli; print('hashlib' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
+
+
 def test_enumerate_square(tmp_path, capsys):
     cfg_path = tmp_path / "sq.json"
     cfg_doc = {
@@ -783,8 +795,9 @@ def test_enumerate_resume_damaged_checkpoint_exit_5(tmp_path, capsys, damage):
 def test_enumerate_resume_non_regular_frontier_class_exit_5(tmp_path, capsys, jobs):
     # A signed checkpoint that lists a non-regular class of the nested
     # triangles (18 classes, 16 regular) as regular: still to be shown
-    # (regular[shown:]), where showing it solves its system, or shown and
-    # waiting in the frontier, where expanding it does; either refuses it.
+    # (regular[shown:]), where the resumed run's start certifies it, or
+    # shown and waiting in the frontier, where expanding it does; either
+    # refuses it.
     cfg_path = tmp_path / "nested.json"
     cfg_path.write_text(json.dumps({
         "format": "tropcay/point-configuration/1",

@@ -142,7 +142,7 @@ def _nested_triangle_rows():
     cfg, t = nested_triangles()
     engine = flip_engine(cfg)
     masks = engine.to_masks(t.cells)
-    return oracles.global_rows(engine, masks), engine.regularity_rows(masks)
+    return oracles.global_rows(engine, masks), engine.regularity_rows(masks, engine.wall_circuits(masks))
 
 
 _NESTED_GLOBAL, _NESTED_LOCAL = _nested_triangle_rows()
@@ -159,7 +159,7 @@ def _quadric_rows():
     while non_regular is None:
         regular = []
         for _flip, child in engine.neighbors(masks):
-            if engine.solve(engine.regularity_rows(child)) is not None:
+            if engine.solve(engine.regularity_rows(child, engine.wall_circuits(child))) is not None:
                 regular.append(child)
             elif non_regular is None:
                 non_regular = child
@@ -168,7 +168,7 @@ def _quadric_rows():
         rows
         for m in (masks, non_regular)
         for rows in (
-            engine.regularity_rows(m),
+            engine.regularity_rows(m, engine.wall_circuits(m)),
             sorted({row for cm in m for row in engine.cell(cm)[1] if row is not None}),
         )
     ]

@@ -1,9 +1,10 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import reduce
 from math import gcd
 from itertools import combinations, permutations
-from operator import or_
+from operator import mul, or_
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +22,7 @@ from tropcay.geometry import (
     simplex_lattice_points,
 )
 from tropcay import triangulation as triangulation_module
-from tropcay.lp import relaxed_witness, strict_lp_feasible
+from tropcay.lp import _simplex, relaxed_witness, strict_lp_feasible
 from tropcay.triangulation import (
     FlipEngine,
     RelabelContext,
@@ -217,7 +218,8 @@ def test_placing_triangulation_is_regular_with_roundtrip():
     for cfg in (simplex_lattice_points(2, 1), simplex_lattice_points(3, 1)):
         t = placing_triangulation(cfg)
         engine = flip_engine(cfg)
-        assert engine.solve(engine.regularity_rows(engine.to_masks(t.cells))) == (0,) * len(cfg)
+        masks = engine.to_masks(t.cells)
+        assert engine.solve(engine.regularity_rows(masks, engine.wall_circuits(masks))) == (0,) * len(cfg)
         for mode in ("global", "local"):
             w = is_regular(t, mode=mode)
             assert w.heights == (0,) * len(cfg)
@@ -251,7 +253,8 @@ def test_nested_triangles_infeasibility_certificate_by_brute_force():
     # {y >= 0, sum y = 1, y^T A = 0} over all supports.
     cfg, t = nested_triangles()
     engine = flip_engine(cfg)
-    rows = engine.regularity_rows(engine.to_masks(t.cells))
+    masks = engine.to_masks(t.cells)
+    rows = engine.regularity_rows(masks, engine.wall_circuits(masks))
     m = len(rows)
     n = len(rows[0])
     certificate = None
@@ -375,7 +378,7 @@ def test_derived_rows_match_a_fresh_scan(name, steps, data):
         return {fm: ({sigma, tau}, row) for fm, (sigma, tau, row) in walls.items()}
 
     for engine, flip, child in _flip_walk(name, steps, lambda k: data.draw(st.integers(0, k - 1))):
-        derived = engine.regularity_rows(child, flip)
+        derived = engine.regularity_rows(child, engine.wall_circuits(child, flip))
         assert derived == sorted(engine.local_circuits(child, engine.wall_circuits(child)))
         assert unordered(engine.wall_circuits(child, flip)) == unordered(engine.wall_circuits(child))
 
@@ -388,7 +391,7 @@ def test_derived_rows_walks_change_points_and_leave_regularity():
     for name in sorted(_DERIVED):
         for _ in range(3):
             for engine, flip, child in _flip_walk(name, 12, rng.randrange):
-                rows = engine.regularity_rows(child, flip)
+                rows = engine.regularity_rows(child, engine.wall_circuits(child, flip))
                 assert rows == sorted(engine.local_circuits(child, engine.wall_circuits(child)))
                 parent = set(child).difference(flip.added).union(flip.removed)
                 changed += reduce(or_, parent) != reduce(or_, child)
@@ -488,6 +491,39 @@ def test_accepted_lifted_heights_lift_the_triangulation(name, steps, data):
         assert regular_subdivision(cfg, WeightVector(heights)).cells == engine.to_cells(masks)
 
 
+@pytest.mark.parametrize("make_config, kind, refused", [
+    (lambda: nested_triangles()[0], "trivial", 2),
+    (cubic_polygon, "simplex-3d2", 0),
+], ids=["nested/trivial", "3D2/S3"])
+def test_verdict_takes_each_route(make_config, kind, refused):
+    # Every class of a cold walk: without a candidate a regular class is
+    # "lifted" exactly when its relaxed lift passes, else "solved"; its
+    # witness, given back as the candidate, is "carried"; a class that is
+    # not regular is (None, "solved") and its rows have a Gordan vector
+    # y >= 0, y != 0, y A = 0.  Every witness satisfies every row, in
+    # integers.
+    cfg = make_config()
+    engine = flip_engine(cfg)
+    seen = Counter()
+    for masks, regular in oracles.cold_walk(cfg, builtin_symmetry(kind, cfg).elements).items():
+        walls = engine.wall_circuits(masks)
+        rows = engine.regularity_rows(masks, walls)
+        witness, how = engine.verdict(rows, masks, walls)
+        seen[how] += 1
+        if not regular:
+            assert (witness, how) == (None, "solved")
+            none, y = _simplex(rows)
+            assert none is None and min(y) >= 0 and any(y)
+            assert not any(sum(yi * row[j] for yi, row in zip(y, rows)) for j in range(len(rows[0])))
+            seen["refused"] += 1
+            continue
+        assert how == ("solved" if relaxed_witness(rows, engine.lift(masks, walls)) is None else "lifted")
+        assert all(type(x) is int for x in witness)
+        assert all(sum(map(mul, row, witness)) > 0 for row in rows)
+        assert engine.verdict(rows, masks, walls, witness) == (witness, "carried")
+    assert seen["lifted"] > 0 and seen["refused"] == refused
+
+
 _ENTRIES = {
     "3D2": _WALKED["3D2"],
     "C(1D3,2D3)": _WALKED["C(1D3,2D3)"],
@@ -501,7 +537,7 @@ def _entry_walk(engine, cfg, steps, choose):
     every entry the enumerator would: the walls, local rows and flips."""
     masks = engine.to_masks(placing_triangulation(cfg).cells)
     for _ in range(steps):
-        engine.regularity_rows(masks)
+        engine.regularity_rows(masks, engine.wall_circuits(masks))
         nbrs = engine.neighbors(masks)
         if not nbrs:
             break
