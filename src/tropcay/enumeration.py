@@ -29,15 +29,15 @@ that the flip carries (``FlipEngine.wall_circuits`` with ``flip``), so
 neither the key nor the candidate is relabeled; the accepted witness is
 relabeled into the key's labeling once, when it is stored.  A regular
 key recorded without a witness, the seed or a key read from a checkpoint
-(witnesses are not saved in checkpoints), is certified before it is
-shown or expanded: ``run`` starts by passing the unshown ones to
-``check`` without a carry, in one call, and ``expand`` certifies a
-resumed frontier node itself.  The key's wall scan, made by
-``FlipEngine.check_triangulation``, gives its rows, its lift and, in
-``expand``, its flips; a key that is not a triangulation or not regular
-is refused with ``CheckpointMismatchError``.  ``Enumerator.stats``
-counts this run's verdicts by the ``how`` of ``FlipEngine.verdict``:
-``carried``, ``lifted`` and ``solved``, certifications included.
+(witnesses are not saved in checkpoints), is certified by ``check``
+without a carry before it is emitted or expanded: ``run`` certifies the
+unshown keys its first show emits, then a wave's resumed frontier keys
+before expanding it, each group in one call.  The key's wall scan, made
+by ``FlipEngine.check_triangulation``, gives its rows and its lift; a
+key that is not a triangulation or not regular is refused with
+``CheckpointMismatchError``.  ``Enumerator.stats`` counts this run's
+verdicts by the ``how`` of ``FlipEngine.verdict``: ``carried``,
+``lifted`` and ``solved``, certifications included.
 
 The walk's state is its checkpoint's: ``visited`` maps each key to its
 verdict, ``regular`` lists the regular keys in recording order (the same
@@ -49,16 +49,16 @@ loop: show ``regular[shown:]``, emitting the keys that pass the filters,
 then expand the wave ``regular[expanded:][:size]`` to the canonical keys
 of all neighbors, each with what its candidate is built from, drop the
 keys already visited, regularity-check the rest in first-seen order,
-record every verdict and move ``expanded`` past the wave.  With one job
-a wave is a single node and the steps, certification included, run in
-this process (plain breadth-first order), where a neighbor whose
-sorted masks pack to a visited key is dropped uncanonicalized.  With
-``jobs > 1`` a wave holds ``max(64, 32*jobs)`` nodes and the same steps
-are mapped over chunks by worker processes, each holding its own flip
-engine; this process deduplicates and records in the same order.  A
-``limit`` bounds the output, not the walk: showing stops at exactly that
-many emissions, and the keys the last wave recorded past it are shown
-first on resume.
+record every verdict and move ``expanded`` past the wave.  Expansion
+always runs in this process, where a neighbor whose sorted masks pack
+to a visited key is dropped uncanonicalized.  With one job a wave is a
+single node and the check runs here too (plain breadth-first order).
+With ``jobs > 1`` a wave holds ``max(64, 32*jobs)`` nodes and only the
+check is mapped over chunks by worker processes, each holding its own
+flip engine and no walk state; this process records in the same order.
+A ``limit`` bounds the output, not the walk: showing stops at exactly
+that many emissions, and the keys the last wave recorded past it are
+shown first on resume.
 
 A checkpoint stores the regular keys, the non-regular keys,
 ``expanded``, ``shown`` and ``emitted``, each fact once.  The group is
@@ -79,7 +79,7 @@ import os
 from collections import Counter
 from contextlib import ExitStack
 from dataclasses import dataclass
-from functools import partial
+from itertools import islice
 from typing import Iterator
 
 from .errors import CheckpointMismatchError, GroupBoundError, InputError
@@ -161,12 +161,12 @@ def _relabeled(heights, element) -> list[int]:
 
 class _Walk:
     """Flip engine, key codec and group action of one process: the expand
-    and check steps of the search, which worker processes can take over.
-    ``counts`` tallies the verdicts this process reached, by the ``how``
-    of ``FlipEngine.verdict``: a carried candidate (``carried``), lifted
-    heights (``lifted``) or the simplex (``solved``).  ``known``
-    holds the keys ``expand`` drops unseen: ``visited`` in this process,
-    empty in a worker (a copy per worker would double the walk's memory)."""
+    step of the search, which runs in the enumerating process, and the
+    check step, which worker processes can take over.  ``counts``
+    tallies the verdicts this process reached, by the ``how`` of
+    ``FlipEngine.verdict``: a carried candidate (``carried``), lifted
+    heights (``lifted``) or the simplex (``solved``).  ``known`` holds
+    the keys ``expand`` drops unseen, the enumerator's ``visited``."""
 
     def __init__(self, config: PointConfiguration, group_elements):
         self.engine = flip_engine(config)
@@ -183,27 +183,23 @@ class _Walk:
         node, in order.  ``carry`` is ``(witness, flip, child, element)``:
         the node's witness, the flip with its scan of the node, the
         neighbor's masks in the node's labeling and the element taking them
-        to the key.  ``check`` works in that labeling.  A node without a
-        witness (read from a checkpoint) is certified first.  A neighbor
-        whose sorted masks pack to a key in ``known`` is that class (a key
-        is its own canonical form) and is left out."""
+        to the key.  ``check`` works in that labeling.  A neighbor whose
+        sorted masks pack to a key in ``known`` is that class (a key is its
+        own canonical form) and is left out."""
         engine, pack, unpack, known = self.engine, self.codec.pack, self.codec.unpack, self.known
         canonical = self.context.canonical
         out = []
         for key, witness in nodes:
-            masks, walls = unpack(key), None
-            if witness is None:
-                witness, walls = self._certified(masks)
-            for flip, child in engine.neighbors(masks, walls):
+            for flip, child in engine.neighbors(unpack(key)):
                 if pack(child) not in known:
                     form, element = canonical(child)
                     out.append((pack(form), (witness, flip, child, element)))
         return out
 
     def _certified(self, masks):
-        """The witness and wall scan of a regular key recorded without a
-        witness: the seed, or a key read from a checkpoint.  The key must
-        be a triangulation, whose check makes the scan."""
+        """The witness of a regular key recorded without one: the seed, or
+        a key read from a checkpoint.  The key must be a triangulation,
+        whose check makes the wall scan."""
         try:
             walls = self.engine.check_triangulation(masks)
         except ValueError as err:
@@ -211,7 +207,7 @@ class _Walk:
         witness = self._verdict(masks, walls)
         if witness is None:
             raise CheckpointMismatchError("checkpoint holds a class that is not regular")
-        return witness, walls
+        return witness
 
     def check(self, pairs) -> list[tuple[bytes, tuple[int, ...] | None]]:
         """``(key, witness)`` for each ``(key, carry)`` pair, the witness
@@ -225,7 +221,7 @@ class _Walk:
         out = []
         for key, carry in pairs:
             if carry is None:
-                witness = self._certified(unpack(key))[0]
+                witness = self._certified(unpack(key))
             else:
                 parent, flip, child, element = carry
                 walls = engine.wall_circuits(child, flip)
@@ -280,7 +276,7 @@ class Enumerator:
         self.regular: list[bytes] = []  # the regular keys in recording order
         self.expanded = 0  # the frontier is regular[expanded:]
         self.shown = 0  # regular[shown:] has not yet passed the filters
-        self.witnesses: dict[bytes, object] = {}  # _compact, by frontier key; certified by run or expand if recorded without
+        self.witnesses: dict[bytes, object] = {}  # _compact, by frontier key; run certifies a key recorded without
         self.emitted = 0
         self._stop = False
         self._last_checkpoint_emitted = 0
@@ -319,8 +315,8 @@ class Enumerator:
     # -- search ----------------------------------------------------------
 
     def _steps(self, stack: ExitStack):
-        """The expand and check steps: this process's walk for one job,
-        else the same two methods mapped over chunks by a worker pool."""
+        """The expand and check steps: this process's walk's, except that
+        for ``jobs > 1`` ``check`` is mapped over chunks by a worker pool."""
         if self.jobs == 1:
             return self.walk.expand, self.walk.check
         # imported on demand: multiprocessing adds ~2 MiB to every process loading this module
@@ -334,19 +330,21 @@ class Enumerator:
             )
         )
 
-        def mapped(step):
-            def run(items):
-                size = max(1, len(items) // (4 * self.jobs))
-                chunks = [items[i : i + size] for i in range(0, len(items), size)]
-                out = []
-                for part, counts in pool.map(partial(_in_worker, step), chunks):
-                    out += part
-                    self.walk.counts.update(counts)
-                return out
+        def check(pairs):
+            size = max(1, len(pairs) // (4 * self.jobs))
+            chunks = [pairs[i : i + size] for i in range(0, len(pairs), size)]
+            out = []
+            for part, counts in pool.map(_in_worker, chunks):
+                out += part
+                self.walk.counts.update(counts)
+            return out
 
-            return run
+        return self.walk.expand, check
 
-        return mapped("expand"), mapped("check")
+    def _certify(self, check, keys) -> None:
+        """Certify, in one ``check`` call, those keys recorded without a witness."""
+        for key, witness in check([(key, None) for key in keys if key not in self.witnesses]):
+            self.witnesses[key] = _compact(witness)
 
     def run(self, limit: int | None = None) -> Iterator[Triangulation]:
         """Generate canonical representatives; stops after ``limit`` emissions.
@@ -367,10 +365,10 @@ class Enumerator:
             self.regular.append(key)
         with ExitStack() as stack:
             expand, check = self._steps(stack)
-            # the seed, or the keys a checkpoint recorded past shown
-            unproven = [(key, None) for key in self.regular[self.shown :] if key not in self.witnesses]
-            for key, witness in check(unproven):
-                self.witnesses[key] = _compact(witness)
+            # the keys the first show below emits; the others are certified when expanded
+            room = None if limit is None else max(0, limit - self.emitted)
+            shows = (key for key in self.regular[self.shown :] if self._passes_filters(unpack(key)))
+            self._certify(check, islice(shows, room))
             while True:
                 while self.shown < len(self.regular) and (limit is None or self.emitted < limit):
                     masks = unpack(self.regular[self.shown])
@@ -382,7 +380,8 @@ class Enumerator:
                     break
                 self._maybe_checkpoint()  # every stop above ends in the final write
                 wave = self.regular[self.expanded : self.expanded + wave_size]
-                children = expand([(key, self.witnesses.pop(key, None)) for key in wave])
+                self._certify(check, wave)  # a resumed frontier class
+                children = expand([(key, self.witnesses.pop(key)) for key in wave])
                 # one carry per new key, in first-seen order; every one is recorded
                 fresh = {key: carry for key, carry in children if key not in self.visited}
                 for key, witness in check(list(fresh.items())):
@@ -512,8 +511,8 @@ def _start_worker(config_doc, group_elements):
     _worker_walk = _Walk(config_from_dict(config_doc), group_elements)
 
 
-def _in_worker(step: str, items):
-    """One step on a chunk, with the verdict counts it added."""
-    out = getattr(_worker_walk, step)(items)
+def _in_worker(pairs):
+    """``_Walk.check`` on a chunk, with the verdict counts it added."""
+    out = _worker_walk.check(pairs)
     counts, _worker_walk.counts = _worker_walk.counts, Counter()
     return out, counts

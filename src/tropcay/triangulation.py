@@ -574,11 +574,9 @@ class FlipEngine:
 
     # -- flips -----------------------------------------------------------
 
-    def neighbors(self, masks, walls=None):
-        """All bistellar flips from this triangulation: (Flip, masks) pairs.
-        ``walls`` is ``wall_circuits(masks)``, if already made."""
-        if walls is None:
-            walls = self.wall_circuits(masks)
+    def neighbors(self, masks):
+        """All bistellar flips from this triangulation: (Flip, masks) pairs."""
+        walls = self.wall_circuits(masks)
         signs = self._signs
         results = []
         for row in self.local_circuits(masks, walls):

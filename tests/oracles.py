@@ -55,7 +55,8 @@ yes/no question, so the library must accept exactly the permutations
 this oracle accepts.
 
 ``verify_closure`` re-checks a completed enumeration: every regular
-neighbor of every regular class must be in the visited set.
+class is certified again, and every regular neighbor of every regular
+class must be in the visited set.
 ``cold_walk`` is the breadth-first walk with a cold simplex for every
 verdict, as the enumerator ran before it carried witnesses across flips;
 the enumerator's visited classes and verdicts must equal its own.
@@ -734,14 +735,15 @@ def certify_affine_action(config: PointConfiguration, perm) -> tuple:
 
 
 def verify_closure(enumerator) -> bool:
-    """After completion, every regular neighbor of every regular class must
-    already be in the visited set."""
+    """After completion, every regular class is certified again (a class
+    that is not regular raises ``CheckpointMismatchError``), and every
+    regular neighbor of every regular class must already be in the
+    visited set."""
     if not enumerator.complete:
         raise ValueError("closure check requires a completed enumeration")
-    visited = enumerator.visited
-    regular = [key for key, ok in visited.items() if ok]
-    nodes = [(key, None) for key in regular]
-    return all(key in visited for key, _carry in enumerator.walk.expand(nodes))
+    visited, walk = enumerator.visited, enumerator.walk
+    nodes = walk.check([(key, None) for key, ok in visited.items() if ok])
+    return all(key in visited for key, _carry in walk.expand(nodes))
 
 
 def cold_walk(config, elements) -> dict[tuple[int, ...], bool]:

@@ -872,6 +872,13 @@ def test_enumerate_progress_survives_a_backward_wall_clock_step(tmp_path, capsys
     assert any(line.startswith("visited=") for line in err.splitlines())
 
 
+def _done_fields(err) -> dict[str, str]:
+    """The fields of ``enumerate``'s closing ``done:`` line."""
+    done = err.strip().splitlines()[-1]
+    assert done.startswith("done: ")
+    return dict(item.split("=") for item in done[len("done: "):].split())
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_enumerate_done_line_counts_carried_verdicts(tmp_path, capsys, jobs):
     # On the first 300 quadric classes most verdicts come from witnesses
@@ -883,11 +890,29 @@ def test_enumerate_done_line_counts_carried_verdicts(tmp_path, capsys, jobs):
         "--jobs", jobs,
     )
     assert code == EXIT_OK and len(out.splitlines()) == 300
-    done = err.strip().splitlines()[-1]
-    assert done.startswith("done: ")
-    fields = dict(item.split("=") for item in done[len("done: "):].split())
+    fields = _done_fields(err)
     assert int(fields["carried"]) > 0
     assert int(fields["carried"]) + int(fields["lifted"]) + int(fields["solved"]) == int(fields["visited"])
+
+
+def test_enumerate_resume_certifies_only_the_classes_it_emits(tmp_path, capsys):
+    # Halted at 500 at --jobs 2, the quadric run records 399 classes past
+    # its last shown one.  Resumed at --jobs 1 for one more class, it
+    # certifies the class it emits and leaves the others to their
+    # expansion: 1 verdict, where certifying all 399 made 399 (380 lifted,
+    # 19 solved).
+    cfg_path = tmp_path / "c22.json"
+    run(capsys, "config", "cayley", "--d", "2", "--e", "2", "--out", str(cfg_path))
+    ckpt = tmp_path / "q2.ckpt"
+    code, out, _ = run(
+        capsys, "enumerate", "--config", str(cfg_path), "--group", "s4xz2", "--limit", "500",
+        "--jobs", "2", "--checkpoint", str(ckpt),
+    )
+    assert code == EXIT_OK and len(out.splitlines()) == 500
+    code, out, err = run(capsys, "enumerate", "--resume", "--limit", "501", "--checkpoint", str(ckpt))
+    assert code == EXIT_OK and len(out.splitlines()) == 1
+    fields = _done_fields(err)
+    assert int(fields["carried"]) + int(fields["lifted"]) + int(fields["solved"]) <= 5
 
 
 # SHA-256 of the first 1,000 quadric lines in emission order: the complete

@@ -4,6 +4,7 @@ import json
 import os
 import random
 from collections import Counter
+from contextlib import ExitStack
 from functools import cache, partial
 from itertools import islice
 
@@ -15,7 +16,7 @@ import oracles
 from oracles import verify_closure
 from test_triangulation import nested_triangles
 from tropcay.errors import CheckpointMismatchError
-from tropcay.formats import cells_to_text
+from tropcay.formats import cells_to_text, triangulation_line
 from tropcay.geometry import (
     PointConfiguration,
     WeightVector,
@@ -399,6 +400,43 @@ def test_quadric_emissions_are_triangulations():
         Triangulation.make(cfg, t.cells)
 
 
+# unimodular streams for the split halt and resume: 18 classes of 3D2 under
+# S3, none of the nested triangles, whose walk meets two non-regular ones
+_FILTERED_WALKS = {
+    "3D2/S3": (cubic_polygon, "simplex-3d2"),
+    "nested/trivial": (lambda: nested_triangles()[0], "trivial"),
+}
+
+
+def _lines(run) -> bytes:
+    return b"".join(f"{triangulation_line(t.configuration, t.cells)}\n".encode() for t in run)
+
+
+@cache
+def _one_shot_lines(name) -> bytes:
+    make_config, kind = _FILTERED_WALKS[name]
+    cfg = make_config()
+    filters = EnumerationFilters(require_unimodular=True)
+    return _lines(Enumerator(cfg, builtin_symmetry(kind, cfg), filters).run())
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from(sorted(_FILTERED_WALKS)), st.integers(0, 20), st.sampled_from([(1, 2), (2, 1)]))
+def test_filtered_stream_survives_a_halt_and_resume_at_other_jobs(tmp_path_factory, name, limit, jobs):
+    # The halted run and its resumption, each at its own --jobs, emit the
+    # one-shot stream byte for byte.  The resumed run certifies only the
+    # unshown keys it emits before its first expansion, so keys that fail
+    # the filter or lie past the limit wait, uncertified, until expanded.
+    make_config, kind = _FILTERED_WALKS[name]
+    cfg = make_config()
+    ckpt = str(tmp_path_factory.mktemp("split") / "run.ckpt")
+    filters = EnumerationFilters(require_unimodular=True)
+    halted = Enumerator(cfg, builtin_symmetry(kind, cfg), filters, jobs=jobs[0], checkpoint_path=ckpt)
+    first = _lines(halted.run(limit=limit))
+    rest = _lines(load_checkpoint(ckpt, jobs=jobs[1]).run())
+    assert first + rest == _one_shot_lines(name)
+
+
 # -- carried witnesses ---------------------------------------------------------
 
 _WALKS = {
@@ -495,10 +533,14 @@ def test_expand_drops_exactly_the_children_that_are_recorded_keys(name, limit, d
             assert walk.key(child) == pack(child) == k
 
 
-def test_a_quadric_walk_canonicalizes_few_children(monkeypatch):
+@pytest.mark.parametrize("jobs, most", [(1, 1500), (2, 3000)], ids=["jobs1", "jobs2"])
+def test_a_quadric_walk_canonicalizes_few_children(monkeypatch, jobs, most):
     # A child that packs to a recorded key is dropped before it is
-    # canonicalized: the first 1,000 quadric classes take 1,464 canonical
-    # forms, against 2,385 when every child is canonicalized.
+    # canonicalized, in this process at every --jobs: the first 1,000
+    # quadric classes take 1,464 canonical forms at one job, against 2,385
+    # when every child is canonicalized.  At two jobs this process takes
+    # 2,476 (1,211 classes visited; a wave's keys are recorded after the
+    # whole wave is expanded), and the workers, which only check, none.
     calls = []
     canonical = RelabelContext.canonical
 
@@ -509,8 +551,11 @@ def test_a_quadric_walk_canonicalizes_few_children(monkeypatch):
     monkeypatch.setattr(RelabelContext, "canonical", counted)
     make_config, kind = _WALKS["C(2D3,2D3)/S4xZ2"]
     cfg = make_config()
-    assert len(list(Enumerator(cfg, builtin_symmetry(kind, cfg)).run(limit=1000))) == 1000
-    assert len(calls) <= 1500
+    en = Enumerator(cfg, builtin_symmetry(kind, cfg), jobs=jobs)
+    with ExitStack() as stack:
+        assert en._steps(stack)[0] == en.walk.expand
+    assert len(list(en.run(limit=1000))) == 1000
+    assert 1000 <= len(calls) <= most
 
 
 @pytest.mark.parametrize("make_config, kind, visited, regular", [
