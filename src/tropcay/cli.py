@@ -64,8 +64,8 @@ EXIT_USAGE = 64
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        self.print_usage(sys.stderr)
-        sys.stderr.write(f"error: {message}\n")
+        # one line, as every usage error writes
+        sys.stderr.write(f"{self.prog}: error: {message}\n")
         raise SystemExit(EXIT_USAGE)
 
 
@@ -99,7 +99,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--full", action="store_true", help="emit only full classes")
     p.add_argument("--checkpoint", default=None, help="checkpoint file to write (and resume from)")
     p.add_argument("--resume", action="store_true", help="resume from --checkpoint")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--limit", type=int, default=None, help="stop after this many emissions")
     p.add_argument("--checkpoint-every", type=int, default=DEFAULT_CHECKPOINT_EVERY)
     p.add_argument("--placing-order", default=None,
@@ -198,9 +197,7 @@ def cmd_enumerate(args) -> int:
                 sys.stderr.write(f"error: --resume takes {option} from the checkpoint\n")
                 return EXIT_USAGE
         config = config_from_dict(load_json(args.config)) if args.config else None
-        enumerator = load_checkpoint(
-            args.checkpoint, config=config, jobs=args.jobs, checkpoint_every=args.checkpoint_every
-        )
+        enumerator = load_checkpoint(args.checkpoint, config=config, checkpoint_every=args.checkpoint_every)
     else:
         if not args.config:
             sys.stderr.write("error: --config is required unless resuming\n")
@@ -217,7 +214,6 @@ def cmd_enumerate(args) -> int:
             config,
             group,
             filters,
-            jobs=args.jobs,
             checkpoint_path=args.checkpoint,
             checkpoint_every=args.checkpoint_every,
             placing_order=order,

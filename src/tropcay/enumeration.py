@@ -31,8 +31,8 @@ relabeled into the key's labeling once, when it is stored.  A regular
 key recorded without a witness, the seed or a key read from a checkpoint
 (witnesses are not saved in checkpoints), is certified by ``check``
 without a carry before it is emitted or expanded: ``run`` certifies the
-unshown keys its first show emits, then a wave's resumed frontier keys
-before expanding it, each group in one call.  The key's wall scan, made
+unshown keys its first show emits, in one call, then each resumed
+frontier key before expanding it.  The key's wall scan, made
 by ``FlipEngine.check_triangulation``, gives its rows and its lift; a
 key that is not a triangulation or not regular is refused with
 ``CheckpointMismatchError``.  ``Enumerator.stats`` counts this run's
@@ -45,20 +45,16 @@ verdict, ``regular`` lists the regular keys in recording order (the same
 not yet passed through the filters are ``regular[shown:]``, with
 ``expanded <= shown``; only the frontier's witnesses are kept beside, in
 a dict by key.  A fresh run records its seed at once.  The search is one
-loop: show ``regular[shown:]``, emitting the keys that pass the filters,
-then expand the wave ``regular[expanded:][:size]`` to the canonical keys
-of all neighbors, each with what its candidate is built from, drop the
-keys already visited, regularity-check the rest in first-seen order,
-record every verdict and move ``expanded`` past the wave.  Expansion
-always runs in this process, where a neighbor whose sorted masks pack
-to a visited key is dropped uncanonicalized.  With one job a wave is a
-single node and the check runs here too (plain breadth-first order).
-With ``jobs > 1`` a wave holds ``max(64, 32*jobs)`` nodes and only the
-check is mapped over chunks by worker processes, each holding its own
-flip engine and no walk state; this process records in the same order.
-A ``limit`` bounds the output, not the walk: showing stops at exactly
-that many emissions, and the keys the last wave recorded past it are
-shown first on resume.
+loop, in one process: show ``regular[shown:]``, emitting the keys that
+pass the filters, then expand the node ``regular[expanded]`` to the
+canonical keys of all its neighbors, each with what its candidate is
+built from, drop the keys already visited, regularity-check the rest in
+first-seen order, record every verdict and move ``expanded`` past the
+node (plain breadth-first order).  A neighbor whose sorted masks pack to
+a visited key is dropped uncanonicalized.  A ``limit`` bounds the
+output, not the walk: showing stops at exactly that many emissions, and
+the keys the last expanded node recorded past it are shown first on
+resume.
 
 A checkpoint stores the regular keys, the non-regular keys,
 ``expanded``, ``shown`` and ``emitted``, each fact once.  The group is
@@ -77,7 +73,6 @@ import base64
 import json
 import os
 from collections import Counter
-from contextlib import ExitStack
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator
@@ -160,10 +155,11 @@ def _relabeled(heights, element) -> list[int]:
 
 
 class _Walk:
-    """Flip engine, key codec and group action of one process: the expand
-    step of the search, which runs in the enumerating process, and the
-    check step, which worker processes can take over.  ``counts``
-    tallies the verdicts this process reached, by the ``how`` of
+    """Flip engine, key codec and group action of a walk, with its expand
+    and check steps, apart from the enumerator's bookkeeping so that a
+    walk can be driven on its own (the closure oracle in the tests checks
+    a finished run by expanding every regular class).  ``counts``
+    tallies the verdicts the walk reached, by the ``how`` of
     ``FlipEngine.verdict``: a carried candidate (``carried``), lifted
     heights (``lifted``) or the simplex (``solved``).  ``known`` holds
     the keys ``expand`` drops unseen, the enumerator's ``visited``."""
@@ -240,9 +236,7 @@ class _Walk:
         return witness
 
 
-def _check_run_options(jobs: int, checkpoint_every: int) -> None:
-    if jobs < 1:
-        raise InputError(f"jobs must be at least 1, not {jobs}")
+def _check_checkpoint_every(checkpoint_every: int) -> None:
     if checkpoint_every < 1:
         raise InputError(f"checkpoint interval must be at least 1, not {checkpoint_every}")
 
@@ -255,18 +249,16 @@ class Enumerator:
         config: PointConfiguration,
         group: SymmetryGroup,
         filters: EnumerationFilters = EnumerationFilters(),
-        jobs: int = 1,
         checkpoint_path=None,
         checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
         placing_order=None,
     ):
         if group.configuration.points != config.points:
             raise ValueError("symmetry group belongs to a different configuration")
-        _check_run_options(jobs, checkpoint_every)
+        _check_checkpoint_every(checkpoint_every)
         self.config = config
         self.group = group
         self.filters = filters
-        self.jobs = jobs
         self.checkpoint_path = checkpoint_path
         self.checkpoint_every = checkpoint_every
         self.placing_order = list(placing_order) if placing_order is not None else None
@@ -314,36 +306,9 @@ class Enumerator:
 
     # -- search ----------------------------------------------------------
 
-    def _steps(self, stack: ExitStack):
-        """The expand and check steps: this process's walk's, except that
-        for ``jobs > 1`` ``check`` is mapped over chunks by a worker pool."""
-        if self.jobs == 1:
-            return self.walk.expand, self.walk.check
-        # imported on demand: multiprocessing adds ~2 MiB to every process loading this module
-        from concurrent.futures import ProcessPoolExecutor
-
-        pool = stack.enter_context(
-            ProcessPoolExecutor(
-                max_workers=self.jobs,
-                initializer=_start_worker,
-                initargs=(config_to_dict(self.config), self.group.elements),
-            )
-        )
-
-        def check(pairs):
-            size = max(1, len(pairs) // (4 * self.jobs))
-            chunks = [pairs[i : i + size] for i in range(0, len(pairs), size)]
-            out = []
-            for part, counts in pool.map(_in_worker, chunks):
-                out += part
-                self.walk.counts.update(counts)
-            return out
-
-        return self.walk.expand, check
-
-    def _certify(self, check, keys) -> None:
+    def _certify(self, keys) -> None:
         """Certify, in one ``check`` call, those keys recorded without a witness."""
-        for key, witness in check([(key, None) for key in keys if key not in self.witnesses]):
+        for key, witness in self.walk.check([(key, None) for key in keys if key not in self.witnesses]):
             self.witnesses[key] = _compact(witness)
 
     def run(self, limit: int | None = None) -> Iterator[Triangulation]:
@@ -356,40 +321,37 @@ class Enumerator:
         if limit is not None and limit < 0:
             raise InputError(f"limit must be at least 0, not {limit}")
         self._stop = False
-        wave_size = 1 if self.jobs == 1 else max(64, 32 * self.jobs)
         walk, unpack = self.walk, self.walk.codec.unpack
         if not self.visited:  # a fresh run records its seed, certified below
             seed = placing_triangulation(self.config, self.placing_order)
             key = walk.key(walk.engine.to_masks(seed.cells))
             self.visited[key] = True
             self.regular.append(key)
-        with ExitStack() as stack:
-            expand, check = self._steps(stack)
-            # the keys the first show below emits; the others are certified when expanded
-            room = None if limit is None else max(0, limit - self.emitted)
-            shows = (key for key in self.regular[self.shown :] if self._passes_filters(unpack(key)))
-            self._certify(check, islice(shows, room))
-            while True:
-                while self.shown < len(self.regular) and (limit is None or self.emitted < limit):
-                    masks = unpack(self.regular[self.shown])
-                    self.shown += 1
-                    if self._passes_filters(masks):
-                        self.emitted += 1
-                        yield walk.engine.triangulation(masks)
-                if self.expanded == len(self.regular) or self._stop or (limit is not None and self.emitted >= limit):
-                    break
-                self._maybe_checkpoint()  # every stop above ends in the final write
-                wave = self.regular[self.expanded : self.expanded + wave_size]
-                self._certify(check, wave)  # a resumed frontier class
-                children = expand([(key, self.witnesses.pop(key)) for key in wave])
-                # one carry per new key, in first-seen order; every one is recorded
-                fresh = {key: carry for key, carry in children if key not in self.visited}
-                for key, witness in check(list(fresh.items())):
-                    self.visited[key] = witness is not None
-                    if witness is not None:
-                        self.regular.append(key)
-                        self.witnesses[key] = _compact(witness)
-                self.expanded += len(wave)
+        # the keys the first show below emits; the others are certified when expanded
+        room = None if limit is None else max(0, limit - self.emitted)
+        shows = (key for key in self.regular[self.shown :] if self._passes_filters(unpack(key)))
+        self._certify(islice(shows, room))
+        while True:
+            while self.shown < len(self.regular) and (limit is None or self.emitted < limit):
+                masks = unpack(self.regular[self.shown])
+                self.shown += 1
+                if self._passes_filters(masks):
+                    self.emitted += 1
+                    yield walk.engine.triangulation(masks)
+            if self.expanded == len(self.regular) or self._stop or (limit is not None and self.emitted >= limit):
+                break
+            self._maybe_checkpoint()  # every stop above ends in the final write
+            node = self.regular[self.expanded]
+            self._certify([node])  # a resumed frontier class
+            children = walk.expand([(node, self.witnesses.pop(node))])
+            # one carry per new key, in first-seen order; every one is recorded
+            fresh = {key: carry for key, carry in children if key not in self.visited}
+            for key, witness in walk.check(list(fresh.items())):
+                self.visited[key] = witness is not None
+                if witness is not None:
+                    self.regular.append(key)
+                    self.witnesses[key] = _compact(witness)
+            self.expanded += 1
         self._write_checkpoint()
 
     # -- checkpointing -----------------------------------------------------
@@ -445,7 +407,6 @@ def _digest(doc: dict) -> str:
 def load_checkpoint(
     path,
     config: PointConfiguration | None = None,
-    jobs: int = 1,
     checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
 ) -> Enumerator:
     """Rebuild an Enumerator from a checkpoint file.
@@ -453,7 +414,7 @@ def load_checkpoint(
     Raises ``CheckpointMismatchError`` for a checkpoint written for another
     configuration than ``config`` and for any damaged file.
     """
-    _check_run_options(jobs, checkpoint_every)
+    _check_checkpoint_every(checkpoint_every)
     try:
         with open(path, "rb") as fh:
             doc = json.loads(fh.read())
@@ -468,7 +429,6 @@ def load_checkpoint(
             stored_config,
             SymmetryGroup.from_generators(stored_config, doc["generators"]),
             EnumerationFilters.from_dict(doc["filters"]),
-            jobs=jobs,
             checkpoint_path=path,
             checkpoint_every=checkpoint_every,
         )
@@ -499,20 +459,3 @@ def load_checkpoint(
         raise CheckpointMismatchError(f"damaged checkpoint {path}: {err!r}") from err
     enumerator._last_checkpoint_emitted = enumerator.emitted
     return enumerator
-
-
-# -- worker-process side ------------------------------------------------
-
-_worker_walk: _Walk | None = None
-
-
-def _start_worker(config_doc, group_elements):
-    global _worker_walk
-    _worker_walk = _Walk(config_from_dict(config_doc), group_elements)
-
-
-def _in_worker(pairs):
-    """``_Walk.check`` on a chunk, with the verdict counts it added."""
-    out = _worker_walk.check(pairs)
-    counts, _worker_walk.counts = _worker_walk.counts, Counter()
-    return out, counts

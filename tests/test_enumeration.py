@@ -4,7 +4,6 @@ import json
 import os
 import random
 from collections import Counter
-from contextlib import ExitStack
 from functools import cache, partial
 from itertools import islice
 
@@ -110,17 +109,6 @@ def test_full_filter():
     assert all(t.cells in full_sets for t in unimod)
 
 
-def test_emission_order_independent_of_jobs():
-    # a wave records its neighbors' fresh keys in first-seen order, as one node at a time would
-    cfg = cubic_polygon()
-    grp = builtin_symmetry("simplex-3d2", cfg)
-    filters = EnumerationFilters(require_unimodular=True)
-    serial = [t.cells for t in Enumerator(cfg, grp, filters, jobs=1).run()]
-    parallel = [t.cells for t in Enumerator(cfg, grp, filters, jobs=8).run()]
-    assert len(serial) == 18
-    assert serial == parallel
-
-
 @cache
 def _complete_3d2_runs(order):
     """For each group, the sorted cells of a complete run of 3D2 seeded by
@@ -179,26 +167,22 @@ def test_halt_and_resume_matches_fresh_run(tmp_path):
     assert len(first) + len(resumed) == 79  # no duplicates across the halt
 
 
-@pytest.mark.parametrize("jobs, limit", [(1, 2), (2, 50)])
-def test_limit_checks_only_keys_it_records(jobs, limit):
+# the ids keep these tests' names from when they also ran at two jobs
+@pytest.mark.parametrize("limit", [2, 50], ids=["1-2", "1-50"])
+def test_limit_checks_only_keys_it_records(limit):
     # Every class of 3D2 is regular, so each checked key is a visited one
     # unless the run dropped verdicts; the seed is recorded without a
     # check, and certified by one without a carry.
     cfg = cubic_polygon()
-    en = Enumerator(cfg, builtin_symmetry("trivial", cfg), jobs=jobs)
+    en = Enumerator(cfg, builtin_symmetry("trivial", cfg))
     checked = []
-    steps = en._steps
+    check = en.walk.check
 
-    def counting_steps(stack):
-        expand, check = steps(stack)
+    def counted(pairs):
+        checked.extend(key for key, carry in pairs if carry is not None)
+        return check(pairs)
 
-        def counted(pairs):
-            checked.extend(key for key, carry in pairs if carry is not None)
-            return check(pairs)
-
-        return expand, counted
-
-    en._steps = counting_steps
+    en.walk.check = counted
     assert len(list(en.run(limit=limit))) == limit
     assert all(en.visited.values())
     assert en.regular[0] not in checked
@@ -212,28 +196,24 @@ def _assert_walk_counts(en):
     assert s["frontier"] == len(en.regular[en.expanded :])
 
 
-@pytest.mark.parametrize("jobs, limit", [(1, 10), (2, 50)])
-def test_walk_counts_hold_across_a_halt_and_resume(tmp_path, jobs, limit):
+# the ids keep these tests' names from when they also ran at two jobs
+@pytest.mark.parametrize("limit", [10, 50], ids=["1-10", "1-50"])
+def test_walk_counts_hold_across_a_halt_and_resume(tmp_path, limit):
     cfg = cubic_polygon()
     ckpt = str(tmp_path / "run.ckpt.json")
-    en = Enumerator(cfg, builtin_symmetry("trivial", cfg), jobs=jobs, checkpoint_path=ckpt)
-    waves = []
-    steps = en._steps
-
-    def recording_steps(stack):
-        expand, check = steps(stack)
-        return (lambda wave: waves.append(wave) or expand(wave)), check
-
-    en._steps = recording_steps
+    en = Enumerator(cfg, builtin_symmetry("trivial", cfg), checkpoint_path=ckpt)
+    nodes = []
+    expand = en.walk.expand
+    en.walk.expand = lambda batch: nodes.append(batch) or expand(batch)
     assert len(list(en.run(limit=limit))) == limit
     _assert_walk_counts(en)
-    # the last wave is expanded in full, and the keys recorded past the
+    # the last node is expanded in full, and the keys recorded past the
     # limit wait at regular[shown:] to be shown first on resume
-    last = [key for key, _witness in waves[-1]]
+    last = [key for key, _witness in nodes[-1]]
     assert en.regular[en.expanded - len(last) : en.expanded] == last
     assert en.emitted == en.shown == limit < len(en.regular)
     pending = [en.walk.engine.triangulation(en.walk.codec.unpack(key)).cells for key in en.regular[en.shown :]]
-    resumed = load_checkpoint(ckpt, jobs=jobs)
+    resumed = load_checkpoint(ckpt)
     counts = ("regular", "expanded", "frontier")
     assert [resumed.stats()[k] for k in counts] == [en.stats()[k] for k in counts]
     assert [t.cells for t in resumed.run()][: len(pending)] == pending
@@ -421,19 +401,19 @@ def _one_shot_lines(name) -> bytes:
 
 
 @settings(max_examples=12, deadline=None)
-@given(st.sampled_from(sorted(_FILTERED_WALKS)), st.integers(0, 20), st.sampled_from([(1, 2), (2, 1)]))
-def test_filtered_stream_survives_a_halt_and_resume_at_other_jobs(tmp_path_factory, name, limit, jobs):
-    # The halted run and its resumption, each at its own --jobs, emit the
-    # one-shot stream byte for byte.  The resumed run certifies only the
-    # unshown keys it emits before its first expansion, so keys that fail
-    # the filter or lie past the limit wait, uncertified, until expanded.
+@given(st.sampled_from(sorted(_FILTERED_WALKS)), st.integers(0, 20))
+def test_filtered_stream_survives_a_halt_and_resume(tmp_path_factory, name, limit):
+    # The halted run and its resumption emit the one-shot stream byte for
+    # byte.  The resumed run certifies only the unshown keys it emits
+    # before its first expansion, so keys that fail the filter or lie past
+    # the limit wait, uncertified, until expanded.
     make_config, kind = _FILTERED_WALKS[name]
     cfg = make_config()
     ckpt = str(tmp_path_factory.mktemp("split") / "run.ckpt")
     filters = EnumerationFilters(require_unimodular=True)
-    halted = Enumerator(cfg, builtin_symmetry(kind, cfg), filters, jobs=jobs[0], checkpoint_path=ckpt)
+    halted = Enumerator(cfg, builtin_symmetry(kind, cfg), filters, checkpoint_path=ckpt)
     first = _lines(halted.run(limit=limit))
-    rest = _lines(load_checkpoint(ckpt, jobs=jobs[1]).run())
+    rest = _lines(load_checkpoint(ckpt).run())
     assert first + rest == _one_shot_lines(name)
 
 
@@ -533,14 +513,12 @@ def test_expand_drops_exactly_the_children_that_are_recorded_keys(name, limit, d
             assert walk.key(child) == pack(child) == k
 
 
-@pytest.mark.parametrize("jobs, most", [(1, 1500), (2, 3000)], ids=["jobs1", "jobs2"])
-def test_a_quadric_walk_canonicalizes_few_children(monkeypatch, jobs, most):
+# the id keeps this test's name from when it also ran at two jobs
+@pytest.mark.parametrize("most", [1500], ids=["jobs1"])
+def test_a_quadric_walk_canonicalizes_few_children(monkeypatch, most):
     # A child that packs to a recorded key is dropped before it is
-    # canonicalized, in this process at every --jobs: the first 1,000
-    # quadric classes take 1,464 canonical forms at one job, against 2,385
-    # when every child is canonicalized.  At two jobs this process takes
-    # 2,476 (1,211 classes visited; a wave's keys are recorded after the
-    # whole wave is expanded), and the workers, which only check, none.
+    # canonicalized: the first 1,000 quadric classes take 1,464 canonical
+    # forms, against 2,385 when every child is canonicalized.
     calls = []
     canonical = RelabelContext.canonical
 
@@ -551,9 +529,7 @@ def test_a_quadric_walk_canonicalizes_few_children(monkeypatch, jobs, most):
     monkeypatch.setattr(RelabelContext, "canonical", counted)
     make_config, kind = _WALKS["C(2D3,2D3)/S4xZ2"]
     cfg = make_config()
-    en = Enumerator(cfg, builtin_symmetry(kind, cfg), jobs=jobs)
-    with ExitStack() as stack:
-        assert en._steps(stack)[0] == en.walk.expand
+    en = Enumerator(cfg, builtin_symmetry(kind, cfg))
     assert len(list(en.run(limit=1000))) == 1000
     assert 1000 <= len(calls) <= most
 
@@ -589,19 +565,19 @@ def test_resumed_frontier_solves_each_expanded_class_once(tmp_path):
     assert s["carried"] + s["lifted"] + s["solved"] == len(en.visited) - visited_before + len(resumed_frontier)
 
 
-@pytest.mark.parametrize("jobs, lifted, solved", [(1, 87, 10), (2, 480, 30)], ids=["jobs1", "jobs2"])
-def test_resumed_quadric_frontier_is_certified_by_lifted_heights(tmp_path, jobs, lifted, solved):
+# the id keeps this test's name from when it also ran at two jobs
+@pytest.mark.parametrize("lifted, solved", [(87, 10)], ids=["jobs1"])
+def test_resumed_quadric_frontier_is_certified_by_lifted_heights(tmp_path, lifted, solved):
     # Halted at 500 and resumed to 1,000, the quadric run made 7 + 81
-    # simplex calls at one job when a resumed frontier class could only
-    # be solved; lifted heights certify nearly all of them.  Measured
-    # over the halt and the resume: 89 lifted and 5 solved at one job,
-    # 487 and 24 at two, where the last wave records more classes.
+    # simplex calls when a resumed frontier class could only be solved;
+    # lifted heights certify nearly all of them.  Measured over the halt
+    # and the resume: 89 lifted and 5 solved.
     make_config, kind = _WALKS["C(2D3,2D3)/S4xZ2"]
     cfg = make_config()
     ckpt = str(tmp_path / "q.ckpt")
-    first = Enumerator(cfg, builtin_symmetry(kind, cfg), jobs=jobs, checkpoint_path=ckpt)
+    first = Enumerator(cfg, builtin_symmetry(kind, cfg), checkpoint_path=ckpt)
     assert len(list(first.run(limit=500))) == 500
-    resumed = load_checkpoint(ckpt, jobs=jobs)
+    resumed = load_checkpoint(ckpt)
     assert len(list(resumed.run(limit=1000))) == 500
     assert first.stats()["lifted"] + resumed.stats()["lifted"] >= lifted
     assert first.stats()["solved"] + resumed.stats()["solved"] <= solved
