@@ -23,21 +23,22 @@ integrated across a spanning tree of the child's walls, and runs the
 simplex only when both miss; it accepts only heights that satisfy every
 local row strictly, checked in integers, and "not regular" only from a
 Gordan certificate, so a bad guess costs a simplex call, never a wrong
-answer.  ``_Walk.check`` works in the flip's own labeling, on the child
+answer.  The verdict is reached in the flip's own labeling, on the child
 as the flip left it: its walls are derived from the parent's wall scan
 that the flip carries (``FlipEngine.wall_circuits`` with ``flip``), so
 neither the key nor the candidate is relabeled; the accepted witness is
 relabeled into the key's labeling once, when it is stored.  A regular
 key recorded without a witness, the seed or a key read from a checkpoint
-(witnesses are not saved in checkpoints), is certified by ``check``
-without a carry before it is emitted or expanded: ``run`` certifies the
-unshown keys its first show emits, in one call, then each resumed
-frontier key before expanding it.  The key's wall scan, made
-by ``FlipEngine.check_triangulation``, gives its rows and its lift; a
-key that is not a triangulation or not regular is refused with
-``CheckpointMismatchError``.  ``Enumerator.stats`` counts this run's
-verdicts by the ``how`` of ``FlipEngine.verdict``: ``carried``,
-``lifted`` and ``solved``, certifications included.
+(witnesses are not saved in checkpoints), is certified before it is
+emitted or expanded: ``run`` certifies the unshown keys its first show
+emits, then each resumed frontier key before expanding it.  The key's
+wall scan, made by ``FlipEngine.check_triangulation``, gives its rows
+and its lift; a key that is not a triangulation or not regular is
+refused with ``CheckpointMismatchError``, and every unshown key is
+checked to be a triangulation before a filter reads it.
+``Enumerator.stats`` counts this run's verdicts by the ``how`` of
+``FlipEngine.verdict``: ``carried``, ``lifted`` and ``solved``,
+certifications included.
 
 The walk's state is its checkpoint's: ``visited`` maps each key to its
 verdict, ``regular`` lists the regular keys in recording order (the same
@@ -46,12 +47,12 @@ not yet passed through the filters are ``regular[shown:]``, with
 ``expanded <= shown``; only the frontier's witnesses are kept beside, in
 a dict by key.  A fresh run records its seed at once.  The search is one
 loop, in one process: show ``regular[shown:]``, emitting the keys that
-pass the filters, then expand the node ``regular[expanded]`` to the
-canonical keys of all its neighbors, each with what its candidate is
-built from, drop the keys already visited, regularity-check the rest in
-first-seen order, record every verdict and move ``expanded`` past the
-node (plain breadth-first order).  A neighbor whose sorted masks pack to
-a visited key is dropped uncanonicalized.  A ``limit`` bounds the
+pass the filters, then expand the node ``regular[expanded]`` and move
+``expanded`` past it (plain breadth-first order).  Expanding takes the
+node's flip neighbors in turn: a neighbor whose sorted masks pack to a
+visited key is dropped uncanonicalized, one whose canonical key is
+visited is dropped, and the rest are regularity-checked, each verdict
+recorded before the next neighbor is taken.  A ``limit`` bounds the
 output, not the walk: showing stops at exactly that many emissions, and
 the keys the last expanded node recorded past it are shown first on
 resume.
@@ -154,95 +155,17 @@ def _relabeled(heights, element) -> list[int]:
     return out
 
 
-class _Walk:
-    """Flip engine, key codec and group action of a walk, with its expand
-    and check steps, apart from the enumerator's bookkeeping so that a
-    walk can be driven on its own (the closure oracle in the tests checks
-    a finished run by expanding every regular class).  ``counts``
-    tallies the verdicts the walk reached, by the ``how`` of
-    ``FlipEngine.verdict``: a carried candidate (``carried``), lifted
-    heights (``lifted``) or the simplex (``solved``).  ``known`` holds
-    the keys ``expand`` drops unseen, the enumerator's ``visited``."""
-
-    def __init__(self, config: PointConfiguration, group_elements):
-        self.engine = flip_engine(config)
-        self.codec = _Codec(self.engine.n)
-        self.context = RelabelContext(self.engine, group_elements)
-        self.counts = Counter(carried=0, lifted=0, solved=0)
-        self.known: dict[bytes, bool] = {}
-
-    def key(self, masks) -> bytes:
-        return self.codec.pack(self.context.canonical(masks)[0])
-
-    def expand(self, nodes) -> list[tuple[bytes, tuple]]:
-        """``(key, carry)`` for every flip neighbor of each ``(key, witness)``
-        node, in order.  ``carry`` is ``(witness, flip, child, element)``:
-        the node's witness, the flip with its scan of the node, the
-        neighbor's masks in the node's labeling and the element taking them
-        to the key.  ``check`` works in that labeling.  A neighbor whose
-        sorted masks pack to a key in ``known`` is that class (a key is its
-        own canonical form) and is left out."""
-        engine, pack, unpack, known = self.engine, self.codec.pack, self.codec.unpack, self.known
-        canonical = self.context.canonical
-        out = []
-        for key, witness in nodes:
-            for flip, child in engine.neighbors(unpack(key)):
-                if pack(child) not in known:
-                    form, element = canonical(child)
-                    out.append((pack(form), (witness, flip, child, element)))
-        return out
-
-    def _certified(self, masks):
-        """The witness of a regular key recorded without one: the seed, or
-        a key read from a checkpoint.  The key must be a triangulation,
-        whose check makes the wall scan."""
-        try:
-            walls = self.engine.check_triangulation(masks)
-        except ValueError as err:
-            raise CheckpointMismatchError(f"checkpoint holds a key that is not a triangulation: {err}") from err
-        witness = self._verdict(masks, walls)
-        if witness is None:
-            raise CheckpointMismatchError("checkpoint holds a class that is not regular")
-        return witness
-
-    def check(self, pairs) -> list[tuple[bytes, tuple[int, ...] | None]]:
-        """``(key, witness)`` for each ``(key, carry)`` pair, the witness
-        ``None`` for a key that is not regular.  A child's walls are
-        derived from its flip's scan, in the flip's labeling, and its
-        candidate is the parent's witness pushed past the flipped wall;
-        its witness is relabeled into the key's labeling once, when it is
-        returned.  A ``None`` carry marks a key recorded without a
-        witness, which is certified (``_certified``)."""
-        engine, unpack = self.engine, self.codec.unpack
-        out = []
-        for key, carry in pairs:
-            if carry is None:
-                witness = self._certified(unpack(key))
-            else:
-                parent, flip, child, element = carry
-                walls = engine.wall_circuits(child, flip)
-                witness = self._verdict(child, walls, _candidate(parent, flip.circuit))
-                if witness is not None:
-                    witness = _relabeled(witness, element)
-            out.append((key, witness))
-        return out
-
-    def _verdict(self, masks, walls, candidate=None) -> tuple[int, ...] | None:
-        """``FlipEngine.verdict`` on the local rows of ``masks`` (``walls``
-        is its scan), counted by how it was reached."""
-        engine = self.engine
-        witness, how = engine.verdict(engine.regularity_rows(masks, walls), masks, walls, candidate)
-        self.counts[how] += 1
-        return witness
-
-
 def _check_checkpoint_every(checkpoint_every: int) -> None:
     if checkpoint_every < 1:
         raise InputError(f"checkpoint interval must be at least 1, not {checkpoint_every}")
 
 
 class Enumerator:
-    """Flip-graph BFS emitting one canonical representative per orbit."""
+    """Flip-graph BFS emitting one canonical representative per orbit.
+
+    ``counts`` tallies this run's verdicts by the ``how`` of
+    ``FlipEngine.verdict``: a carried candidate (``carried``), lifted
+    heights (``lifted``) or the simplex (``solved``)."""
 
     def __init__(
         self,
@@ -262,9 +185,12 @@ class Enumerator:
         self.checkpoint_path = checkpoint_path
         self.checkpoint_every = checkpoint_every
         self.placing_order = list(placing_order) if placing_order is not None else None
-        self.walk = _Walk(config, group.elements)
+        self.engine = flip_engine(config)
+        self.codec = _Codec(self.engine.n)
+        self.context = RelabelContext(self.engine, group.elements)
+        self.counts = Counter(carried=0, lifted=0, solved=0)
 
-        self.visited: dict[bytes, bool] = self.walk.known  # filled in place, never rebound
+        self.visited: dict[bytes, bool] = {}
         self.regular: list[bytes] = []  # the regular keys in recording order
         self.expanded = 0  # the frontier is regular[expanded:]
         self.shown = 0  # regular[shown:] has not yet passed the filters
@@ -279,7 +205,7 @@ class Enumerator:
         return 0 < len(self.regular) == self.expanded
 
     def _passes_filters(self, masks) -> bool:
-        engine = self.walk.engine
+        engine = self.engine
         if self.filters.require_unimodular and not engine.is_unimodular(masks):
             return False
         if self.filters.require_full and not engine.is_full(masks):
@@ -299,17 +225,60 @@ class Enumerator:
             "frontier": len(self.regular) - self.expanded,
             "complete": self.complete,
             # verdicts of this run, not saved in checkpoints
-            "carried": self.walk.counts["carried"],
-            "lifted": self.walk.counts["lifted"],
-            "solved": self.walk.counts["solved"],
+            "carried": self.counts["carried"],
+            "lifted": self.counts["lifted"],
+            "solved": self.counts["solved"],
         }
 
     # -- search ----------------------------------------------------------
 
-    def _certify(self, keys) -> None:
-        """Certify, in one ``check`` call, those keys recorded without a witness."""
-        for key, witness in self.walk.check([(key, None) for key in keys if key not in self.witnesses]):
+    def _verdict(self, masks, walls, candidate=None) -> tuple[int, ...] | None:
+        """``FlipEngine.verdict`` on the local rows of ``masks`` (``walls``
+        is its scan), counted by how it was reached."""
+        engine = self.engine
+        witness, how = engine.verdict(engine.regularity_rows(masks, walls), masks, walls, candidate)
+        self.counts[how] += 1
+        return witness
+
+    def _checked(self, key):
+        """The masks of a key recorded without a witness (the seed or a key
+        read from a checkpoint) and the wall scan made by checking that
+        they form a triangulation."""
+        masks = self.codec.unpack(key)
+        try:
+            return masks, self.engine.check_triangulation(masks)
+        except ValueError as err:
+            raise CheckpointMismatchError(f"checkpoint holds a key that is not a triangulation: {err}") from err
+
+    def _certify(self, key) -> None:
+        """Store the witness of a regular key recorded without one."""
+        if key not in self.witnesses:
+            witness = self._verdict(*self._checked(key))
+            if witness is None:
+                raise CheckpointMismatchError("checkpoint holds a class that is not regular")
             self.witnesses[key] = _compact(witness)
+
+    def _expand(self, node) -> None:
+        """Record, in order, the verdict of each flip neighbor of the
+        frontier class ``node`` that is not visited.  A neighbor whose
+        sorted masks pack to a visited key is that class (a key is its own
+        canonical form).  The verdict is reached in the flip's labeling,
+        and a witness is relabeled into the key's labeling when stored."""
+        engine, pack, visited = self.engine, self.codec.pack, self.visited
+        canonical = self.context.canonical
+        parent = self.witnesses.pop(node)
+        for flip, child in engine.neighbors(self.codec.unpack(node)):
+            if pack(child) in visited:
+                continue
+            form, element = canonical(child)
+            key = pack(form)
+            if key in visited:
+                continue
+            witness = self._verdict(child, engine.wall_circuits(child, flip), _candidate(parent, flip.circuit))
+            visited[key] = witness is not None
+            if witness is not None:
+                self.regular.append(key)
+                self.witnesses[key] = _compact(_relabeled(witness, element))
 
     def run(self, limit: int | None = None) -> Iterator[Triangulation]:
         """Generate canonical representatives; stops after ``limit`` emissions.
@@ -321,36 +290,31 @@ class Enumerator:
         if limit is not None and limit < 0:
             raise InputError(f"limit must be at least 0, not {limit}")
         self._stop = False
-        walk, unpack = self.walk, self.walk.codec.unpack
+        unpack = self.codec.unpack
         if not self.visited:  # a fresh run records its seed, certified below
             seed = placing_triangulation(self.config, self.placing_order)
-            key = walk.key(walk.engine.to_masks(seed.cells))
+            key = self.codec.pack(self.context.canonical(self.engine.to_masks(seed.cells))[0])
             self.visited[key] = True
             self.regular.append(key)
-        # the keys the first show below emits; the others are certified when expanded
+        # every unshown key is checked before a filter reads it; the keys the
+        # first show below emits are certified, the others when expanded
         room = None if limit is None else max(0, limit - self.emitted)
-        shows = (key for key in self.regular[self.shown :] if self._passes_filters(unpack(key)))
-        self._certify(islice(shows, room))
+        shows = (key for key in self.regular[self.shown :] if self._passes_filters(self._checked(key)[0]))
+        for key in islice(shows, room):
+            self._certify(key)
         while True:
             while self.shown < len(self.regular) and (limit is None or self.emitted < limit):
                 masks = unpack(self.regular[self.shown])
                 self.shown += 1
                 if self._passes_filters(masks):
                     self.emitted += 1
-                    yield walk.engine.triangulation(masks)
+                    yield self.engine.triangulation(masks)
             if self.expanded == len(self.regular) or self._stop or (limit is not None and self.emitted >= limit):
                 break
             self._maybe_checkpoint()  # every stop above ends in the final write
             node = self.regular[self.expanded]
-            self._certify([node])  # a resumed frontier class
-            children = walk.expand([(node, self.witnesses.pop(node))])
-            # one carry per new key, in first-seen order; every one is recorded
-            fresh = {key: carry for key, carry in children if key not in self.visited}
-            for key, witness in walk.check(list(fresh.items())):
-                self.visited[key] = witness is not None
-                if witness is not None:
-                    self.regular.append(key)
-                    self.witnesses[key] = _compact(witness)
+            self._certify(node)  # a resumed frontier class
+            self._expand(node)
             self.expanded += 1
         self._write_checkpoint()
 
@@ -432,7 +396,7 @@ def load_checkpoint(
             checkpoint_path=path,
             checkpoint_every=checkpoint_every,
         )
-        width, visited = enumerator.walk.codec.width, enumerator.visited
+        width, visited = enumerator.codec.width, enumerator.visited
         for field, regular in (("regular", True), ("nonregular", False)):
             for b64 in doc[field]:
                 key = base64.b64decode(b64, validate=True)

@@ -54,9 +54,10 @@ map fixed by one simplex, then requires an integer matrix of determinant
 yes/no question, so the library must accept exactly the permutations
 this oracle accepts.
 
-``verify_closure`` re-checks a completed enumeration: every regular
-class is certified again, and every regular neighbor of every regular
-class must be in the visited set.
+``verify_closure`` re-checks a completed enumeration without its walk:
+every regular class is regular again by ``is_regular`` on its local
+system, and every flip neighbor of every regular class, canonicalized,
+must be in the visited set.
 ``cold_walk`` is the breadth-first walk with a cold simplex for every
 verdict, as the enumerator ran before it carried witnesses across flips;
 the enumerator's visited classes and verdicts must equal its own.
@@ -87,7 +88,7 @@ from tropcay.geometry import (
     normalized_volume,
 )
 from tropcay.lp import strict_homogeneous_feasible
-from tropcay.triangulation import RelabelContext, Triangulation, flip_engine, placing_triangulation
+from tropcay.triangulation import RelabelContext, Triangulation, flip_engine, is_regular, placing_triangulation
 
 
 def solve_general(a_rows, b_col) -> list[Fraction] | None:
@@ -735,15 +736,19 @@ def certify_affine_action(config: PointConfiguration, perm) -> tuple:
 
 
 def verify_closure(enumerator) -> bool:
-    """After completion, every regular class is certified again (a class
-    that is not regular raises ``CheckpointMismatchError``), and every
-    regular neighbor of every regular class must already be in the
-    visited set."""
+    """After completion, every regular class is regular again by a local
+    check from scratch, and every neighbor of every regular class must
+    already be in the visited set."""
     if not enumerator.complete:
         raise ValueError("closure check requires a completed enumeration")
-    visited, walk = enumerator.visited, enumerator.walk
-    nodes = walk.check([(key, None) for key, ok in visited.items() if ok])
-    return all(key in visited for key, _carry in walk.expand(nodes))
+    engine, codec, context, visited = enumerator.engine, enumerator.codec, enumerator.context, enumerator.visited
+    for key in enumerator.regular:
+        masks = codec.unpack(key)
+        if is_regular(engine.triangulation(masks), mode="local") is None:
+            return False
+        if any(codec.pack(context.canonical(child)[0]) not in visited for _flip, child in engine.neighbors(masks)):
+            return False
+    return True
 
 
 def cold_walk(config, elements) -> dict[tuple[int, ...], bool]:

@@ -791,9 +791,7 @@ def test_enumerate_resume_damaged_checkpoint_exit_5(tmp_path, capsys, damage):
         assert json.loads(damaged)["format"] in err
 
 
-# the ids keep these tests' names from when they also ran at two jobs
-@pytest.mark.parametrize("jobs", ["1"])
-def test_enumerate_resume_non_regular_frontier_class_exit_5(tmp_path, capsys, jobs):
+def test_enumerate_resume_non_regular_frontier_class_exit_5(tmp_path, capsys):
     # A signed checkpoint that lists a non-regular class of the nested
     # triangles (18 classes, 16 regular) as regular: still to be shown
     # (regular[shown:]), where the resumed run's start certifies it, or
@@ -824,38 +822,43 @@ def test_enumerate_resume_non_regular_frontier_class_exit_5(tmp_path, capsys, jo
         assert "not regular" in err and out == ""
 
 
-# Frontier keys that are not triangulations, each listed as the first
-# unexpanded regular class in a signed checkpoint: (craft from key and
-# width, message).
+# Regular keys that are not triangulations in a signed checkpoint: (craft
+# from key and width, message).  The last cell of "point-past-the-end"
+# holds a point beyond 3D2's ten, which the unimodular filter cannot read.
 _CRAFTED_KEYS = {
     "cut-one-byte": (lambda key, w: key[:-1], "whole number"),
     "repeated-mask": (lambda key, w: key[:w] * 2 + key[2 * w :], "not a triangulation"),
+    "point-past-the-end": (lambda key, w: key[:-w] + (0b10000000011).to_bytes(w, "big"), "not a triangulation"),
 }
 
 
-# the ids keep these tests' names from when they also ran at two jobs
-@pytest.mark.parametrize("jobs", ["1"])
 @pytest.mark.parametrize("craft", sorted(_CRAFTED_KEYS))
-def test_enumerate_resume_frontier_key_not_a_triangulation_exit_5(tmp_path, capsys, craft, jobs):
+def test_enumerate_resume_frontier_key_not_a_triangulation_exit_5(tmp_path, capsys, craft):
+    # The crafted key heads the frontier, among the classes already shown,
+    # or is the first class past shown, where a --unimodular resume reads
+    # its filter before anything else.
     cfg_path = tmp_path / "3d2.json"
     run(capsys, "config", "simplex", "--dim", "2", "--dilation", "3", "--out", str(cfg_path))
     ckpt = tmp_path / "run.ckpt"
     code, _, _ = run(
-        capsys, "enumerate", "--config", str(cfg_path), "--group", "s3", "--limit", "20",
+        capsys, "enumerate", "--config", str(cfg_path), "--group", "trivial", "--unimodular", "--limit", "20",
         "--checkpoint", str(ckpt),
     )
     assert code == EXIT_OK
-    doc = json.loads(ckpt.read_text())
+    done = json.loads(ckpt.read_text())
+    assert done["expanded"] < done["shown"] < len(done["regular"])
     change, message = _CRAFTED_KEYS[craft]
-    head = doc["expanded"]
-    bad = base64.b64encode(change(base64.b64decode(doc["regular"][head]), 2)).decode()  # 10 points: 2 bytes
-    doc["regular"].insert(head, bad)  # it heads the frontier, among the classes already shown
-    doc["shown"] += 1
-    doc["digest"] = _digest(doc)
-    ckpt.write_text(json.dumps(doc))
-    code, out, err = run(capsys, "enumerate", "--resume", "--checkpoint", str(ckpt))
-    assert code == EXIT_CHECKPOINT
-    assert message in err and out == ""
+    for place in ("expanded", "shown"):
+        doc = json.loads(json.dumps(done))
+        at = doc[place]
+        bad = base64.b64encode(change(base64.b64decode(doc["regular"][at]), 2)).decode()  # 10 points: 2 bytes
+        doc["regular"].insert(at, bad)
+        doc["shown"] += place == "expanded"
+        doc["digest"] = _digest(doc)
+        ckpt.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "enumerate", "--resume", "--checkpoint", str(ckpt))
+        assert code == EXIT_CHECKPOINT, (place, err)
+        assert message in err and out == ""
 
 
 def test_enumerate_progress_survives_a_backward_wall_clock_step(tmp_path, capsys, monkeypatch):
@@ -881,9 +884,7 @@ def _done_fields(err) -> dict[str, str]:
     return dict(item.split("=") for item in done[len("done: "):].split())
 
 
-# the id keeps this test's name from when it also ran at two jobs
-@pytest.mark.parametrize("jobs", ["1"])
-def test_enumerate_done_line_counts_carried_verdicts(tmp_path, capsys, jobs):
+def test_enumerate_done_line_counts_carried_verdicts(tmp_path, capsys):
     # On the first 300 quadric classes most verdicts come from witnesses
     # carried across flips; a fresh run decides each visited class once.
     cfg_path = tmp_path / "c22.json"

@@ -8,7 +8,7 @@ from functools import cache, partial
 from itertools import islice
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -31,12 +31,10 @@ from tropcay.triangulation import (
     builtin_symmetry,
     is_regular,
     is_unimodular,
-    placing_triangulation,
 )
 from tropcay.enumeration import (
     EnumerationFilters,
     Enumerator,
-    _Walk,
     _candidate,
     _digest,
     load_checkpoint,
@@ -143,7 +141,7 @@ def test_local_verdicts_match_global_regularity():
     en = Enumerator(cfg, grp)
     list(en.run())
     assert en.complete
-    engine, unpack = en.walk.engine, en.walk.codec.unpack
+    engine, unpack = en.engine, en.codec.unpack
     for key, regular in en.visited.items():
         t = engine.triangulation(unpack(key))
         assert regular == (is_regular(t, mode="global") is not None)
@@ -167,26 +165,16 @@ def test_halt_and_resume_matches_fresh_run(tmp_path):
     assert len(first) + len(resumed) == 79  # no duplicates across the halt
 
 
-# the ids keep these tests' names from when they also ran at two jobs
-@pytest.mark.parametrize("limit", [2, 50], ids=["1-2", "1-50"])
+@pytest.mark.parametrize("limit", [2, 50])
 def test_limit_checks_only_keys_it_records(limit):
-    # Every class of 3D2 is regular, so each checked key is a visited one
-    # unless the run dropped verdicts; the seed is recorded without a
-    # check, and certified by one without a carry.
+    # Every class of 3D2 is regular, so the run reached one verdict per
+    # visited key unless it checked a key it did not record or dropped a
+    # verdict; the seed's verdict is its certification.
     cfg = cubic_polygon()
     en = Enumerator(cfg, builtin_symmetry("trivial", cfg))
-    checked = []
-    check = en.walk.check
-
-    def counted(pairs):
-        checked.extend(key for key, carry in pairs if carry is not None)
-        return check(pairs)
-
-    en.walk.check = counted
     assert len(list(en.run(limit=limit))) == limit
     assert all(en.visited.values())
-    assert en.regular[0] not in checked
-    assert sorted(checked) == sorted(en.regular[1:])
+    assert sum(en.counts.values()) == len(en.visited) == len(en.regular)
 
 
 def _assert_walk_counts(en):
@@ -196,23 +184,24 @@ def _assert_walk_counts(en):
     assert s["frontier"] == len(en.regular[en.expanded :])
 
 
-# the ids keep these tests' names from when they also ran at two jobs
-@pytest.mark.parametrize("limit", [10, 50], ids=["1-10", "1-50"])
+@pytest.mark.parametrize("limit", [10, 50])
 def test_walk_counts_hold_across_a_halt_and_resume(tmp_path, limit):
     cfg = cubic_polygon()
     ckpt = str(tmp_path / "run.ckpt.json")
     en = Enumerator(cfg, builtin_symmetry("trivial", cfg), checkpoint_path=ckpt)
     nodes = []
-    expand = en.walk.expand
-    en.walk.expand = lambda batch: nodes.append(batch) or expand(batch)
+    expand = en._expand
+    en._expand = lambda node: nodes.append(node) or expand(node)
     assert len(list(en.run(limit=limit))) == limit
     _assert_walk_counts(en)
     # the last node is expanded in full, and the keys recorded past the
     # limit wait at regular[shown:] to be shown first on resume
-    last = [key for key, _witness in nodes[-1]]
-    assert en.regular[en.expanded - len(last) : en.expanded] == last
+    engine, codec = en.engine, en.codec
+    assert en.regular[en.expanded - 1] == nodes[-1]
+    for _flip, child in engine.neighbors(codec.unpack(nodes[-1])):
+        assert codec.pack(en.context.canonical(child)[0]) in en.visited
     assert en.emitted == en.shown == limit < len(en.regular)
-    pending = [en.walk.engine.triangulation(en.walk.codec.unpack(key)).cells for key in en.regular[en.shown :]]
+    pending = [engine.triangulation(codec.unpack(key)).cells for key in en.regular[en.shown :]]
     resumed = load_checkpoint(ckpt)
     counts = ("regular", "expanded", "frontier")
     assert [resumed.stats()[k] for k in counts] == [en.stats()[k] for k in counts]
@@ -429,43 +418,33 @@ _WALKS = {
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.sampled_from(sorted(_WALKS)), st.integers(1, 12), st.data())
-def test_carried_witnesses_match_cold_verdicts(name, steps, data):
-    # A random walk through the enumerator's own expand and check steps:
-    # every verdict equals a cold simplex on the canonical child, and every
-    # carried witness satisfies each of its local rows.  The walk moves on
-    # to each regular child it draws.
+@given(st.sampled_from(sorted(_WALKS)), st.integers(1, 40), st.data())
+def test_carried_witnesses_match_cold_verdicts(name, limit, data):
+    # A limited run: every verdict equals a cold simplex on the canonical
+    # class, and each frontier class keeps a witness that satisfies every
+    # local row of its key, checked in integers, and that, as heights,
+    # lifts exactly that key.  From a frontier witness, each flip's
+    # candidate lies on the child's side of the flipped wall, whose row is
+    # the flip's circuit negated.
     make_config, kind = _WALKS[name]
     cfg = make_config()
-    walk = _Walk(cfg, builtin_symmetry(kind, cfg).elements)
-    engine, unpack = walk.engine, walk.codec.unpack
-    key = walk.key(engine.to_masks(placing_triangulation(cfg).cells))
-    [(_key, witness)] = walk.check([(key, None)])  # the seed is recorded without a witness
-    for _ in range(steps):
-        children = walk.expand([(key, witness)])
-        child, carry = children[data.draw(st.integers(0, len(children) - 1))]
-        carried = walk.counts["carried"]
-        [(child_key, child_witness)] = walk.check([(child, carry)])
-        assert child_key == child
-        masks = unpack(child)
-        # the carry is in the flip's labeling, which its element takes to
-        # the key; there the candidate lies on the child's side of the
-        # flipped wall, whose row is the flip's circuit negated
-        parent, flip, flipped, _element = carry
-        assert walk.key(flipped) == child
+    en = Enumerator(cfg, builtin_symmetry(kind, cfg))
+    list(en.run(limit=limit))
+    engine, unpack = en.engine, en.codec.unpack
+    for key, regular in en.visited.items():
+        masks = unpack(key)
+        assert regular == (engine.solve(engine.regularity_rows(masks, engine.wall_circuits(masks))) is not None)
+    assert sorted(en.witnesses) == sorted(en.regular[en.expanded :])
+    for key, witness in en.witnesses.items():
+        masks = unpack(key)
+        rows = engine.regularity_rows(masks, engine.wall_circuits(masks))
+        assert all(sum(c * x for c, x in zip(row, witness)) > 0 for row in rows)
+        assert regular_subdivision(cfg, WeightVector(tuple(witness))).cells == engine.triangulation(masks).cells
+    key = data.draw(st.sampled_from(sorted(en.witnesses)))
+    for flip, child in engine.neighbors(unpack(key)):
         wall = tuple(-c for c in flip.circuit)
-        assert wall in engine.regularity_rows(flipped, engine.wall_circuits(flipped))
-        assert sum(c * x for c, x in zip(wall, _candidate(parent, flip.circuit))) > 0
-        assert (child_witness is not None) == (
-            engine.solve(engine.regularity_rows(masks, engine.wall_circuits(masks))) is not None
-        )
-        if walk.counts["carried"] > carried:
-            rows = engine.regularity_rows(masks, engine.wall_circuits(masks))
-            assert all(sum(c * x for c, x in zip(row, child_witness)) > 0 for row in rows)
-        if child_witness is not None:
-            key, witness = child, child_witness
-    # the last witness, as heights, lifts exactly the canonical class it certifies
-    assert regular_subdivision(cfg, WeightVector(witness)).cells == engine.triangulation(unpack(key)).cells
+        assert wall in engine.regularity_rows(child, engine.wall_circuits(child))
+        assert sum(c * x for c, x in zip(wall, _candidate(en.witnesses[key], flip.circuit))) > 0
 
 
 def _tetrahedral_s4(cfg):
@@ -492,33 +471,35 @@ _SKIP_WALKS = {
 @settings(max_examples=25, deadline=None)
 @given(st.sampled_from(sorted(_SKIP_WALKS)), st.integers(1, 60), st.data())
 def test_expand_drops_exactly_the_children_that_are_recorded_keys(name, limit, data):
-    # A walk state from a limited run: expanding a recorded regular class
-    # against the run's visited keys gives, in order, what expanding it
-    # against no keys gives, less the children whose own masks pack to a
-    # visited key; such a child is its own canonical form.
+    # A walk state from a limited run.  A child of a recorded regular
+    # class whose own masks pack to a visited key is its own canonical
+    # form, so dropping it uncanonicalized is sound.  Expanding the next
+    # frontier class records, in first-seen order, exactly the canonical
+    # keys of its children that were not visited, and the regular ones
+    # join the frontier in that order.
     make_config, make_group = _SKIP_WALKS[name]
     cfg = make_config()
     en = Enumerator(cfg, make_group(cfg))
     list(en.run(limit=limit))
-    walk, pack = en.walk, en.walk.codec.pack
-    assert walk.known is en.visited
-    key = data.draw(st.sampled_from(en.regular))
-    nodes = walk.check([(key, None)])
-    kept = walk.expand(nodes)
-    walk.known = {}
-    every = walk.expand(nodes)
-    assert kept == [(k, carry) for k, carry in every if pack(carry[2]) not in en.visited]
-    for k, (_witness, _flip, child, _element) in every:
+    engine, pack, unpack, canonical = en.engine, en.codec.pack, en.codec.unpack, en.context.canonical
+    for _flip, child in engine.neighbors(unpack(data.draw(st.sampled_from(en.regular)))):
         if pack(child) in en.visited:
-            assert walk.key(child) == pack(child) == k
+            assert pack(canonical(child)[0]) == pack(child)
+    assume(not en.complete)
+    node = en.regular[en.expanded]
+    children = [pack(canonical(child)[0]) for _flip, child in engine.neighbors(unpack(node))]
+    fresh = list(dict.fromkeys(key for key in children if key not in en.visited))
+    visited, regular = list(en.visited), list(en.regular)
+    en._expand(node)
+    assert list(en.visited) == visited + fresh
+    assert en.regular == regular + [key for key in fresh if en.visited[key]]
+    assert node not in en.witnesses
 
 
-# the id keeps this test's name from when it also ran at two jobs
-@pytest.mark.parametrize("most", [1500], ids=["jobs1"])
-def test_a_quadric_walk_canonicalizes_few_children(monkeypatch, most):
-    # A child that packs to a recorded key is dropped before it is
-    # canonicalized: the first 1,000 quadric classes take 1,464 canonical
-    # forms, against 2,385 when every child is canonicalized.
+# a child that packs to a recorded key, a sibling's among them, is dropped
+# before it is canonicalized: the first 1,000 quadric classes take 1,426
+# canonical forms, against 2,385 when every child is canonicalized
+def test_a_quadric_walk_canonicalizes_few_children(monkeypatch):
     calls = []
     canonical = RelabelContext.canonical
 
@@ -531,7 +512,7 @@ def test_a_quadric_walk_canonicalizes_few_children(monkeypatch, most):
     cfg = make_config()
     en = Enumerator(cfg, builtin_symmetry(kind, cfg))
     assert len(list(en.run(limit=1000))) == 1000
-    assert 1000 <= len(calls) <= most
+    assert 1000 <= len(calls) <= 1440
 
 
 @pytest.mark.parametrize("make_config, kind, visited, regular", [
@@ -544,7 +525,7 @@ def test_carried_run_visits_the_cold_walks_classes(make_config, kind, visited, r
     grp = builtin_symmetry(kind, cfg)
     en = Enumerator(cfg, grp)
     list(en.run())
-    unpack = en.walk.codec.unpack
+    unpack = en.codec.unpack
     verdicts = {unpack(key): ok for key, ok in en.visited.items()}
     assert verdicts == oracles.cold_walk(cfg, grp.elements)
     assert (len(verdicts), sum(verdicts.values())) == (visited, regular)
@@ -565,9 +546,7 @@ def test_resumed_frontier_solves_each_expanded_class_once(tmp_path):
     assert s["carried"] + s["lifted"] + s["solved"] == len(en.visited) - visited_before + len(resumed_frontier)
 
 
-# the id keeps this test's name from when it also ran at two jobs
-@pytest.mark.parametrize("lifted, solved", [(87, 10)], ids=["jobs1"])
-def test_resumed_quadric_frontier_is_certified_by_lifted_heights(tmp_path, lifted, solved):
+def test_resumed_quadric_frontier_is_certified_by_lifted_heights(tmp_path):
     # Halted at 500 and resumed to 1,000, the quadric run made 7 + 81
     # simplex calls when a resumed frontier class could only be solved;
     # lifted heights certify nearly all of them.  Measured over the halt
@@ -579,8 +558,8 @@ def test_resumed_quadric_frontier_is_certified_by_lifted_heights(tmp_path, lifte
     assert len(list(first.run(limit=500))) == 500
     resumed = load_checkpoint(ckpt)
     assert len(list(resumed.run(limit=1000))) == 500
-    assert first.stats()["lifted"] + resumed.stats()["lifted"] >= lifted
-    assert first.stats()["solved"] + resumed.stats()["solved"] <= solved
+    assert first.stats()["lifted"] + resumed.stats()["lifted"] >= 87
+    assert first.stats()["solved"] + resumed.stats()["solved"] <= 10
 
 
 def test_nested_triangles_refused_classes_come_from_gordan_certificates():
@@ -589,16 +568,16 @@ def test_nested_triangles_refused_classes_come_from_gordan_certificates():
     cfg = nested_triangles()[0]
     en = Enumerator(cfg, builtin_symmetry("trivial", cfg))
     list(en.run())
-    walk, unpack = en.walk, en.walk.codec.unpack
+    engine, unpack = en.engine, en.codec.unpack
     refused = [unpack(key) for key, ok in en.visited.items() if not ok]
     assert len(refused) == 2
     for masks in refused:
-        walls = walk.engine.wall_circuits(masks)
-        rows = sorted(set(walk.engine.regularity_rows(masks, walls=walls)))
-        assert relaxed_witness(rows, walk.engine.lift(masks, walls)) is None
+        walls = engine.wall_circuits(masks)
+        rows = sorted(set(engine.regularity_rows(masks, walls=walls)))
+        assert relaxed_witness(rows, engine.lift(masks, walls)) is None
         witness, y = _simplex(rows)
         assert witness is None and min(y) >= 0 and any(y)
         assert not any(sum(yi * row[j] for yi, row in zip(y, rows)) for j in range(len(rows[0])))
-        before = walk.counts.copy()
-        assert walk._verdict(masks, walls) is None
-        assert walk.counts - before == Counter(solved=1)
+        before = en.counts.copy()
+        assert en._verdict(masks, walls) is None
+        assert en.counts - before == Counter(solved=1)
