@@ -25,6 +25,7 @@ import signal
 import sys
 import time
 from functools import cache, partial, reduce
+from itertools import islice
 
 from .enumeration import DEFAULT_CHECKPOINT_EVERY, EnumerationFilters, Enumerator, load_checkpoint
 from .errors import (
@@ -251,20 +252,24 @@ def cmd_enumerate(args) -> int:
     return EXIT_OK
 
 
-def _classify_share(config, use_colors, lines) -> ClassTable:
-    """Classify one share of (line number, line) pairs into its own table,
-    skipping each line that is not a unimodular triangulation."""
+def _classify_share(config, use_colors, path, jobs, share) -> ClassTable:
+    """Classify every ``jobs``-th non-blank line of the file ``path``, from
+    the ``share``-th on, into its own table, skipping each line that is not
+    a unimodular triangulation.  The file is read line by line, so a share
+    holds only its table in memory."""
     table = ClassTable(use_colors=use_colors)
-    for lineno, line in lines:
-        try:
-            t = Triangulation.make(config, parse_triangulation_line(config, line))
-            if not is_unimodular(t):  # reads the cell volumes make just cached
-                raise ValueError("not unimodular")
-            graph = dual_curve_3d(mixed_subdivision(t)) if config.is_cayley else dual_curve_planar(t)
-        except Exception as err:  # report and continue
-            sys.stderr.write(f"line {lineno}: skipped ({err})\n")
-            continue
-        table.add(graph, cells_to_text(config, t.cells))
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = ((lineno, line) for lineno, line in enumerate(fh, 1) if line.strip())
+        for lineno, line in islice(lines, share, None, jobs):
+            try:
+                t = Triangulation.make(config, parse_triangulation_line(config, line))
+                if not is_unimodular(t):  # reads the cell volumes make just cached
+                    raise ValueError("not unimodular")
+                graph = dual_curve_3d(mixed_subdivision(t)) if config.is_cayley else dual_curve_planar(t)
+            except Exception as err:  # report and continue
+                sys.stderr.write(f"line {lineno}: skipped ({err})\n")
+                continue
+            table.add(graph, cells_to_text(config, t.cells))
     return table
 
 
@@ -280,18 +285,15 @@ def cmd_classify(args) -> int:
         raise InputError(
             f"classify needs affine dimension {want} for {kind}, not {config.affine_dim()}"
         )
-    with open(args.input, "r", encoding="utf-8") as fh:
-        lines = [(i + 1, line) for i, line in enumerate(fh) if line.strip()]
-    shares = [lines[i :: args.jobs] for i in range(args.jobs)]
-    classify_share = partial(_classify_share, config, args.use_colors)
+    classify_share = partial(_classify_share, config, args.use_colors, args.input, args.jobs)
     if args.jobs == 1:
-        tables = list(map(classify_share, shares))
+        tables = [classify_share(0)]
     else:
         # imported on demand: multiprocessing adds ~2 MiB to every process loading this module
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            tables = list(pool.map(classify_share, shares))
+            tables = list(pool.map(classify_share, range(args.jobs)))
     table = reduce(ClassTable.merge, tables)
 
     entries_with_cells = [

@@ -29,13 +29,14 @@ that the flip carries (``FlipEngine.wall_circuits`` with ``flip``), so
 neither the key nor the candidate is relabeled; the accepted witness is
 relabeled into the key's labeling once, when it is stored.  A regular
 key recorded without a witness, the seed or a key read from a checkpoint
-(witnesses are not saved in checkpoints), is certified before it is
-emitted or expanded: ``run`` certifies the unshown keys its first show
-emits, then each resumed frontier key before expanding it.  The key's
-wall scan, made by ``FlipEngine.check_triangulation``, gives its rows
-and its lift; a key that is not a triangulation or not regular is
-refused with ``CheckpointMismatchError``, and every unshown key is
-checked to be a triangulation before a filter reads it.
+(witnesses are not saved in checkpoints), is certified just before
+``run`` emits or expands it.  The key's wall scan, made by
+``FlipEngine.check_triangulation``, gives its rows and its lift; a key
+that is not a triangulation or not regular is refused with
+``CheckpointMismatchError``.  ``load_checkpoint`` checks every key past
+``shown`` to be a triangulation as it reads the file, so a filter never
+reads one that is not and such a file is refused before anything is
+emitted.
 ``Enumerator.stats`` counts this run's verdicts by the ``how`` of
 ``FlipEngine.verdict``: ``carried``, ``lifted`` and ``solved``,
 certifications included.
@@ -75,7 +76,6 @@ import json
 import os
 from collections import Counter
 from dataclasses import dataclass
-from itertools import islice
 from typing import Iterator
 
 from .errors import CheckpointMismatchError, GroupBoundError, InputError
@@ -194,7 +194,9 @@ class Enumerator:
         self.regular: list[bytes] = []  # the regular keys in recording order
         self.expanded = 0  # the frontier is regular[expanded:]
         self.shown = 0  # regular[shown:] has not yet passed the filters
-        self.witnesses: dict[bytes, object] = {}  # _compact, by frontier key; run certifies a key recorded without
+        # _compact, by frontier key; a key recorded without one is
+        # certified (_certify) before it is emitted or expanded
+        self.witnesses: dict[bytes, object] = {}
         self.emitted = 0
         self._stop = False
         self._last_checkpoint_emitted = 0
@@ -290,23 +292,18 @@ class Enumerator:
         if limit is not None and limit < 0:
             raise InputError(f"limit must be at least 0, not {limit}")
         self._stop = False
-        unpack = self.codec.unpack
-        if not self.visited:  # a fresh run records its seed, certified below
+        if not self.visited:  # a fresh run records its seed, certified when shown or expanded
             seed = placing_triangulation(self.config, self.placing_order)
             key = self.codec.pack(self.context.canonical(self.engine.to_masks(seed.cells))[0])
             self.visited[key] = True
             self.regular.append(key)
-        # every unshown key is checked before a filter reads it; the keys the
-        # first show below emits are certified, the others when expanded
-        room = None if limit is None else max(0, limit - self.emitted)
-        shows = (key for key in self.regular[self.shown :] if self._passes_filters(self._checked(key)[0]))
-        for key in islice(shows, room):
-            self._certify(key)
         while True:
             while self.shown < len(self.regular) and (limit is None or self.emitted < limit):
-                masks = unpack(self.regular[self.shown])
+                key = self.regular[self.shown]
+                masks = self.codec.unpack(key)
                 self.shown += 1
                 if self._passes_filters(masks):
+                    self._certify(key)  # the seed or a resumed key
                     self.emitted += 1
                     yield self.engine.triangulation(masks)
             if self.expanded == len(self.regular) or self._stop or (limit is not None and self.emitted >= limit):
@@ -416,6 +413,8 @@ def load_checkpoint(
                 f"0 <= expanded <= shown <= {len(keys)} regular keys and emitted <= shown"
             )
         enumerator.expanded, enumerator.shown, enumerator.emitted = expanded, shown, emitted
+        for key in keys[shown:]:  # a triangulation, before a filter reads it
+            enumerator._checked(key)
     # ValueError covers json.JSONDecodeError, UnicodeDecodeError, binascii.Error and a
     # generator that is not an affine lattice map; GroupBoundError, a closure larger
     # than GROUP_BOUND

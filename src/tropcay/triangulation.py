@@ -20,25 +20,24 @@ from a cached cell derives its entry from that cell's circuits
 One map of each facet to its cells (``FlipEngine._facet_cells``), the
 only place that refuses a facet in more than two, lies beneath ``walls``,
 ``check_triangulation`` and ``FlipEngine.wall_circuits``, which pairs
-facets into walls with their circuits.  ``FlipEngine.local_circuits``
+facets into walls with their circuits.  ``FlipEngine.regularity_rows``
 adds the circuits of the unused points with the cells containing them:
-each is a flip that ``neighbors`` tries, and together they are the local
-regularity rows.  A flip changes only the cells of its circuit's star,
-so each ``Flip`` from ``neighbors`` keeps the cells it removes and adds
-and its parent's wall scan, and ``wall_circuits(child, flip)`` derives
-the child's walls from them, in the flip's own labeling, instead of
-scanning the child; the checked child's local rows
-(``regularity_rows``) come from them.  Cell facets, cell
-point indices and circuit sign masks are cached per cell and per
-circuit, beside the cell table.  Circuit signs also decide whether a set
-of cells is a triangulation at all (``FlipEngine.check_triangulation``):
-the two cells of every shared facet must lie on opposite sides of it,
-and no point may lie beyond an unshared one.  ``Triangulation.make``
-runs that check once on cells from outside; cells the engine builds skip
-it.  And they certify symmetries (``certify_affine_action``): a
-permutation is an affine lattice map iff it carries the circuits of one
-simplex of the placing triangulation (``FlipEngine.placing``) to the
-circuits of its image.
+together they are the local regularity rows, and each is a flip that
+``neighbors`` tries.  A flip changes only the cells of its circuit's
+star, so each ``Flip`` from ``neighbors`` keeps the cells it removes and
+adds and its parent's wall scan, and ``wall_circuits(child, flip)``
+derives the child's walls from them, in the flip's own labeling, instead
+of scanning the child; the checked child's local rows come from them.
+Cell facets, cell point indices and circuit sign masks are cached per
+cell and per circuit, beside the cell table.  Circuit signs also decide
+whether a set of cells is a triangulation at all
+(``FlipEngine.check_triangulation``): the two cells of every shared
+facet must lie on opposite sides of it, and no point may lie beyond an
+unshared one.  ``Triangulation.make`` runs that check once on cells from
+outside; cells the engine builds skip it.  And they certify symmetries
+(``certify_affine_action``): a permutation is an affine lattice map iff
+it carries the circuits of one simplex of the placing triangulation
+(``FlipEngine.placing``) to the circuits of its image.
 
 Regularity is decided exactly.  The engine holds only the local system
 above (``FlipEngine.regularity_rows``); ``is_regular(t, mode="global")``
@@ -467,39 +466,24 @@ class FlipEngine:
                 out[fm] = (sigma, tau, cell(sigma)[1][(tau & ~fm).bit_length() - 1])
         return out
 
-    def local_circuits(self, masks, walls) -> list[tuple[int, ...]]:
-        """The circuits a flip of this triangulation can use, which are also
-        the rows of the local regularity system: each interior wall's
-        circuit (``walls`` is ``wall_circuits(masks)``), then each circuit
-        of an unused point with a cell containing it, in that order and
-        without repeats."""
+    def regularity_rows(self, masks, walls) -> list[tuple[int, ...]]:
+        """The rows of the local regularity system, which are also the
+        circuits a flip of this triangulation can use (De Loera, Rambau and
+        Santos, ch. 5): each interior wall's circuit (``walls`` is a
+        ``wall_circuits`` scan of ``masks``), then the circuit of each
+        unused point with each cell containing it, by point and tried
+        against the cells' inside masks, in that order and without
+        repeats.  ``is_regular(mode="global")`` builds the equivalent
+        reference system."""
         out = [row for _sigma, _tau, row in walls.values()]
-        out += self._unused_circuits(masks)
-        return list(dict.fromkeys(out))
-
-    def _unused_circuits(self, masks) -> list[tuple[int, ...]]:
-        """The circuit of each unused point with each cell containing it,
-        by point, tried against the cells' inside masks."""
         unused = self.all_mask
         for cm in masks:
             unused &= ~cm
-        if not unused:
-            return []
-        cached = self._cells.get
-        entries = [cached(cm) or self.cell(cm) for cm in masks]
-        return [
-            rows[p]
-            for p in self.bits(unused)
-            for _volume, rows, inside in entries
-            if inside >> p & 1
-        ]
-
-    def regularity_rows(self, masks, walls) -> list[tuple[int, ...]]:
-        """The sorted rows of the local regularity system, the circuits of
-        ``local_circuits`` (``walls`` is a ``wall_circuits`` scan of
-        ``masks``); ``is_regular(mode="global")`` builds the equivalent
-        reference system (De Loera, Rambau and Santos, ch. 5)."""
-        return sorted(self.local_circuits(masks, walls))
+        if unused:
+            cached = self._cells.get
+            entries = [cached(cm) or self.cell(cm) for cm in masks]
+            out += [rows[p] for p in self.bits(unused) for _volume, rows, inside in entries if inside >> p & 1]
+        return list(dict.fromkeys(out))
 
     def lift(self, masks, walls) -> tuple[int, ...]:
         """Integer heights lifting ``masks`` along a spanning tree of its
@@ -579,7 +563,7 @@ class FlipEngine:
         walls = self.wall_circuits(masks)
         signs = self._signs
         results = []
-        for row in self.local_circuits(masks, walls):
+        for row in self.regularity_rows(masks, walls):
             sign = signs.get(row)
             if sign is None:
                 sign = signs[row] = self._sign_masks(row)

@@ -26,7 +26,7 @@ must equal.  ``cell_entry`` is the whole entry from one fraction-free
 elimination of all points against the cell's vertices, as the engine
 built every entry before it derived them by vertex exchange; the
 engine's entries must equal it exactly.  ``local_circuits`` is the scan
-``FlipEngine.local_circuits`` ran before that mask: every unused point is
+``FlipEngine.regularity_rows`` ran before that mask: every unused point is
 tried against every cell by the signs of its row, here ``constraint_row``;
 the two must agree as ordered lists.
 

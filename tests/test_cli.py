@@ -793,10 +793,10 @@ def test_enumerate_resume_damaged_checkpoint_exit_5(tmp_path, capsys, damage):
 
 def test_enumerate_resume_non_regular_frontier_class_exit_5(tmp_path, capsys):
     # A signed checkpoint that lists a non-regular class of the nested
-    # triangles (18 classes, 16 regular) as regular: still to be shown
-    # (regular[shown:]), where the resumed run's start certifies it, or
-    # shown and waiting in the frontier, where expanding it does; either
-    # refuses it.
+    # triangles (18 classes, 16 regular) as regular: the first or the
+    # second class still to be shown (regular[shown:]), where the show
+    # loop certifies it as it is about to emit it, or shown and waiting in
+    # the frontier, where expanding it does; each refuses it unemitted.
     cfg_path = tmp_path / "nested.json"
     cfg_path.write_text(json.dumps({
         "format": "tropcay/point-configuration/1",
@@ -805,21 +805,22 @@ def test_enumerate_resume_non_regular_frontier_class_exit_5(tmp_path, capsys):
         "labels": ["A", "B", "C", "a", "b", "c"],
     }))
     ckpt = tmp_path / "run.ckpt"
-    code, out, _ = run(
+    code, full, _ = run(
         capsys, "enumerate", "--config", str(cfg_path), "--group", "trivial", "--checkpoint", str(ckpt),
     )
-    assert code == EXIT_OK and len(out.splitlines()) == 16
+    assert code == EXIT_OK and len(full.splitlines()) == 16
     done = json.loads(ckpt.read_text())
     assert (len(done["regular"]), len(done["nonregular"]), done["expanded"], done["shown"]) == (16, 2, 16, 16)
-    for shown in (16, 17):  # pending, then in the frontier
+    # pending, in the frontier, and pending behind a class the run emits first
+    for expanded, shown in ((16, 16), (16, 17), (15, 15)):
         doc = json.loads(json.dumps(done))
         doc["regular"].append(doc["nonregular"].pop())  # the whole frontier
-        doc["shown"] = shown
+        doc.update(expanded=expanded, shown=shown, emitted=min(shown, 16))
         doc["digest"] = _digest(doc)
         ckpt.write_text(json.dumps(doc))
         code, out, err = run(capsys, "enumerate", "--resume", "--checkpoint", str(ckpt))
         assert code == EXIT_CHECKPOINT
-        assert "not regular" in err and out == ""
+        assert "not regular" in err and out.splitlines() == full.splitlines()[shown:]
 
 
 # Regular keys that are not triangulations in a signed checkpoint: (craft
@@ -858,6 +859,31 @@ def test_enumerate_resume_frontier_key_not_a_triangulation_exit_5(tmp_path, caps
         ckpt.write_text(json.dumps(doc))
         code, out, err = run(capsys, "enumerate", "--resume", "--checkpoint", str(ckpt))
         assert code == EXIT_CHECKPOINT, (place, err)
+        assert message in err and out == ""
+
+
+@pytest.mark.parametrize("craft", sorted(_CRAFTED_KEYS))
+def test_enumerate_resume_refuses_a_later_unshown_key_before_any_output(tmp_path, capsys, craft):
+    # The crafted key is the second class past shown.  Resumed for one
+    # more class, the run would emit the first and stop before it, but
+    # every key past shown is checked as the checkpoint is read.
+    cfg_path = tmp_path / "3d2.json"
+    run(capsys, "config", "simplex", "--dim", "2", "--dilation", "3", "--out", str(cfg_path))
+    ckpt = tmp_path / "run.ckpt"
+    code, _, _ = run(
+        capsys, "enumerate", "--config", str(cfg_path), "--group", "trivial", "--limit", "10",
+        "--checkpoint", str(ckpt),
+    )
+    assert code == EXIT_OK
+    doc = json.loads(ckpt.read_text())
+    assert doc["emitted"] == doc["shown"] == 10 and len(doc["regular"]) > 12
+    change, message = _CRAFTED_KEYS[craft]
+    doc["regular"].insert(11, base64.b64encode(change(base64.b64decode(doc["regular"][11]), 2)).decode())
+    doc["digest"] = _digest(doc)
+    ckpt.write_text(json.dumps(doc))
+    for limit in ([], ["--limit", "11"]):
+        code, out, err = run(capsys, "enumerate", "--resume", *limit, "--checkpoint", str(ckpt))
+        assert code == EXIT_CHECKPOINT, (limit, err)
         assert message in err and out == ""
 
 
@@ -1094,6 +1120,36 @@ def test_classify_jobs_parallel_matches_serial(tmp_path, capsys, case):
         totals.append(_classified_line(err))
     assert trees[0] and trees[1] == trees[0] and trees[2] == trees[0]
     assert len(totals[0]) == 1 and totals[1] == totals[0] and totals[2] == totals[0]
+
+
+def test_classify_shares_keep_the_file_line_numbers(tmp_path, capsys):
+    # Each share reads the file itself and takes every jobs-th non-blank
+    # line, so blank lines shift no share and a skipped line is reported
+    # by its line in the file at any --jobs.  Workers write to the
+    # process's stderr, so each run is a process of its own.
+    cfg_path, stream = _stream(tmp_path, capsys, "3d2", "--group", "s3", "--unimodular")
+    good = stream.read_text().splitlines()
+    lines = []
+    for i, line in enumerate(good):
+        lines += [line, "", "not json at all"] if i % 3 == 0 else ["   ", line]
+    stream.write_text("\n".join(lines) + "\n")
+    skipped = [n for n, line in enumerate(lines, 1) if line == "not json at all"]
+    src = os.path.dirname(os.path.dirname(tropcay.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    trees = []
+    for jobs in (1, 2, 3):
+        out_dir = tmp_path / f"jobs{jobs}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "tropcay.cli", "classify", "--config", str(cfg_path), "--in", str(stream),
+             "--out", str(out_dir), "--jobs", str(jobs)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        reported = [int(line.split()[1].rstrip(":")) for line in proc.stderr.splitlines() if " skipped " in line]
+        assert sorted(reported) == skipped, jobs
+        assert _classified_line(proc.stderr) == [f"classified {len(good)} inputs into 18 classes"]
+        trees.append(_tree(out_dir))
+    assert trees[0] and trees[1] == trees[0] and trees[2] == trees[0]
 
 
 # (configuration, enumerate options, classify options, SHA-256 of the

@@ -327,7 +327,8 @@ def test_circuit_matches_barycentric_row(name, steps, data):
 @pytest.mark.parametrize("name", ["3D2", "C(1D3,2D3)"])
 def test_local_circuits_match_the_oracle_scan(name):
     # Seeded flip walks that leave points unused and use them again: the
-    # wall circuits and the inside-mask scan equal the sign scan in order.
+    # wall circuits and the inside-mask scan equal the sign scan in order,
+    # and the flips of neighbors are the rows that _flip accepts, in order.
     cfg = _WALKED[name]
     engine = flip_engine(cfg)
     rng = random.Random(11)
@@ -335,10 +336,13 @@ def test_local_circuits_match_the_oracle_scan(name):
     for _ in range(6):
         masks = engine.to_masks(placing_triangulation(cfg).cells)
         for _ in range(15):
-            walls = engine.wall_circuits(masks)
-            assert engine.local_circuits(masks, walls) == oracles.local_circuits(engine, masks)
+            rows = engine.regularity_rows(masks, engine.wall_circuits(masks))
+            assert rows == oracles.local_circuits(engine, masks)
+            nbrs = engine.neighbors(masks)
+            accepted = [row for row in rows if engine._flip(masks, *engine._sign_masks(row)) is not None]
+            assert [flip.circuit for flip, _child in nbrs] == accepted
             with_unused += not engine.is_full(masks)
-            masks = rng.choice(engine.neighbors(masks))[1]
+            masks = rng.choice(nbrs)[1]
     assert with_unused >= 10
 
 
@@ -373,13 +377,14 @@ def _flip_walk(name, steps, choose):
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(sorted(_DERIVED)), st.integers(1, 10), st.data())
 def test_derived_rows_match_a_fresh_scan(name, steps, data):
-    # A wall paired with a survivor may list its two cells in either order.
+    # A wall paired with a survivor may list its two cells in either order,
+    # and the derived scan orders the walls differently, so rows compare sorted.
     def unordered(walls):
         return {fm: ({sigma, tau}, row) for fm, (sigma, tau, row) in walls.items()}
 
     for engine, flip, child in _flip_walk(name, steps, lambda k: data.draw(st.integers(0, k - 1))):
         derived = engine.regularity_rows(child, engine.wall_circuits(child, flip))
-        assert derived == sorted(engine.local_circuits(child, engine.wall_circuits(child)))
+        assert sorted(derived) == sorted(engine.regularity_rows(child, engine.wall_circuits(child)))
         assert unordered(engine.wall_circuits(child, flip)) == unordered(engine.wall_circuits(child))
 
 
@@ -392,7 +397,7 @@ def test_derived_rows_walks_change_points_and_leave_regularity():
         for _ in range(3):
             for engine, flip, child in _flip_walk(name, 12, rng.randrange):
                 rows = engine.regularity_rows(child, engine.wall_circuits(child, flip))
-                assert rows == sorted(engine.local_circuits(child, engine.wall_circuits(child)))
+                assert sorted(rows) == sorted(engine.regularity_rows(child, engine.wall_circuits(child)))
                 parent = set(child).difference(flip.added).union(flip.removed)
                 changed += reduce(or_, parent) != reduce(or_, child)
                 non_regular += engine.solve(rows) is None
