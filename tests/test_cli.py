@@ -246,6 +246,24 @@ def test_tropicalize_bundled_pair_outputs_are_pinned(tmp_path, capsys, name):
     assert digests == _PAIR_DIGESTS[name]
 
 
+def test_bundled_pairs_output_listing_is_pinned(tmp_path, capsys):
+    # The value CI checks on the installed console script: `sha256sum` of
+    # `find . -maxdepth 2 \( -name report.json -o -name curve.dot \) |
+    # LC_ALL=C sort | xargs sha256sum` over every bundled pair's <pair>/ dir.
+    for name in sorted(_PAIR_DIGESTS):
+        f1, f2 = data_pair(name)
+        code, _, _ = run(capsys, "tropicalize", f1, f2, "--out", str(tmp_path / name))
+        assert code == EXIT_OK
+    listing = "".join(
+        f"{hashlib.sha256(data).hexdigest()}  ./{path}\n"
+        for path, data in sorted(_tree(tmp_path).items())
+        if path.endswith(("/report.json", "/curve.dot"))
+    )
+    assert hashlib.sha256(listing.encode()).hexdigest() == (
+        "4d1f23ddd20314781364ead8638779757490093cd78e284800effd1a32f520ec"
+    )
+
+
 def _polynomial_doc():
     f1, _ = data_pair("sample21")
     return load_json(f1)
