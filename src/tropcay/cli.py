@@ -47,7 +47,6 @@ from .formats import (
     polynomial_terms_from_dict,
     report_to_dict,
     save_json,
-    text_to_cells,
     triangulation_line,
 )
 from .geometry import cayley_config, simplex_lattice_points
@@ -296,15 +295,13 @@ def cmd_classify(args) -> int:
             tables = list(pool.map(classify_share, range(args.jobs)))
     table = reduce(ClassTable.merge, tables)
 
-    entries_with_cells = [
-        (entry, text_to_cells(config, entry.provenance)) for entry in table.entries()
-    ]
+    entries = table.entries()
     os.makedirs(args.out, exist_ok=True)
-    doc = class_table_to_dict(config, entries_with_cells)
+    doc = class_table_to_dict(config, entries)
     save_json(os.path.join(args.out, "classes.json"), doc)
     with open(os.path.join(args.out, "atlas.txt"), "w", encoding="utf-8") as fh:
-        fh.write(atlas_text(config, entries_with_cells))
-    for class_id, (entry, _cells) in enumerate(entries_with_cells):
+        fh.write(atlas_text(config, entries))
+    for class_id, entry in enumerate(entries):
         graph = entry.representative
         path = os.path.join(args.out, f"class_{class_id:04d}.dot")
         with open(path, "w", encoding="utf-8") as fh:

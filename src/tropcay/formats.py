@@ -6,7 +6,8 @@ wrong ``format``, or lacks or mistypes a field raises ``InputError``.
 Triangulations have a compact text form: each cell is the concatenation
 of its point labels in index order (uppercase labels are first-factor
 points of a Cayley configuration, lowercase second), and cells are joined
-by commas, e.g. ``ABCDe,ABCde``.
+by commas, e.g. ``ABCDe,ABCde``.  Marked cell text tags each cell that is
+a vertex of the dual curve with the colour the graph gives it.
 """
 
 from __future__ import annotations
@@ -208,32 +209,31 @@ def graph_to_dot(graph, vertex_labels=None, name: str = "tropical_curve") -> str
     return "\n".join(lines) + "\n"
 
 
-def marked_cell_text(config: PointConfiguration, cells) -> str:
-    """Cell text with toblerone markup: ``(b)`` tags 3-uppercase/2-lowercase
-    cells, ``(r)`` 2-uppercase/3-lowercase; unmixed cells are untagged."""
-    if not config.is_cayley:
-        return cells_to_text(config, cells)
-    n1, _ = config.cayley_sizes
-    parts = []
-    for cell in sorted(map(tuple, map(sorted, cells))):
-        text = "".join(config.labels[i] for i in cell)
-        upper = sum(1 for i in cell if i < n1)
-        lower = len(cell) - upper
-        if (upper, lower) == (3, 2):
-            text += "(b)"
-        elif (upper, lower) == (2, 3):
-            text += "(r)"
-        parts.append(text)
-    return ",".join(parts)
+_MARK = {"blue": "(b)", "red": "(r)"}
+
+
+def marked_cell_text(config: PointConfiguration, text: str, graph) -> str:
+    """Cell text (``cells_to_text``) with each cell that is a vertex of the
+    dual graph ``graph`` tagged by that vertex's colour: ``(b)`` for a blue
+    toblerone, ``(r)`` for a red one.  A graph without colours (a planar
+    curve's) leaves the text unmarked."""
+    if graph.colors is None:
+        return text
+    marks = {
+        "".join(config.labels[i] for i in cell): _MARK[color]
+        for cell, color in zip(graph.vertex_cells, graph.colors)
+    }
+    return ",".join(cell + marks.get(cell, "") for cell in text.split(","))
 
 
 def report_to_dict(report) -> dict:
     config = report.configuration
     vertex_labels = ["".join(config.labels[i] for i in c) for c in report.graph.vertex_cells]
+    text = cells_to_text(config, report.triangulation.cells)
     return {
         "format": FORMAT_REPORT,
-        "triangulation": cells_to_text(config, report.triangulation.cells),
-        "triangulation_marked": marked_cell_text(config, report.triangulation.cells),
+        "triangulation": text,
+        "triangulation_marked": marked_cell_text(config, text, report.graph),
         "cells": [list(c) for c in report.triangulation.cells],
         "weights": [format_rational(h) for h in report.weights.heights],
         "cell_count": len(report.triangulation.cells),
@@ -256,18 +256,18 @@ def report_to_dict(report) -> dict:
     }
 
 
-def class_table_to_dict(config: PointConfiguration, entries_with_cells) -> dict:
-    """Class table document: ``entries_with_cells`` pairs each table entry
-    with the representative triangulation's cells."""
+def class_table_to_dict(config: PointConfiguration, entries) -> dict:
+    """Class table document of ``ClassTable.entries()``: each class's
+    representative is its provenance text, marked by its graph."""
     classes = []
-    for class_id, (entry, cells) in enumerate(entries_with_cells):
+    for class_id, entry in enumerate(entries):
         graph = entry.representative
         classes.append(
             {
                 "id": class_id,
                 "cycle_length": entry.cycle_length,
                 "members": entry.count,
-                "representative": marked_cell_text(config, cells),
+                "representative": marked_cell_text(config, entry.provenance, graph),
                 "edges": [list(e) for e in graph.edges],
                 "colors": list(graph.colors) if graph.colors is not None else [],
             }
@@ -275,9 +275,10 @@ def class_table_to_dict(config: PointConfiguration, entries_with_cells) -> dict:
     return {"format": FORMAT_CLASSES, "classes": classes}
 
 
-def atlas_text(config: PointConfiguration, entries_with_cells) -> str:
-    """Plain-text atlas: label table header, then one block per class,
-    sorted by increasing cycle length and canonical form."""
+def atlas_text(config: PointConfiguration, entries) -> str:
+    """Plain-text atlas of ``ClassTable.entries()``: label table header,
+    then one block per class, sorted by increasing cycle length and
+    canonical form."""
     lines = ["# tropcay atlas", "#", "# point labels:"]
     for label, point in zip(config.labels, config.points):
         lines.append(f"#   {label} = {tuple(point)}")
@@ -286,12 +287,12 @@ def atlas_text(config: PointConfiguration, entries_with_cells) -> str:
     lines.append("#              (r) = 2 uppercase + 3 lowercase (red toblerone)")
     lines.append("# entries sorted by increasing cycle length, then canonical form")
     lines.append("")
-    for class_id, (entry, cells) in enumerate(entries_with_cells):
+    for class_id, entry in enumerate(entries):
         graph = entry.representative
         lines.append(
             f"## id {class_id}  cycle_length {entry.cycle_length}  members {entry.count}"
         )
-        lines.append(f"representative: {marked_cell_text(config, cells)}")
+        lines.append(f"representative: {marked_cell_text(config, entry.provenance, graph)}")
         lines.append("edges: " + " ".join(f"{u}-{v}" for u, v in graph.edges))
         lines.append(
             "rays: " + " ".join(f"v{v}={r}" for v, r in enumerate(graph.ray_counts))

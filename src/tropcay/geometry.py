@@ -208,8 +208,6 @@ def normalized_volume(config: PointConfiguration, cell=None) -> int:
     if len(indices) == rank + 1:
         return _simplex_volume(pts, indices)
     cells = placing_cells([pts[i] for i in indices])
-    if cells is None:  # sub-configuration spans a lower dimension
-        return 0
     if any(len(c) != rank + 1 for c in cells):
         return 0
     return sum(_simplex_volume(pts, tuple(indices[i] for i in c)) for c in cells)

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .errors import InputError
-from .tropical import CurveGraph, cycle_length, genus, is_connected
+from .tropical import CurveGraph, cycle_length
 
 CENSUS_VERTEX_LIMIT = 12
 CENSUS_CONVENTIONS = ("simple", "multigraph", "multigraph-loops")
@@ -42,7 +42,7 @@ def _normalize_colors(colors):
 
 
 def canonical_form(graph, use_colors: bool = False) -> CanonicalForm:
-    """Canonical form of a CurveGraph or an (n, edges[, colors]) tuple.
+    """Canonical form of a CurveGraph or an (n, edges) pair.
 
     With ``use_colors`` the vertex colors take part in the labeling (and in
     the form's equality); graphs without colors degrade to the uncolored
@@ -50,8 +50,6 @@ def canonical_form(graph, use_colors: bool = False) -> CanonicalForm:
     """
     if isinstance(graph, CurveGraph):
         n, edges, colors = graph.num_vertices, graph.edges, graph.colors
-    elif len(graph) == 3:
-        n, edges, colors = graph
     else:
         n, edges = graph
         colors = None
@@ -150,10 +148,7 @@ class ClassTable:
 
     def add(self, graph: CurveGraph, provenance: str = "") -> GraphClassEntry:
         form = canonical_form(graph, use_colors=self.use_colors)
-        clen = None
-        if form not in self.classes and is_connected(graph) and genus(graph) == 1:
-            clen = cycle_length(graph)
-        return self._count(GraphClassEntry(form, graph, provenance, 1, clen))
+        return self._count(GraphClassEntry(form, graph, provenance, 1, cycle_length(graph)))
 
     def _count(self, new: GraphClassEntry) -> GraphClassEntry:
         """Add ``new``'s members to its class; the representative is the

@@ -121,8 +121,8 @@ class Flip:
     """A bistellar flip along a circuit, oriented from the present side.
 
     The circuit, a row over all points, is positive on ``plus``, the
-    points whose opposite simplices are present, and negative on
-    ``minus``, those of the replacement side.  A flip from
+    points whose opposite simplices are present, and negative on the
+    points of the replacement side.  A flip from
     ``FlipEngine.neighbors`` also records the cell masks it removes and
     adds and the present triangulation's wall scan, from which
     ``FlipEngine.wall_circuits`` derives the result's walls.  These three
@@ -137,10 +137,6 @@ class Flip:
     @property
     def plus(self) -> tuple[int, ...]:
         return tuple(i for i, c in enumerate(self.circuit) if c > 0)
-
-    @property
-    def minus(self) -> tuple[int, ...]:
-        return tuple(i for i, c in enumerate(self.circuit) if c < 0)
 
     def reversed(self) -> "Flip":
         return Flip(tuple(-c for c in self.circuit), self.added, self.removed)

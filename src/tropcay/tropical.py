@@ -9,6 +9,11 @@ prisms; the dual curve has one vertex per mixed cell and one edge for
 every shared facet whose case split is (2, 2) (those are the facets whose
 slice is a parallelogram).  Unbounded rays are never materialized, only
 counted per vertex.
+
+The dual graph (``CurveGraph``) is the one source of the curve facts that
+are rendered and classified: each vertex's cell and colour (the colour
+rule is ``_color_of``), its ray count, and ``cycle_length``, which is
+``None`` for any graph that is not connected of genus 1.
 """
 
 from __future__ import annotations
@@ -229,10 +234,11 @@ def is_connected(g: CurveGraph) -> bool:
     return _components(g.num_vertices, g.edges) == 1
 
 
-def cycle_length(g: CurveGraph) -> int:
-    """Vertex count of the unique cycle of a connected genus-1 graph."""
+def cycle_length(g: CurveGraph) -> int | None:
+    """Vertex count of the unique cycle of a connected genus-1 graph, and
+    ``None`` for any other graph."""
     if not is_connected(g) or genus(g) != 1:
-        raise ValueError("cycle_length needs a connected graph of genus 1")
+        return None
     adjacency = {v: set() for v in range(g.num_vertices)}
     for u, v in g.edges:
         adjacency[u].add(v)
@@ -290,8 +296,6 @@ def tropicalize_pair(f1: ValuedPolynomial, f2: ValuedPolynomial) -> CurveReport:
             raise NonUnimodularError(cell, vol)
     ms = mixed_subdivision(t)
     graph = dual_curve_3d(ms)
-    b1 = genus(graph)
-    clen = cycle_length(graph) if b1 == 1 and is_connected(graph) else None
     colors: dict = {}
     for c in graph.colors:
         colors[c] = colors.get(c, 0) + 1
@@ -301,8 +305,8 @@ def tropicalize_pair(f1: ValuedPolynomial, f2: ValuedPolynomial) -> CurveReport:
         triangulation=t,
         mixed=ms,
         graph=graph,
-        genus=b1,
-        cycle_length=clen,
+        genus=genus(graph),
+        cycle_length=cycle_length(graph),
         mixed_count=len(ms.mixed_cells()),
         unmixed_count=len(ms.unmixed_cells()),
         color_counts=colors,

@@ -15,6 +15,7 @@ from tropcay.formats import (
     triangulation_line,
 )
 from tropcay.geometry import PointConfiguration, cayley_config, simplex_lattice_points
+from tropcay.tropical import CurveGraph
 
 
 def cayley22():
@@ -88,11 +89,25 @@ def test_triangulation_line_matches_the_two_sort_formula():
             assert triangulation_line(cfg, cells) == expected
 
 
+def _toblerone_graph(colors):
+    # two vertex cells, 3+2 and 2+3, of a cell text whose 4+1 cell is no vertex
+    return CurveGraph(2, ((0, 1),), colors, (2, 2), ((0, 1, 2, 10, 11), (0, 1, 10, 11, 12)))
+
+
 def test_marked_cell_text_tags_toblerones():
     cfg = cayley22()
-    marked = marked_cell_text(cfg, [(0, 1, 2, 10, 11), (0, 1, 10, 11, 12), (0, 1, 2, 3, 10)])
-    # cells are emitted in sorted order: 4+1 untagged, 3+2 blue, 2+3 red
-    assert marked == "ABCDa,ABCab(b),ABabc(r)"
+    text = cells_to_text(cfg, [(0, 1, 2, 10, 11), (0, 1, 10, 11, 12), (0, 1, 2, 3, 10)])
+    assert text == "ABCDa,ABCab,ABabc"
+    # each vertex cell carries its vertex's colour; the other cell is untagged
+    assert marked_cell_text(cfg, text, _toblerone_graph(("blue", "red"))) == "ABCDa,ABCab(b),ABabc(r)"
+
+
+def test_marked_cell_text_marks_follow_the_graph_colours():
+    cfg = cayley22()
+    text = "ABCDa,ABCab,ABabc"
+    assert marked_cell_text(cfg, text, _toblerone_graph(("red", "blue"))) == "ABCDa,ABCab(r),ABabc(b)"
+    # a planar curve has no colours: the text comes back as it went in
+    assert marked_cell_text(cfg, text, _toblerone_graph(None)) == text
 
 
 def test_rejects_wrong_format_field():

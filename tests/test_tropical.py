@@ -163,8 +163,18 @@ def test_genus_and_cycle_length_basics():
     assert cycle_length(pendant) == 3
     tree = CurveGraph(3, ((0, 1), (1, 2)), None, (2, 1, 2), ((), (), ()))
     assert genus(tree) == 0
-    with pytest.raises(ValueError):
-        cycle_length(tree)
+    assert cycle_length(tree) is None
+
+
+def test_cycle_length_is_none_off_connected_genus_one():
+    forest = CurveGraph(4, ((0, 1), (2, 3)), None, (2, 2, 2, 2), ((),) * 4)
+    # a triangle beside a lone edge: genus 1, two components
+    split = CurveGraph(5, ((0, 1), (1, 2), (0, 2), (3, 4)), None, (1, 1, 1, 2, 2), ((),) * 5)
+    theta = CurveGraph(2, ((0, 1), (0, 1), (0, 1)), None, (0, 0), ((),) * 2)
+    assert (genus(forest), is_connected(forest)) == (0, False)
+    assert (genus(split), is_connected(split)) == (1, False)
+    assert (genus(theta), is_connected(theta)) == (2, True)
+    assert [cycle_length(g) for g in (forest, split, theta)] == [None, None, None]
 
 
 def test_ray_count_identity():
